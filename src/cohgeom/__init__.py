@@ -39,7 +39,6 @@ from .measures import (
 )
 from .states import (
     BellParams,
-    ConvergenceError,
     DomainError,
     TOL_PSD,
     XParams,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BellParams",
     "ChannelKind",
-    "ConvergenceError",
     "DomainError",
     "MeasureKind",
     "RegionTag",

@@ -29,7 +29,7 @@ from .states import (
     hermitian_spectrum,
     require_physical_bell,
     _as_bell,
-    _check_4x4,
+    _check_stack,
 )
 
 
@@ -92,25 +92,23 @@ def kraus_ops(kind, p: float) -> list[np.ndarray]:
 def apply_product_channel(m, kind, p: float) -> np.ndarray:
     """Apply the channel independently to both qubits of a density matrix.
 
-    Computes sum over (i, j) of (E_i (x) E_j) m (E_i (x) E_j)^dag.  The input
-    must be a physical density matrix; the output then is one as well.
+    Computes sum over (i, j) of (E_i (x) E_j) m (E_i (x) E_j)^dag for one
+    matrix or a ``(..., 4, 4)`` stack.  Every input must be a physical density
+    matrix; the outputs then are as well.
     """
-    a = _check_4x4(m)
-    if np.abs(a - a.conj().T).max() > 1e-10:
+    a = _check_stack(m)
+    if np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-10:
         raise DomainError("density matrix is not Hermitian within tolerance")
-    if abs(a.trace().real - 1.0) > 1e-10:
+    if (np.abs(np.trace(a, axis1=-2, axis2=-1).real - 1.0) > 1e-10).any():
         raise DomainError("density matrix trace differs from 1")
-    lam_min = hermitian_spectrum(a)[-1]
+    lam_min = hermitian_spectrum(a)[..., -1].min(initial=np.inf)
     if lam_min < -TOL_PSD:
         raise DomainError(
             f"state not positive semidefinite: smallest eigenvalue {lam_min:.6g}"
         )
     ops = kraus_ops(kind, p)
-    pairs = [np.kron(e1, e2) for e1 in ops for e2 in ops]
-    out = np.zeros((4, 4), dtype=complex)
-    for e in pairs:
-        out += e @ a @ e.conj().T
-    return out
+    pairs = np.array([np.kron(e1, e2) for e1 in ops for e2 in ops])
+    return np.einsum("kab,...bc,kdc->...ad", pairs, a, pairs.conj(), optimize=True)
 
 
 def correlation_map_values(kind, p: float, c1, c2, c3):

@@ -13,8 +13,9 @@ verify
     Run the closed-form-versus-oracle suites and report worst deviations.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 for invalid or
-unphysical input.  Repeated invocations with identical flags produce
-byte-identical output, regardless of ``--threads``.
+unphysical input and for output paths that cannot be written.  Repeated
+invocations with identical flags produce byte-identical output, regardless of
+``surface --threads``.
 """
 
 from __future__ import annotations
@@ -28,19 +29,6 @@ from . import channels, geometry, measures, states, verification
 from .measures import MeasureKind
 
 _CSV_COLUMNS = ("bf", "pf", "bpf", "gad")
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="worker thread cap; results do not depend on it (default: CPU count)",
-    )
 
 
 def _add_state_args(parser: argparse.ArgumentParser) -> None:
@@ -65,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--r", type=float, default=0.0, help="first Bloch z component")
     m.add_argument("--s", type=float, default=0.0, help="second Bloch z component")
     m.add_argument("--out", help="write the JSON document here instead of stdout")
-    _add_threads(m)
 
     s = sub.add_parser("surface", help="extract a constant-level surface mesh")
     s.add_argument(
@@ -88,7 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=float, help="channel probability for --channel")
     s.add_argument("--out", required=True, help="output OBJ path")
     s.add_argument("--stats-out", help="write the stats JSON here instead of stdout")
-    _add_threads(s)
+    s.add_argument(
+        "--threads",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker thread cap; results do not depend on it (default: CPU count)",
+    )
 
     d = sub.add_parser("dynamics", help="coherence of the evolved state versus p")
     _add_state_args(d)
@@ -102,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=int, default=101, help="points on the p grid (default: 101)"
     )
     d.add_argument("--out", help="write the CSV here instead of stdout")
-    _add_threads(d)
 
     v = sub.add_parser("verify", help="run the oracle cross-check suites")
     v.add_argument(
@@ -111,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10000,
         help="random states per sampled suite (default: 10000)",
     )
-    _add_threads(v)
 
     return parser
 
@@ -152,6 +142,8 @@ def _cmd_measure(args) -> int:
 
 def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
     measure = MeasureKind(args.measure)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     if not 0.0 < args.level <= 1.0:
         parser.error(f"--level must lie in (0, 1], got {args.level}")
     if args.resolution < 8:
@@ -178,7 +170,7 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
         slice=slice_rs,
         channel=args.channel,
         p=args.p,
-        threads=max(1, args.threads),
+        threads=args.threads,
     )
     mesh = geometry.extract_isosurface(grid, args.level)
 
@@ -242,8 +234,6 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
     try:
         if args.command == "measure":
             return _cmd_measure(args)
@@ -252,7 +242,7 @@ def main(argv=None) -> int:
         if args.command == "dynamics":
             return _cmd_dynamics(args)
         return _cmd_verify(args)
-    except states.DomainError as exc:
+    except (states.DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ from cohgeom.measures import (
 )
 from cohgeom.states import bell_density, bell_eigenvalues
 from cohgeom.verification import sample_physical_bell
+from conftest import cli_env
 
 BELL_VERTICES = ((1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1))
 
@@ -85,7 +86,7 @@ def test_criterion_02_zero_characterization():
 
 
 def test_criterion_03_closed_form_vs_eigensolver():
-    with criterion(3, "closed forms match the Jacobi entropy route", 30.0):
+    with criterion(3, "closed forms match the LAPACK entropy route", 30.0):
         rng = np.random.default_rng(102)
         bell = verification.bell_closed_vs_jacobi(10000, rng)
         assert bell.deviation <= 1e-10, bell.line()
@@ -181,6 +182,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                 [sys.executable, "-m", "cohgeom.cli", *argv],
                 capture_output=True,
                 cwd=tmp_path,
+                env=cli_env(),
             )
             assert proc.returncode == 0, proc.stderr.decode()
             return proc.stdout

@@ -6,6 +6,7 @@ import pytest
 
 from cohgeom.cli import main
 from cohgeom.verification import SuiteResult
+from conftest import cli_env
 
 
 def run_cli(*argv):
@@ -56,6 +57,13 @@ class TestMeasure:
         ) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["region"] == "separable"
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "m.json"
+        assert run_cli(
+            "measure", "--c1", "0", "--c2", "0", "--c3", "0", "--out", str(out)
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSurface:
@@ -141,6 +149,14 @@ class TestSurface:
         )
         assert code == 0
         assert "consider a higher --resolution" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "surface", "--measure", "l1", "--level", "0.5", "--resolution", "8",
+            "--out", str(tmp_path / "missing" / "x.obj"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDynamics:
@@ -228,11 +244,15 @@ class TestDeterminism:
             [sys.executable, "-m", "cohgeom.cli", "measure",
              "--c1", "0", "--c2", "0", "--c3", "0"],
             capture_output=True, text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["region"] == "separable"
 
-    def test_invalid_threads_rejected(self):
+    def test_invalid_threads_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            run_cli("measure", "--c1", "0", "--c2", "0", "--c3", "0", "--threads", "0")
+            run_cli(
+                "surface", "--level", "0.5", "--out", str(tmp_path / "x.obj"),
+                "--threads", "0",
+            )
         assert exc.value.code == 2

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cohgeom import states
+from cohgeom import measures, states
+from cohgeom.channels import apply_product_channel
 from cohgeom.states import (
     BellParams,
     DomainError,
@@ -150,17 +151,6 @@ class TestHermitianSpectrum:
             atol=1e-12,
         )
 
-    def test_random_hermitian_against_lapack(self):
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            h = (a + a.conj().T) / 2
-            assert_allclose(
-                hermitian_spectrum(h),
-                np.sort(np.linalg.eigvalsh(h))[::-1],
-                atol=1e-12,
-            )
-
     def test_rejects_non_hermitian(self):
         bad = np.eye(4, dtype=complex)
         bad[0, 1] = 0.5
@@ -202,3 +192,50 @@ class TestCorrelations:
         rng = np.random.default_rng(37)
         for row in sample_physical_bell(200, rng):
             assert_allclose(correlations_of(bell_density(row)), row, atol=1e-12)
+
+
+class TestStackedOracle:
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(41)
+        g = rng.normal(size=(2, 5, 4, 4)) + 1j * rng.normal(size=(2, 5, 4, 4))
+        rho = g @ g.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+        singles = rho.reshape(-1, 4, 4)
+
+        def check(stacked, fn):
+            expected = np.array([fn(m) for m in singles])
+            got = np.asarray(stacked).reshape(expected.shape)
+            assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+        check(hermitian_spectrum(rho), hermitian_spectrum)
+        check(
+            measures.relative_entropy_coherence(rho),
+            measures.relative_entropy_coherence,
+        )
+        check(
+            apply_product_channel(rho, "gad", 0.3),
+            lambda m: apply_product_channel(m, "gad", 0.3),
+        )
+        check(np.stack(correlations_of(rho), axis=-1), correlations_of)
+
+        non_hermitian = rho.copy()
+        non_hermitian[1, 3, 0, 1] += 0.1
+        unphysical = rho.copy()
+        unphysical[0, 2] = bell_density((0.9, 0.9, 0))
+        for bad in (non_hermitian, unphysical):
+            with pytest.raises(DomainError):
+                measures.relative_entropy_coherence(bad)
+            with pytest.raises(DomainError):
+                apply_product_channel(bad, "bf", 0.5)
+        with pytest.raises(DomainError):
+            hermitian_spectrum(non_hermitian)
+
+        # the single-matrix measures must not sum over a stack
+        bell_stack = np.array([bell_density((0.1, 0.2, 0.3))] * 2)
+        for fn in (
+            measures.l1_coherence,
+            measures.is_x_shaped,
+            measures.trace_norm_coherence_x,
+        ):
+            with pytest.raises(DomainError):
+                fn(bell_stack)
