@@ -141,7 +141,6 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
-    measure = MeasureKind(args.measure)
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     if not 0.0 < args.level <= 1.0:
@@ -151,12 +150,6 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
     slice_rs = None
     if args.r is not None or args.s is not None:
         slice_rs = (args.r or 0.0, args.s or 0.0)
-        if measure in (MeasureKind.DISCORD, MeasureKind.TRACE_NORM):
-            parser.error(f"--measure {measure.value} cannot be combined with --r/--s")
-        if args.channel is not None:
-            parser.error("--channel cannot be combined with --r/--s")
-    if (args.channel is None) != (args.p is None):
-        parser.error("--channel and --p must be given together")
     if args.level < 2.0 / args.resolution:
         print(
             f"warning: level {args.level} is below the grid feature size "
@@ -165,7 +158,7 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
         )
 
     grid = geometry.sample_field(
-        measure,
+        args.measure,
         args.resolution,
         slice=slice_rs,
         channel=args.channel,
@@ -175,29 +168,17 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
     mesh = geometry.extract_isosurface(grid, args.level)
 
     metadata = {
-        "measure": measure.value,
+        "measure": args.measure,
         "level": float(args.level),
         "resolution": int(args.resolution),
         "r": None if slice_rs is None else slice_rs[0],
         "s": None if slice_rs is None else slice_rs[1],
     }
+    doc = {**geometry.surface_stats(mesh), **metadata}
     if args.channel is not None:
         metadata["channel"] = args.channel
         metadata["p"] = float(args.p)
     geometry.export_obj(mesh, args.out, metadata)
-
-    stats = geometry.surface_stats(mesh)
-    doc = {
-        "total_area": stats["total_area"],
-        "entangled_area_fraction": stats["entangled_area_fraction"],
-        "vertex_count": stats["vertex_count"],
-        "triangle_count": stats["triangle_count"],
-        "measure": measure.value,
-        "level": float(args.level),
-        "resolution": int(args.resolution),
-        "r": None if slice_rs is None else slice_rs[0],
-        "s": None if slice_rs is None else slice_rs[1],
-    }
     _emit(json.dumps(doc, indent=2) + "\n", args.stats_out)
     return 0
 

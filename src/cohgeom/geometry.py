@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import channels, measures
-from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
+from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .measures import MeasureKind
 from .states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
 
@@ -40,17 +40,12 @@ class RegionTag(enum.Enum):
 def classify_point(params) -> RegionTag:
     """Classify a correlation triple against the state set and the octahedron.
 
-    Unphysical triples (any eigenvalue below -TOL_PSD) are invalid; physical
-    ones are separable when |c1| + |c2| + |c3| <= 1 and entangled otherwise.
+    Unphysical triples (any eigenvalue below -TOL_PSD, or NaN) are invalid;
+    physical ones are separable when |c1| + |c2| + |c3| <= 1 and entangled
+    otherwise.
     """
     c1, c2, c3 = (float(v) for v in params)
-    if any(math.isnan(v) for v in (c1, c2, c3)):
-        return RegionTag.INVALID
-    if min(bell_eigenvalues(c1, c2, c3)) < -TOL_PSD:
-        return RegionTag.INVALID
-    if abs(c1) + abs(c2) + abs(c3) <= 1.0 + TOL_SEPARABLE:
-        return RegionTag.SEPARABLE
-    return RegionTag.ENTANGLED
+    return _region_tags(c1, c2, c3)
 
 
 def _classify_arrays(c1, c2, c3):
@@ -59,6 +54,15 @@ def _classify_arrays(c1, c2, c3):
     invalid = ~(lam_min >= -TOL_PSD)  # catches NaN as invalid
     entangled = ~invalid & (np.abs(c1) + np.abs(c2) + np.abs(c3) > 1.0 + TOL_SEPARABLE)
     return invalid, entangled
+
+
+_TAGS = np.array([RegionTag.SEPARABLE, RegionTag.ENTANGLED, RegionTag.INVALID], dtype=object)
+
+
+def _region_tags(c1, c2, c3):
+    """RegionTag members, as an object array shaped like the broadcast inputs."""
+    invalid, entangled = _classify_arrays(c1, c2, c3)
+    return _TAGS[np.where(invalid, 2, entangled)]
 
 
 def grid_axis(resolution: int) -> np.ndarray:
@@ -117,6 +121,7 @@ def sample_field(
     channel, p : optional
         Pre-map every grid triple through this decoherence channel at
         strength p before evaluating the measure (Bell-diagonal only).
+        Give both or neither.
     threads : int
         Worker threads for the sampling pass.  Output is identical for any
         thread count.
@@ -144,8 +149,8 @@ def sample_field(
         for name, v in (("r", r), ("s", s)):
             if not -1.0 <= v <= 1.0:
                 raise DomainError(f"{name} must lie in [-1, 1], got {v}")
-    if channel is not None and p is None:
-        raise DomainError("channel pre-map requires a probability p")
+    if (channel is None) != (p is None):
+        raise DomainError("a channel pre-map and its probability p must be given together")
 
     axis = grid_axis(n)
     c2 = axis[None, :, None]
@@ -194,11 +199,13 @@ class TriangleMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    region_tags: list[RegionTag] = field(default_factory=list)
+    # Object array of RegionTag members, one per vertex, or empty.
+    region_tags: np.ndarray = ()
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
+        self.region_tags = np.asarray(self.region_tags, dtype=object)
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
@@ -208,7 +215,7 @@ class TriangleMesh:
 
     @classmethod
     def empty(cls) -> "TriangleMesh":
-        return cls(np.zeros((0, 3)), np.zeros((0, 3), dtype=int), [])
+        return cls(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
 
     def __len__(self) -> int:
         return len(self.triangles)
@@ -227,14 +234,29 @@ class TriangleMesh:
         return self.vertices[self.triangles].mean(axis=1)
 
 
+# The case tables as arrays.  An edge is crossed when its two corners lie on
+# opposite sides of the level; each edge starts at a lower grid node and runs
+# along one axis; triangle edge lists are padded with -1.
+_CORNER_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+_EDGE_A, _EDGE_B = np.array(EDGE_CORNERS).T
+EDGE_CROSSED = _CORNER_BITS[:, _EDGE_A] != _CORNER_BITS[:, _EDGE_B]
+_OFFSET_A, _OFFSET_B = np.array(CORNER_OFFSETS)[[_EDGE_A, _EDGE_B]]
+_EDGE_LOWER = np.minimum(_OFFSET_A, _OFFSET_B)
+_EDGE_AXIS = np.argmax(_OFFSET_A != _OFFSET_B, axis=1)
+TRI_EDGES = np.array([edges + (-1,) * (15 - len(edges)) for edges in TRI_TABLE])
+
+
 def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
     """Extract the triangle mesh of the field's level set via marching cubes.
 
     Linear interpolation along cube edges; any cube with a masked (NaN)
     corner contributes nothing, which trims the surface at the boundary of
     the physical set.  A level outside the field's range simply yields an
-    empty mesh.  Output is deterministic: cubes are visited in index order
-    and shared edge vertices are emitted once, at first encounter.
+    empty mesh.  Output is deterministic.  Vertices are numbered by first
+    encounter when cubes are visited in index order and, within a cube,
+    edges 0-11 in order; a grid edge shared by several cubes gives one
+    vertex.  Triangles follow in the same cube order, each cube's in table
+    order, minus those of area at most DEGENERATE_AREA.
     """
     if not isinstance(grid, ScalarGrid):
         grid = ScalarGrid(grid)
@@ -254,54 +276,41 @@ def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
         corner = vals[di : m + di, dj : m + dj, dk : m + dk]
         masked |= np.isnan(corner)
         case |= (corner < level).astype(np.int16) << bit
-    active = np.argwhere(~masked & (case > 0) & (case < 255))
-
-    vertex_ids: dict[tuple[int, int, int, int], int] = {}
-    verts: list[tuple[float, float, float]] = []
-    tris: list[tuple[int, int, int]] = []
-
-    for i, j, k in active:
-        cube_case = int(case[i, j, k])
-        cube_edges = EDGE_TABLE[cube_case]
-        edge_vertex = [-1] * 12
-        for e in range(12):
-            if not cube_edges & (1 << e):
-                continue
-            ca, cb = EDGE_CORNERS[e]
-            na = (i + CORNER_OFFSETS[ca][0], j + CORNER_OFFSETS[ca][1], k + CORNER_OFFSETS[ca][2])
-            nb = (i + CORNER_OFFSETS[cb][0], j + CORNER_OFFSETS[cb][1], k + CORNER_OFFSETS[cb][2])
-            if nb < na:
-                na, nb = nb, na
-            ax = 0 if na[0] != nb[0] else (1 if na[1] != nb[1] else 2)
-            key = (*na, ax)
-            vid = vertex_ids.get(key)
-            if vid is None:
-                va = vals[na]
-                vb = vals[nb]
-                t = (level - va) / (vb - va)
-                pos = [axis[na[0]], axis[na[1]], axis[na[2]]]
-                pos[ax] += t * (axis[na[ax] + 1] - axis[na[ax]])
-                vid = len(verts)
-                vertex_ids[key] = vid
-                verts.append(tuple(pos))
-            edge_vertex[e] = vid
-        t_list = TRI_TABLE[cube_case]
-        for a in range(0, len(t_list), 3):
-            tris.append(
-                (
-                    edge_vertex[t_list[a]],
-                    edge_vertex[t_list[a + 1]],
-                    edge_vertex[t_list[a + 2]],
-                )
-            )
-
-    if not verts:
+    cubes = np.flatnonzero(~masked & (case > 0) & (case < 255))
+    if not len(cubes):
         return TriangleMesh.empty()
+    cube_case = case.ravel()[cubes]
+    origin = np.stack(np.unravel_index(cubes, case.shape), axis=1)
 
-    mesh = TriangleMesh(np.array(verts), np.array(tris, dtype=int).reshape(-1, 3))
-    areas = mesh.triangle_areas()
-    mesh.triangles = mesh.triangles[areas > DEGENERATE_AREA]
-    mesh.region_tags = [classify_point(v) for v in mesh.vertices]
+    # Crossed (cube, edge) pairs in cube order, keyed by lower node and axis;
+    # ranking the distinct keys by first occurrence numbers the vertices.
+    crossed = EDGE_CROSSED[cube_case]
+    cube_of, edge_of = np.nonzero(crossed)
+    lower = origin[cube_of] + _EDGE_LOWER[edge_of]
+    key = np.ravel_multi_index(tuple(lower.T), vals.shape) * 3 + _EDGE_AXIS[edge_of]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    edge_vertex = np.full(crossed.shape, -1)
+    edge_vertex[crossed] = rank[inverse]
+
+    pair = first[order]
+    lo, ax = lower[pair], _EDGE_AXIS[edge_of[pair]]
+    va = vals[tuple(lo.T)]
+    vb = vals[tuple((lo + np.eye(3, dtype=int)[ax]).T)]
+    t = (level - va) / (vb - va)
+    rows = np.arange(len(lo))
+    a = lo[rows, ax]
+    verts = axis[lo]
+    verts[rows, ax] = axis[a] + t * (axis[a + 1] - axis[a])
+
+    tri_edges = TRI_EDGES[cube_case]
+    cube_row, slot = np.nonzero(tri_edges >= 0)
+    tris = edge_vertex[cube_row, tri_edges[cube_row, slot]]
+
+    mesh = TriangleMesh(verts, tris, _region_tags(verts[:, 0], verts[:, 1], verts[:, 2]))
+    mesh.triangles = mesh.triangles[mesh.triangle_areas() > DEGENERATE_AREA]
     return mesh
 
 
@@ -316,13 +325,11 @@ def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:
     if not len(mesh.triangles):
         return mesh
     kept = np.array([bool(keep(c)) for c in mesh.centroids()])
-    triangles = mesh.triangles[kept]
-    used = np.unique(triangles)
-    remap = {int(old): new for new, old in enumerate(used)}
+    used, triangles = np.unique(mesh.triangles[kept].ravel(), return_inverse=True)
     return TriangleMesh(
         mesh.vertices[used],
-        np.array([[remap[int(v)] for v in t] for t in triangles], dtype=int).reshape(-1, 3),
-        [mesh.region_tags[int(v)] for v in used] if mesh.region_tags else [],
+        triangles,
+        mesh.region_tags[used] if len(mesh.region_tags) else (),
     )
 
 
@@ -368,10 +375,8 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
             out.write(f"# {key}: {value}\n")
         out.write(f"# vertices: {len(mesh.vertices)}\n")
         out.write(f"# triangles: {len(mesh.triangles)}\n")
-        for x, y, z in mesh.vertices:
-            out.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-        for a, b, c in mesh.triangles:
-            out.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        out.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % tuple(mesh.vertices.flat))
+        out.write("f %d %d %d\n" * len(mesh.triangles) % tuple((mesh.triangles + 1).flat))
 
     if hasattr(destination, "write"):
         write(destination)

@@ -118,21 +118,30 @@ class TestSurface:
         assert stats["triangle_count"] > 0
         assert "# channel: bf" in obj.read_text()
 
-    def test_discord_slice_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(
-                "surface", "--measure", "discord", "--level", "0.1",
-                "--r", "0.5", "--out", str(tmp_path / "x.obj"),
-            )
-        assert exc.value.code == 2
+    def test_discord_slice_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "surface", "--measure", "discord", "--level", "0.1",
+            "--r", "0.5", "--out", str(tmp_path / "x.obj"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
-    def test_channel_requires_p(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(
-                "surface", "--measure", "l1", "--level", "0.5",
-                "--channel", "bf", "--out", str(tmp_path / "x.obj"),
-            )
-        assert exc.value.code == 2
+    def test_channel_requires_p(self, tmp_path, capsys):
+        code = run_cli(
+            "surface", "--measure", "l1", "--level", "0.5",
+            "--channel", "bf", "--out", str(tmp_path / "x.obj"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_p_requires_channel(self, tmp_path, capsys):
+        code = run_cli(
+            "surface", "--measure", "l1", "--level", "0.5",
+            "--p", "0.5", "--out", str(tmp_path / "x.obj"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.obj").exists()
 
     def test_level_out_of_range_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cohgeom import measures
+from cohgeom._mc_tables import TRI_TABLE
 from cohgeom.geometry import (
+    EDGE_CROSSED,
     RegionTag,
     ScalarGrid,
     classify_point,
@@ -40,6 +43,9 @@ class TestClassifyPoint:
     def test_octahedron_boundary(self):
         assert classify_point((0.5, -0.25, 0.25)) is RegionTag.SEPARABLE
         assert classify_point((0.6, -0.5, 0.5)) is RegionTag.ENTANGLED
+
+    def test_nan_invalid(self):
+        assert classify_point((np.nan, 0, 0)) is RegionTag.INVALID
 
 
 class TestGridAxis:
@@ -110,6 +116,10 @@ class TestSampleField:
         with pytest.raises(DomainError):
             sample_field("l1", 7)
 
+    def test_p_without_channel_rejected(self):
+        with pytest.raises(DomainError):
+            sample_field("l1", 16, p=0.5)
+
 
 class TestExtractIsosurface:
     def test_sphere_oracle(self):
@@ -117,6 +127,12 @@ class TestExtractIsosurface:
         assert len(mesh.triangles) > 0
         radii = np.linalg.norm(mesh.vertices, axis=1)
         assert np.abs(radii - 0.5).max() <= 0.02
+        # closed and uncracked: every edge borders exactly two triangles, and
+        # the Euler characteristic is the sphere's
+        edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, counts = np.unique(edges, axis=0, return_counts=True)
+        assert (counts == 2).all()
+        assert len(mesh.vertices) - len(counts) + len(mesh.triangles) == 2
 
     def test_thin_tube_hugs_c3_axis(self):
         # at odd resolution the axis nodes exist, so the square tube
@@ -173,6 +189,44 @@ class TestExtractIsosurface:
             & (mesh.vertices[:, 2] < -0.2)
         )
         assert not octant.any()
+
+
+class TestMeshBytes:
+    # sha256 of export_obj without metadata; any change to vertex order,
+    # coordinates or triangles changes these
+    @pytest.mark.parametrize(
+        "measure, n, level, kwargs, digest",
+        [
+            ("rel-ent", 24, 0.2, {}, "55aad02184e5a2a3d3f9da12683ec49189e9535df9dba797c03108b0fcdacb76"),
+            ("l1", 33, 0.5, {}, "fd814ac397dddd781c26e28d4e0e419e90d1e70c1e05ea35fcdd633a2b8b6858"),
+            ("discord", 32, 0.3, {}, "aedfe7a2c17de27051ed2674bcd49f263d6cdcf1594646702b57bcaf63f42efd"),
+            (
+                "rel-ent", 32, 0.3, {"slice": (0.3, -0.2)},
+                "8602da6f12919caec7e57c3216483969f66ee1cb13ddf36bd028e4f3f06fba81",
+            ),
+            (
+                "rel-ent", 32, 0.25, {"channel": "gad", "p": 0.1},
+                "167ce9f16e1223bea15e68700e5fa93d7b107d9526ba84229652ce3808d1779e",
+            ),
+        ],
+    )
+    def test_pinned_digest(self, measure, n, level, kwargs, digest):
+        buf = io.StringIO()
+        export_obj(extract_isosurface(sample_field(measure, n, **kwargs), level), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+    def test_triangle_table_uses_exactly_the_crossed_edges(self):
+        used = np.zeros_like(EDGE_CROSSED)
+        for case, edges in enumerate(TRI_TABLE):
+            used[case, list(edges)] = True
+        assert np.array_equal(used, EDGE_CROSSED)
+
+    def test_region_tags_are_members(self):
+        mesh = extract_isosurface(sample_field("rel-ent", 16), 0.3)
+        assert mesh.region_tags.shape == (len(mesh.vertices),)
+        expected = [classify_point(v) for v in mesh.vertices]
+        assert all(a is b for a, b in zip(mesh.region_tags, expected))
+        assert {RegionTag.SEPARABLE, RegionTag.ENTANGLED} <= set(expected)
 
 
 class TestSurfaceStats:
