@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="ascii", newline="\n") as handle:
+        with geometry.open_atomic(path) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -141,21 +141,11 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     if not 0.0 < args.level <= 1.0:
         parser.error(f"--level must lie in (0, 1], got {args.level}")
-    if args.resolution < 8:
-        parser.error("--resolution must be at least 8")
     slice_rs = None
     if args.r is not None or args.s is not None:
         slice_rs = (args.r or 0.0, args.s or 0.0)
-    if args.level < 2.0 / args.resolution:
-        print(
-            f"warning: level {args.level} is below the grid feature size "
-            f"{2.0 / args.resolution:.4g}; consider a higher --resolution",
-            file=sys.stderr,
-        )
 
     grid = geometry.sample_field(
         args.measure,
@@ -165,6 +155,12 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
         p=args.p,
         threads=args.threads,
     )
+    if args.level < 2.0 / args.resolution:
+        print(
+            f"warning: level {args.level} is below the grid feature size "
+            f"{2.0 / args.resolution:.4g}; consider a higher --resolution",
+            file=sys.stderr,
+        )
     mesh = geometry.extract_isosurface(grid, args.level)
 
     metadata = {

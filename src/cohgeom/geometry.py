@@ -10,8 +10,11 @@ OBJ plus flat JSON statistics.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,6 +30,16 @@ TOL_SEPARABLE = 1e-12
 
 # Triangles at or below this area are dropped as degenerate.
 DEGENERATE_AREA = 1e-14
+
+# Nodes per c1-slab of the sampling pass.  Each worker holds a few temporaries
+# of this size; 2^20- and 2^21-node slabs were measured no faster and used up
+# to 2.5x the peak memory.
+SLAB_NODES = 1 << 18
+
+# Estimated peak bytes of a surface run per grid byte: the float64 grid,
+# extract_isosurface's per-cube arrays and mesh, and the sampling slabs.
+# Measured at 1.6-3.2 over a bare import at n = 192 and 256.
+PEAK_PER_GRID_BYTE = 3
 
 
 class RegionTag(enum.Enum):
@@ -114,6 +127,9 @@ def sample_field(
         family, so it cannot be combined with a slice.
     resolution : int
         Nodes per axis, at least 8; nodes include the endpoints of [-1, 1].
+        A resolution whose estimated surface-run peak, PEAK_PER_GRID_BYTE
+        times the 8 n^3 grid bytes, exceeds the machine's physical memory
+        is rejected before anything is allocated.
     slice : (r, s), optional
         Sample X states at these fixed Bloch components instead of
         Bell-diagonal states.  Restricted to the l1 and relative-entropy
@@ -127,7 +143,10 @@ def sample_field(
         thread count.
 
     Nodes whose state is unphysical are masked with NaN; with a channel
-    pre-map the mask reflects the initial (unmapped) state.
+    pre-map the mask reflects the initial (unmapped) state.  The grid is
+    filled in fixed c1-slabs of about SLAB_NODES nodes, and the channel map
+    and the measure are evaluated on the physical nodes of a slab only, so
+    memory is the grid plus a few slab-sized temporaries per thread.
     """
     measure = measure if isinstance(measure, MeasureKind) else MeasureKind(str(measure))
     n = int(resolution)
@@ -151,45 +170,42 @@ def sample_field(
                 raise DomainError(f"{name} must lie in [-1, 1], got {v}")
     if (channel is None) != (p is None):
         raise DomainError("a channel pre-map and its probability p must be given together")
+    peak = PEAK_PER_GRID_BYTE * 8 * n**3
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if peak > memory:
+        raise DomainError(
+            f"resolution {n} needs about {peak / 2**30:.3g} GiB, more than the "
+            f"{memory / 2**30:.3g} GiB of physical memory"
+        )
 
     axis = grid_axis(n)
     c2 = axis[None, :, None]
     c3 = axis[None, None, :]
-    values = np.empty((n, n, n), dtype=float)
+    values = np.full((n, n, n), np.nan)
+    rows = max(1, SLAB_NODES // (n * n))
 
-    def fill(i0: int, i1: int) -> None:
-        c1 = axis[i0:i1, None, None]
+    def fill(i0: int) -> None:
+        slab = values[i0 : i0 + rows]
+        c1 = axis[i0 : i0 + len(slab), None, None]
         if slice is None:
-            lam_min = np.minimum.reduce(bell_eigenvalues(c1, c2, c3))
+            lam = bell_eigenvalues(c1, c2, c3)
         else:
-            lam_min = np.minimum.reduce(x_eigenvalues(r, s, c1, c2, c3))
-        physical = lam_min >= -TOL_PSD
+            lam = x_eigenvalues(r, s, c1, c2, c3)
+        physical = functools.reduce(np.minimum, lam) >= -TOL_PSD
+        e1, e2, e3 = (np.broadcast_to(c, slab.shape)[physical] for c in (c1, c2, c3))
         if channel is not None:
-            e1, e2, e3 = channels.correlation_map_values(channel, p, c1, c2, c3)
-        else:
-            e1, e2, e3 = c1, c2, c3
+            e1, e2, e3 = channels.correlation_map_values(channel, p, e1, e2, e3)
         if measure in (MeasureKind.L1, MeasureKind.TRACE_NORM):
-            block = np.broadcast_to(measures.l1_values(e1, e2), physical.shape).copy()
+            slab[physical] = measures.l1_values(e1, e2)
+        elif measure is MeasureKind.RELATIVE_ENTROPY and slice is None:
+            slab[physical] = measures.bell_relative_entropy_values(e1, e2, e3)
         elif measure is MeasureKind.RELATIVE_ENTROPY:
-            if slice is None:
-                block = measures.bell_relative_entropy_values(e1, e2, e3)
-            else:
-                block = measures.x_relative_entropy_values(r, s, e1, e2, e3)
-            block = np.broadcast_to(block, physical.shape).copy()
+            slab[physical] = measures.x_relative_entropy_values(r, s, e1, e2, e3)
         else:
-            block = np.broadcast_to(
-                measures.bell_discord_values(e1, e2, e3), physical.shape
-            ).copy()
-        block[~physical] = np.nan
-        values[i0:i1] = block
+            slab[physical] = measures.bell_discord_values(e1, e2, e3)
 
-    if threads == 1:
-        fill(0, n)
-    else:
-        chunk = -(-n // threads)
-        bounds = [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, range(0, n, rows)))
     return ScalarGrid(values)
 
 
@@ -268,15 +284,22 @@ def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
     axis = grid.axis
     n = grid.resolution
 
-    # Cube case indices, vectorized over all (n-1)^3 cubes at once.
+    # Cube case indices, vectorized over all (n-1)^3 cubes at once.  A cube
+    # is skipped when a corner is masked or no edge is crossed.  Every pass
+    # reuses one byte buffer, because fresh grid-sized temporaries would each
+    # be new memory to page in.
     m = n - 1
-    case = np.zeros((m, m, m), dtype=np.int16)
-    masked = np.zeros((m, m, m), dtype=bool)
+    case = np.zeros((m, m, m), dtype=np.uint8)
+    skip = np.zeros((m, m, m), dtype=bool)
+    flag = np.empty((m, m, m), dtype=np.uint8)
     for bit, (di, dj, dk) in enumerate(CORNER_OFFSETS):
         corner = vals[di : m + di, dj : m + dj, dk : m + dk]
-        masked |= np.isnan(corner)
-        case |= (corner < level).astype(np.int16) << bit
-    cubes = np.flatnonzero(~masked & (case > 0) & (case < 255))
+        skip |= np.isnan(corner, out=flag.view(bool))
+        np.less(corner, level, out=flag.view(bool))
+        case |= np.left_shift(flag, bit, out=flag)
+    skip |= np.equal(case, 0, out=flag.view(bool))
+    skip |= np.equal(case, 255, out=flag.view(bool))
+    cubes = np.flatnonzero(~skip)
     if not len(cubes):
         return TriangleMesh.empty()
     cube_case = case.ravel()[cubes]
@@ -381,5 +404,26 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
     if hasattr(destination, "write"):
         write(destination)
     else:
-        with open(destination, "w", encoding="ascii", newline="\n") as handle:
+        with open_atomic(destination) as handle:
             write(handle)
+
+
+@contextlib.contextmanager
+def open_atomic(path):
+    """Open an ASCII text file that appears at ``path`` only once complete.
+
+    Writes go to a new temporary file in the same directory, which replaces
+    ``path`` when the block exits normally and is removed when it raises, so
+    a failed write leaves neither a partial file nor a changed old one.
+    """
+    temp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(temp, "x", encoding="ascii", newline="\n") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temp)
+        if isinstance(exc, OSError) and exc.filename == temp:
+            exc.filename = os.fspath(path)
+        raise

@@ -1,9 +1,12 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from cohgeom import geometry
 from cohgeom.cli import main
 from cohgeom.verification import SuiteResult
 from conftest import cli_env
@@ -165,7 +168,74 @@ class TestSurface:
             "--out", str(tmp_path / "missing" / "x.obj"),
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{tmp_path / 'missing' / 'x.obj'}'" in err
+
+    @pytest.mark.parametrize("resolution", ["0", "100000"])
+    def test_bad_resolution_exits_2(self, tmp_path, capsys, resolution):
+        # 100000 nodes per axis would need petabytes: rejected before allocating
+        code = run_cli(
+            "surface", "--level", "0.5", "--resolution", resolution,
+            "--out", str(tmp_path / "x.obj"),
+        )
+        assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.obj").exists()
+
+    def test_peak_memory_is_a_few_grids(self, tmp_path):
+        # the child's peak RSS over a bare import, against the 8 n^3 grid bytes;
+        # each sampling thread adds its slab temporaries, so the count is fixed
+        def peak_rss(*argv):
+            proc = subprocess.Popen([sys.executable, *argv], env=cli_env())
+            _, status, usage = os.wait4(proc.pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            return usage.ru_maxrss * 1024
+
+        n = 192
+        surface = peak_rss(
+            "-m", "cohgeom.cli", "surface", "--measure", "rel-ent", "--level", "0.3",
+            "--resolution", str(n), "--out", str(tmp_path / "x.obj"),
+            "--stats-out", str(tmp_path / "x.json"), "--threads", "2",
+        )
+        assert surface - peak_rss("-c", "import cohgeom") <= 5 * 8 * n**3
+
+
+class TestAtomicWrites:
+    class DiskFull:
+        """An open() whose file takes a few bytes of a write and then fails."""
+
+        open = open
+
+        def __init__(self, *args, **kwargs):
+            self.handle = self.open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[:10])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("surface", "--measure", "l1", "--level", "0.5", "--resolution", "8"),
+            ("measure", "--c1", "0.3", "--c2", "-0.2", "--c3", "0.4"),
+        ],
+    )
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(geometry, "open", self.DiskFull, raising=False)
+        old = tmp_path / "old.out"
+        old.write_bytes(b"previous contents\n")
+        for out in (old, tmp_path / "new.out"):
+            assert run_cli(*argv, "--out", str(out)) == 2
+            assert "No space left" in capsys.readouterr().err
+        assert old.read_bytes() == b"previous contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.out"]
 
 
 class TestDynamics:
@@ -258,10 +328,10 @@ class TestDeterminism:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["region"] == "separable"
 
-    def test_invalid_threads_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(
-                "surface", "--level", "0.5", "--out", str(tmp_path / "x.obj"),
-                "--threads", "0",
-            )
-        assert exc.value.code == 2
+    def test_invalid_threads_rejected(self, tmp_path, capsys):
+        code = run_cli(
+            "surface", "--level", "0.5", "--out", str(tmp_path / "x.obj"),
+            "--threads", "0",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cohgeom import measures
+from cohgeom import geometry, measures
+from cohgeom.channels import correlation_map_values
 from cohgeom._mc_tables import TRI_TABLE
 from cohgeom.geometry import (
     EDGE_CROSSED,
@@ -20,7 +21,7 @@ from cohgeom.geometry import (
     surface_stats,
 )
 from cohgeom.measures import discord_equals_coherence
-from cohgeom.states import DomainError, TOL_PSD, bell_eigenvalues
+from cohgeom.states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
 
 
 def sphere_grid(n=32):
@@ -119,6 +120,57 @@ class TestSampleField:
     def test_p_without_channel_rejected(self):
         with pytest.raises(DomainError):
             sample_field("l1", 16, p=0.5)
+
+    def test_huge_resolution_rejected_before_allocating(self):
+        with pytest.raises(DomainError, match="physical memory"):
+            sample_field("l1", 100000)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "measure, kwargs",
+        [
+            ("l1", {}),
+            ("trace", {}),
+            ("rel-ent", {}),
+            ("discord", {}),
+            ("discord", {"channel": "gad", "p": 0.3}),
+            ("rel-ent", {"slice": (0.3, -0.2)}),
+        ],
+    )
+    def test_slabs_match_full_grid_reference(self, monkeypatch, measure, kwargs, threads):
+        # 3-row slabs: n = 20 splits into six full slabs and a 2-row one
+        monkeypatch.setattr(geometry, "SLAB_NODES", 3 * 20 * 20 + 7)
+        ax = grid_axis(20)
+        c = np.meshgrid(ax, ax, ax, indexing="ij")
+        if "slice" in kwargs:
+            lam = x_eigenvalues(*kwargs["slice"], *c)
+        else:
+            lam = bell_eigenvalues(*c)
+        physical = np.minimum.reduce(lam) >= -TOL_PSD
+        if "channel" in kwargs:
+            c = correlation_map_values(kwargs["channel"], kwargs["p"], *c)
+        if measure in ("l1", "trace"):
+            field = measures.l1_values(c[0], c[1])
+        elif measure == "discord":
+            field = measures.bell_discord_values(*c)
+        elif "slice" in kwargs:
+            field = measures.x_relative_entropy_values(*kwargs["slice"], *c)
+        else:
+            field = measures.bell_relative_entropy_values(*c)
+        expected = np.where(physical, field, np.nan)
+        got = sample_field(measure, 20, threads=threads, **kwargs).values
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_kernel_sees_only_physical_nodes(self, monkeypatch):
+        seen = []
+        kernel = measures.bell_relative_entropy_values
+        monkeypatch.setattr(
+            measures,
+            "bell_relative_entropy_values",
+            lambda *c: seen.append(np.broadcast(*c).size) or kernel(*c),
+        )
+        grid = sample_field("rel-ent", 24)
+        assert sum(seen) == np.isfinite(grid.values).sum()
 
 
 class TestExtractIsosurface:
