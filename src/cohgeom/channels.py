@@ -26,10 +26,9 @@ from .states import (
     PAULI_Z,
     TOL_PSD,
     bell_eigenvalues,
-    hermitian_spectrum,
     require_physical_bell,
     _as_bell,
-    _check_stack,
+    _require_density,
 )
 
 
@@ -52,66 +51,65 @@ def _coerce_kind(kind) -> ChannelKind:
         raise DomainError(f"unknown channel {kind!r}; expected one of {names}") from None
 
 
-def _check_probability(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0 or math.isnan(p):
-        raise DomainError(f"channel probability must lie in [0, 1], got {p}")
-    return p
+def _check_probability(p):
+    """Range-check a probability or an array of them.  A scalar comes back as a
+    Python float, an array as a float array."""
+    parr = np.asarray(p, dtype=float)
+    bad = ~((parr >= 0.0) & (parr <= 1.0))
+    if bad.any():
+        raise DomainError(
+            f"channel probability must lie in [0, 1], got {float(parr[bad][0])}"
+        )
+    return float(parr) if parr.ndim == 0 else parr
 
 
-def kraus_ops(kind, p: float) -> list[np.ndarray]:
+def kraus_ops(kind, p) -> np.ndarray:
     """Kraus operators of a single-qubit channel at decoherence probability p.
 
-    The flip channels return {sqrt(1 - p/2) I, sqrt(p/2) sigma}; amplitude
-    damping returns four operators with the mixing probability fixed at 1/2.
+    Returns one complex array of shape ``np.shape(p) + (k, 2, 2)``: the flip
+    channels give k = 2 operators {sqrt(1 - p/2) I, sqrt(p/2) sigma};
+    amplitude damping gives k = 4 with the mixing probability fixed at 1/2.
     The completeness relation sum(E^dag E) = I holds for every p in [0, 1].
     """
     kind = _coerce_kind(kind)
-    p = _check_probability(p)
+    p = np.asarray(_check_probability(p))
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         half = math.sqrt(0.5)
-        damp = math.sqrt(1.0 - p)
-        jump = math.sqrt(p)
-        return [
-            half * np.array([[1.0, 0.0], [0.0, damp]], dtype=complex),
-            half * np.array([[0.0, jump], [0.0, 0.0]], dtype=complex),
-            half * np.array([[damp, 0.0], [0.0, 1.0]], dtype=complex),
-            half * np.array([[0.0, 0.0], [jump, 0.0]], dtype=complex),
-        ]
+        ops = np.zeros(p.shape + (4, 2, 2), dtype=complex)
+        ops[..., 0, 0, 0] = ops[..., 2, 1, 1] = half
+        ops[..., 0, 1, 1] = ops[..., 2, 0, 0] = half * np.sqrt(1.0 - p)
+        ops[..., 1, 0, 1] = ops[..., 3, 1, 0] = half * np.sqrt(p)
+        return ops
     flip = {
         ChannelKind.BIT_FLIP: PAULI_X,
         ChannelKind.PHASE_FLIP: PAULI_Z,
         ChannelKind.BIT_PHASE_FLIP: PAULI_Y,
     }[kind]
-    return [
-        math.sqrt(1.0 - p / 2.0) * IDENTITY_2,
-        math.sqrt(p / 2.0) * flip,
-    ]
+    weights = np.sqrt(np.stack([1.0 - p / 2.0, p / 2.0], axis=-1))
+    return weights[..., None, None] * np.array([IDENTITY_2, flip])
 
 
-def apply_product_channel(m, kind, p: float) -> np.ndarray:
+def apply_product_channel(m, kind, p) -> np.ndarray:
     """Apply the channel independently to both qubits of a density matrix.
 
     Computes sum over (i, j) of (E_i (x) E_j) m (E_i (x) E_j)^dag for one
-    matrix or a ``(..., 4, 4)`` stack.  Every input must be a physical density
-    matrix; the outputs then are as well.
+    matrix or a ``(..., 4, 4)`` stack, through the per-qubit superoperator
+    sum_i E_i[a, x] conj(E_i[b, y]).  ``p`` may be an array; it broadcasts
+    against the stack shape, so ``p[:, None]`` on an ``(N, 4, 4)`` stack gives
+    ``(P, N, 4, 4)``.  Every input must be a physical density matrix; the
+    outputs then are as well.
     """
-    a = _check_stack(m)
-    if np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-10:
-        raise DomainError("density matrix is not Hermitian within tolerance")
-    if (np.abs(np.trace(a, axis1=-2, axis2=-1).real - 1.0) > 1e-10).any():
-        raise DomainError("density matrix trace differs from 1")
-    lam_min = hermitian_spectrum(a)[..., -1].min(initial=np.inf)
-    if lam_min < -TOL_PSD:
-        raise DomainError(
-            f"state not positive semidefinite: smallest eigenvalue {lam_min:.6g}"
-        )
+    a, _ = _require_density(m)
     ops = kraus_ops(kind, p)
-    pairs = np.array([np.kron(e1, e2) for e1 in ops for e2 in ops])
-    return np.einsum("kab,...bc,kdc->...ad", pairs, a, pairs.conj(), optimize=True)
+    sup = np.einsum("...iax,...iby->...abxy", ops, ops.conj())
+    qubits = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
+    out = np.einsum(
+        "...abxy,...cdzw,...xzyw->...acbd", sup, sup, qubits, optimize=True
+    )
+    return out.reshape(out.shape[:-4] + (4, 4))
 
 
-def correlation_map_values(kind, p: float, c1, c2, c3):
+def correlation_map_values(kind, p, c1, c2, c3):
     """Closed-form action of the product channel on correlation components.
 
     Elementwise over scalars or arrays (including p); no physicality checks.
@@ -119,10 +117,7 @@ def correlation_map_values(kind, p: float, c1, c2, c3):
     amplitude damping shrinks c1 and c2 by (1-p) and c3 by (1-p)^2.
     """
     kind = _coerce_kind(kind)
-    parr = np.asarray(p, dtype=float)
-    if parr.size == 0 or np.isnan(parr).any() or parr.min() < 0.0 or parr.max() > 1.0:
-        raise DomainError("channel probability must lie in [0, 1]")
-    p = float(parr) if parr.ndim == 0 else parr
+    p = _check_probability(p)
     shrink = (1.0 - p) ** 2
     if kind is ChannelKind.BIT_FLIP:
         return c1, c2 * shrink, c3 * shrink
@@ -147,21 +142,20 @@ def bell_param_map(kind, p: float, params) -> BellParams:
 def dynamics_trajectory(params, kind, p_grid) -> list[tuple[float, float]]:
     """Relative entropy of coherence of the evolved state along a p grid.
 
-    Each point maps the initial correlations through :func:`bell_param_map`
-    (the maps are one-shot in p, not iterated) and evaluates the closed-form
-    coherence of the result.  Returns (p, coherence) pairs in grid order.
+    The initial correlations are mapped through :func:`correlation_map_values`
+    at every grid point at once (the maps are one-shot in p, not iterated) and
+    the closed-form coherence is evaluated on the result.  Returns
+    (p, coherence) pairs in grid order.
     """
     initial = require_physical_bell(params)
-    grid = [_check_probability(p) for p in p_grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    grid = _check_probability(p_grid)
+    if (np.diff(grid) <= 0.0).any():
         raise DomainError("p grid must be strictly increasing")
-    out = []
-    for p in grid:
-        mapped = bell_param_map(kind, p, initial)
-        # physical initial states cannot leave the physical set under these maps
-        assert min(bell_eigenvalues(*mapped)) >= -TOL_PSD
-        out.append((p, float(measures.bell_relative_entropy_values(*mapped))))
-    return out
+    mapped = correlation_map_values(kind, grid, *initial)
+    # physical initial states cannot leave the physical set under these maps
+    assert all(np.all(lam >= -TOL_PSD) for lam in bell_eigenvalues(*mapped))
+    values = measures.bell_relative_entropy_values(*mapped)
+    return list(zip(grid.tolist(), values.tolist()))
 
 
 def default_p_grid(steps: int = 101) -> list[float]:

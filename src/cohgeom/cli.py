@@ -13,9 +13,9 @@ verify
     Run the closed-form-versus-oracle suites and report worst deviations.
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 for invalid or
-unphysical input and for output paths that cannot be written.  Repeated
-invocations with identical flags produce byte-identical output, regardless of
-``surface --threads``.
+unphysical input, for output paths that cannot be written and for inputs too
+large to allocate.  Repeated invocations with identical flags produce
+byte-identical output, regardless of ``surface --threads``.
 """
 
 from __future__ import annotations
@@ -180,8 +180,6 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_dynamics(args) -> int:
-    if args.steps < 2:
-        raise states.DomainError("--steps must be at least 2")
     params = states.require_physical_bell((args.c1, args.c2, args.c3))
     grid = channels.default_p_grid(args.steps)
     columns = list(_CSV_COLUMNS) if args.channel == "all" else [args.channel]
@@ -219,7 +217,7 @@ def main(argv=None) -> int:
         if args.command == "dynamics":
             return _cmd_dynamics(args)
         return _cmd_verify(args)
-    except (states.DomainError, OSError) as exc:
+    except (states.DomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,14 +15,12 @@ import numpy as np
 
 from .states import (
     DomainError,
-    TOL_PSD,
     bell_eigenvalues,
-    hermitian_spectrum,
     require_physical_bell,
     require_physical_x,
     von_neumann_entropy,
     _check_4x4,
-    _check_stack,
+    _require_density,
 )
 
 # Two parameter sets whose measures differ by less than this are treated as
@@ -139,24 +137,6 @@ def trace_norm_coherence_x(m) -> float:
     if not is_x_shaped(m):
         raise DomainError("trace-norm coherence shortcut requires an X-shaped matrix")
     return l1_coherence(m)
-
-
-def _require_density(m) -> tuple[np.ndarray, np.ndarray]:
-    """Validate Hermiticity, unit trace and positivity of a matrix or a
-    ``(..., 4, 4)`` stack; return (m, spectrum)."""
-    a = _check_stack(m)
-    if np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-12:
-        raise DomainError("density matrix is not Hermitian within 1e-12")
-    trace = np.trace(a, axis1=-2, axis2=-1)
-    if (np.abs(trace.real - 1.0) > 1e-12).any() or (np.abs(trace.imag) > 1e-12).any():
-        raise DomainError("density matrix trace differs from 1 by more than 1e-12")
-    spectrum = hermitian_spectrum(a)
-    lam_min = spectrum[..., -1].min(initial=np.inf)
-    if lam_min < -TOL_PSD:
-        raise DomainError(
-            f"state not positive semidefinite: smallest eigenvalue {lam_min:.6g}"
-        )
-    return a, spectrum
 
 
 def relative_entropy_coherence(m):

@@ -226,6 +226,24 @@ def hermitian_spectrum(m, hermiticity_tol: float = 1e-10) -> np.ndarray:
     return np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)[..., ::-1]
 
 
+def _require_density(m) -> tuple[np.ndarray, np.ndarray]:
+    """Validate Hermiticity, unit trace and positivity of a matrix or a
+    ``(..., 4, 4)`` stack; return (m, spectrum)."""
+    a = _check_stack(m)
+    if np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-12:
+        raise DomainError("density matrix is not Hermitian within 1e-12")
+    trace = np.trace(a, axis1=-2, axis2=-1)
+    if (np.abs(trace.real - 1.0) > 1e-12).any() or (np.abs(trace.imag) > 1e-12).any():
+        raise DomainError("density matrix trace differs from 1 by more than 1e-12")
+    spectrum = hermitian_spectrum(a)
+    lam_min = spectrum[..., -1].min(initial=np.inf)
+    if lam_min < -TOL_PSD:
+        raise DomainError(
+            f"state not positive semidefinite: smallest eigenvalue {lam_min:.6g}"
+        )
+    return a, spectrum
+
+
 def von_neumann_entropy(spectrum):
     """Entropy -sum(lam * log2 lam) in bits over the last axis, 0 log 0 = 0.
 

@@ -6,8 +6,11 @@ spectra, the correlation-triple channel maps against explicit Kraus
 application, Kraus completeness, the discord/coherence equality predicate
 against the numerical equality test, and coherence monotonicity along channel
 trajectories.  The sampled suites evaluate all their states as one
-``(N, 4, 4)`` stack.  The ``_vs_jacobi`` suite names predate the LAPACK
-oracle and are kept because the ``verify`` output pins them.  The CLI
+``(N, 4, 4)`` stack, and the channel suites take the probability grid as one
+more array axis: per channel kind, one Kraus application giving a
+``(P, N, 4, 4)`` stack and one completeness sum over ``(P, k, 2, 2)``
+operators.  The ``_vs_jacobi`` suite names predate the LAPACK oracle and are
+kept because the ``verify`` output pins them.  The CLI
 ``verify`` subcommand runs all of them.
 """
 
@@ -67,14 +70,6 @@ def _descending(eigenvalues) -> np.ndarray:
     return np.sort(np.stack(eigenvalues, axis=-1), axis=-1)[:, ::-1]
 
 
-def _closed_values(closed_form, default, rows: np.ndarray) -> np.ndarray:
-    """Closed-form values for every row: the array kernel ``default`` applied
-    to the columns, or a per-state ``closed_form`` hook applied to each row."""
-    if closed_form is None:
-        return default(*rows.T)
-    return np.array([closed_form(row) for row in rows])
-
-
 def bell_spectrum_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form Bell-diagonal spectra against LAPACK spectra."""
     rows = sample_physical_bell(samples, rng)
@@ -98,7 +93,7 @@ def bell_closed_vs_jacobi(
 ) -> SuiteResult:
     """Closed-form Bell coherence against the generic entropy-difference route."""
     rows = sample_physical_bell(samples, rng)
-    closed = _closed_values(closed_form, measures.bell_relative_entropy_values, rows)
+    closed = (closed_form or measures.bell_relative_entropy_values)(*rows.T)
     generic = measures.relative_entropy_coherence(states._x_matrix(0.0, 0.0, *rows.T))
     worst = float(np.abs(closed - generic).max())
     return SuiteResult("bell_closed_vs_jacobi", worst, 1e-10)
@@ -109,7 +104,7 @@ def x_closed_vs_jacobi(
 ) -> SuiteResult:
     """Closed-form X coherence against the generic entropy-difference route."""
     rows = sample_physical_x(samples, rng)
-    closed = _closed_values(closed_form, measures.x_relative_entropy_values, rows)
+    closed = (closed_form or measures.x_relative_entropy_values)(*rows.T)
     generic = measures.relative_entropy_coherence(states._x_matrix(*rows.T))
     worst = float(np.abs(closed - generic).max())
     return SuiteResult("x_closed_vs_jacobi", worst, 1e-10)
@@ -119,24 +114,25 @@ def channel_map_vs_kraus(state_count: int, rng: np.random.Generator) -> SuiteRes
     """Correlation-triple maps against explicit product-channel application."""
     triples = sample_physical_bell(state_count, rng)
     rho = states._x_matrix(0.0, 0.0, *triples.T)
+    probs = np.linspace(0.0, 1.0, 101)[:, None]
     worst = 0.0
     for kind in channels.ChannelKind:
-        for p in np.linspace(0.0, 1.0, 101):
-            mapped = channels.correlation_map_values(kind, p, *triples.T)
-            evolved = channels.apply_product_channel(rho, kind, p)
-            direct = states.correlations_of(evolved)
-            worst = max(worst, float(np.abs(np.subtract(mapped, direct)).max()))
+        mapped = np.broadcast_arrays(
+            *channels.correlation_map_values(kind, probs, *triples.T)
+        )
+        direct = states.correlations_of(channels.apply_product_channel(rho, kind, probs))
+        worst = max(worst, float(np.abs(np.subtract(mapped, direct)).max()))
     return SuiteResult("channel_map_vs_kraus", worst, 1e-12)
 
 
 def kraus_completeness() -> SuiteResult:
     """sum(E^dag E) = I for every channel across a probability grid."""
+    probs = np.linspace(0.0, 1.0, 101)
     worst = 0.0
     for kind in channels.ChannelKind:
-        for p in np.linspace(0.0, 1.0, 101):
-            ops = channels.kraus_ops(kind, p)
-            total = sum(e.conj().T @ e for e in ops)
-            worst = max(worst, float(np.abs(total - np.eye(2)).max()))
+        ops = channels.kraus_ops(kind, probs)
+        total = np.einsum("...kba,...kbc->...ac", ops.conj(), ops)
+        worst = max(worst, float(np.abs(total - np.eye(2)).max()))
     return SuiteResult("kraus_completeness", worst, 1e-12)
 
 

@@ -58,13 +58,18 @@ class TestKrausOps:
         assert_allclose(ops[3], h * np.array([[0, 0], [np.sqrt(p), 0]]))
 
     def test_completeness_over_grid(self):
+        # an array of p gives one operator set per p, equal to the scalar calls
+        probs = np.array(default_p_grid(101))
         for kind in ChannelKind:
-            for p in np.linspace(0, 1, 101):
-                assert completeness_defect(kraus_ops(kind, p)) <= 1e-12
+            stacked = kraus_ops(kind, probs)
+            assert stacked.shape == (101, len(kraus_ops(kind, 0.5)), 2, 2)
+            for p, ops in zip(probs, stacked):
+                assert np.array_equal(ops, kraus_ops(kind, float(p)))
+                assert completeness_defect(ops) <= 1e-12
 
     def test_rejects_out_of_range_probability(self):
-        for bad in (-0.1, 1.1, float("nan")):
-            with pytest.raises(DomainError):
+        for bad in (-0.1, 1.1, float("nan"), np.array([0.2, 1.1, 0.7])):
+            with pytest.raises(DomainError, match=r"got (-0\.1|1\.1|nan)"):
                 kraus_ops("bf", bad)
 
     def test_rejects_unknown_channel(self):
@@ -87,6 +92,25 @@ class TestApplyProductChannel:
             np.kron(a, b) @ rho @ np.kron(a, b).conj().T for a in ops for b in ops
         )
         assert_allclose(correlations_of(out), (0.6, 0.1, 0.05), atol=1e-12)
+
+    def test_probability_axis_matches_kron_sum(self):
+        # p[:, None] against an (N, 4, 4) stack gives (P, N, 4, 4): each entry
+        # is the operator-by-operator Kraus sum at that p
+        rows = sample_physical_bell(5, np.random.default_rng(7))
+        rhos = np.array([bell_density(row) for row in rows])
+        probs = np.array(default_p_grid(11))
+        for kind in ChannelKind:
+            out = apply_product_channel(rhos, kind, probs[:, None])
+            assert out.shape == (11, 5, 4, 4)
+            for p, evolved in zip(probs, out):
+                ops = kraus_ops(kind, float(p))
+                for rho, got in zip(rhos, evolved):
+                    expected = sum(
+                        np.kron(a, b) @ rho @ np.kron(a, b).conj().T
+                        for a in ops
+                        for b in ops
+                    )
+                    assert_allclose(got, expected, rtol=0, atol=1e-15)
 
     def test_matches_map_on_physical_state(self):
         rho = bell_density((0.2, 0.1, 0.3))

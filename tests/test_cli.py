@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -278,6 +279,28 @@ class TestDynamics:
     def test_unphysical_exits_2(self, capsys):
         assert run_cli("dynamics", "--c1", "0.9", "--c2", "0.9", "--c3", "0") == 2
 
+    def test_single_step_exits_2(self, capsys):
+        code = run_cli(
+            "dynamics", "--c1", "0.1", "--c2", "0.1", "--c3", "0.1", "--steps", "1"
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    # sha256 of the default `--channel all --steps 101` CSV; any change to the
+    # p grid, the channel maps or the coherence kernel changes these
+    @pytest.mark.parametrize(
+        "state, digest",
+        [
+            (("-0.1", "0.4", "0.4"), "8f7e6ef4a37baa5f1d6a640876178b201350ac2c6797b0570452b1a25036fe46"),
+            (("0.3", "-0.27", "0.111"), "2ee8a91f3c2ab04d9af28fe5458a8438eed05a9224ae485c3447d6011b8acc79"),
+        ],
+    )
+    def test_pinned_csv_digest(self, capsys, state, digest):
+        c1, c2, c3 = state
+        assert run_cli("dynamics", "--c1", c1, "--c2", c2, "--c3", c3) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerify:
     def test_passes_and_reports(self, capsys):
@@ -296,6 +319,12 @@ class TestVerify:
         assert run_cli("verify", "--samples", "10") == 1
         out = capsys.readouterr().out
         assert "FAIL: bell_closed_vs_jacobi" in out
+
+    def test_unallocatable_samples_exits_2(self, capsys):
+        # the first sample buffer alone would take ~87 TiB, so allocation fails
+        # at once; exit 1 is reserved for a failed suite
+        assert run_cli("verify", "--samples", str(10**12)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestDeterminism:

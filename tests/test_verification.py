@@ -48,7 +48,7 @@ class TestSuites:
 
     def test_negative_control_detects_corruption(self):
         rng = np.random.default_rng(3)
-        corrupted = lambda params: measures.bell_relative_entropy(params) + 1e-6
+        corrupted = lambda *c: measures.bell_relative_entropy_values(*c) + 1e-6
         result = bell_closed_vs_jacobi(50, rng, closed_form=corrupted)
         assert not result.passed
 
