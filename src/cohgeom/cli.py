@@ -21,6 +21,7 @@ byte-identical output, regardless of ``surface --threads``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -170,12 +171,19 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
         "r": None if slice_rs is None else slice_rs[0],
         "s": None if slice_rs is None else slice_rs[1],
     }
-    doc = {**geometry.surface_stats(mesh), **metadata}
+    stats = json.dumps({**geometry.surface_stats(mesh), **metadata}, indent=2) + "\n"
     if args.channel is not None:
         metadata["channel"] = args.channel
         metadata["p"] = float(args.p)
-    geometry.export_obj(mesh, args.out, metadata)
-    _emit(json.dumps(doc, indent=2) + "\n", args.stats_out)
+    # the stats file is open, and written, before the OBJ replaces its target,
+    # and replaces its own only after, so a destination that cannot be written
+    # leaves the other one unchanged
+    with contextlib.ExitStack() as stack:
+        if args.stats_out:
+            stack.enter_context(geometry.open_atomic(args.stats_out)).write(stats)
+        geometry.export_obj(mesh, args.out, metadata)
+    if not args.stats_out:
+        sys.stdout.write(stats)
     return 0
 
 

@@ -32,13 +32,15 @@ TOL_SEPARABLE = 1e-12
 DEGENERATE_AREA = 1e-14
 
 # Nodes per c1-slab of the sampling pass.  Each worker holds a few temporaries
-# of this size; 2^20- and 2^21-node slabs were measured no faster and used up
-# to 2.5x the peak memory.
+# of at most this size; 2^20- and 2^21-node slabs were measured no faster and
+# used up to 2.5x the peak memory.
 SLAB_NODES = 1 << 18
 
 # Estimated peak bytes of a surface run per grid byte: the float64 grid,
 # extract_isosurface's per-cube arrays and mesh, and the sampling slabs.
-# Measured at 1.6-3.2 over a bare import at n = 192 and 256.
+# Measured at 1.4-2.7 over a bare import at n = 192 and 256 (rel-ent, discord
+# and l1 at levels 0.2-0.84, one and two threads); the larger meshes of low
+# levels set the top of that range.
 PEAK_PER_GRID_BYTE = 3
 
 
@@ -144,9 +146,11 @@ def sample_field(
 
     Nodes whose state is unphysical are masked with NaN; with a channel
     pre-map the mask reflects the initial (unmapped) state.  The grid is
-    filled in fixed c1-slabs of about SLAB_NODES nodes, and the channel map
-    and the measure are evaluated on the physical nodes of a slab only, so
-    memory is the grid plus a few slab-sized temporaries per thread.
+    filled in fixed c1-slabs of about SLAB_NODES nodes.  The physical nodes
+    of each (c1, c2) row form one interval of c3, whose ends are found by
+    bisection, and the channel map and the measure are evaluated on those
+    nodes only, so memory is the grid plus a few temporaries of a slab's
+    physical node count per thread.
     """
     measure = measure if isinstance(measure, MeasureKind) else MeasureKind(str(measure))
     n = int(resolution)
@@ -179,34 +183,69 @@ def sample_field(
         )
 
     axis = grid_axis(n)
-    c2 = axis[None, :, None]
-    c3 = axis[None, None, :]
     values = np.full((n, n, n), np.nan)
     rows = max(1, SLAB_NODES // (n * n))
+    if slice is None:
+        eigenvalues, rising = bell_eigenvalues, (1, 2)
+    else:
+        eigenvalues, rising = functools.partial(x_eigenvalues, r, s), (0, 1)
 
     def fill(i0: int) -> None:
-        slab = values[i0 : i0 + rows]
-        c1 = axis[i0 : i0 + len(slab), None, None]
-        if slice is None:
-            lam = bell_eigenvalues(c1, c2, c3)
-        else:
-            lam = x_eigenvalues(r, s, c1, c2, c3)
-        physical = functools.reduce(np.minimum, lam) >= -TOL_PSD
-        e1, e2, e3 = (np.broadcast_to(c, slab.shape)[physical] for c in (c1, c2, c3))
+        slab = values[i0 : i0 + rows].reshape(-1)
+        c1 = np.repeat(axis[i0 : i0 + rows], n)
+        c2 = np.tile(axis, len(c1) // n)
+        lo, hi = _physical_intervals(eigenvalues, rising, c1, c2, axis)
+        length = np.maximum(hi - lo, 0)
+        k = np.arange(length.sum()) + np.repeat(lo - np.cumsum(length) + length, length)
+        e1, e2, e3 = np.repeat(c1, length), np.repeat(c2, length), axis[k]
+        # node k of row q is entry q n + k of the slab
+        node = k + np.repeat(np.arange(len(c1)) * n, length)
         if channel is not None:
             e1, e2, e3 = channels.correlation_map_values(channel, p, e1, e2, e3)
         if measure in (MeasureKind.L1, MeasureKind.TRACE_NORM):
-            slab[physical] = measures.l1_values(e1, e2)
+            slab[node] = measures.l1_values(e1, e2)
         elif measure is MeasureKind.RELATIVE_ENTROPY and slice is None:
-            slab[physical] = measures.bell_relative_entropy_values(e1, e2, e3)
+            slab[node] = measures.bell_relative_entropy_values(e1, e2, e3)
         elif measure is MeasureKind.RELATIVE_ENTROPY:
-            slab[physical] = measures.x_relative_entropy_values(r, s, e1, e2, e3)
+            slab[node] = measures.x_relative_entropy_values(r, s, e1, e2, e3)
         else:
-            slab[physical] = measures.bell_discord_values(e1, e2, e3)
+            slab[node] = measures.bell_discord_values(e1, e2, e3)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(fill, range(0, n, rows)))
     return ScalarGrid(values)
+
+
+def _physical_intervals(eigenvalues, rising, c1, c2, axis):
+    """Per (c1, c2) row, the c3 node indices [lo, hi) whose state is physical.
+
+    ``eigenvalues(c1, c2, c3)`` gives the four closed-form eigenvalues; the
+    two indexed by ``rising`` can only grow with c3 and the other two can
+    only shrink.  That holds in floating point too, because c3 enters each
+    expression once, added to or subtracted from an operand free of c3, and
+    rounding is monotone.  So the nodes where every eigenvalue is at least
+    -TOL_PSD form one interval per row (empty where hi <= lo), the same nodes
+    as the per-node test.  Its ends are found by bisection over all rows at
+    once, about log2(n) evaluations per row.
+    """
+    falling = [i for i in range(4) if i not in rising]
+    n = len(axis)
+
+    def leading(holds):
+        # per row, how many leading nodes satisfy holds, true on a prefix
+        count = np.zeros(len(c1), dtype=np.intp)
+        step = 1 << (n.bit_length() - 1)
+        while step:
+            ahead = count + step
+            lam = eigenvalues(c1, c2, axis[np.minimum(ahead, n) - 1])
+            advance = (ahead <= n) & holds(lam)
+            count[advance] = ahead[advance]
+            step >>= 1
+        return count
+
+    lo = leading(lambda lam: ~(np.minimum(*(lam[i] for i in rising)) >= -TOL_PSD))
+    hi = leading(lambda lam: np.minimum(*(lam[i] for i in falling)) >= -TOL_PSD)
+    return lo, hi
 
 
 @dataclass
@@ -260,6 +299,43 @@ _OFFSET_A, _OFFSET_B = np.array(CORNER_OFFSETS)[[_EDGE_A, _EDGE_B]]
 _EDGE_LOWER = np.minimum(_OFFSET_A, _OFFSET_B)
 _EDGE_AXIS = np.argmax(_OFFSET_A != _OFFSET_B, axis=1)
 TRI_EDGES = np.array([edges + (-1,) * (15 - len(edges)) for edges in TRI_TABLE])
+# _cube_cases codes corner (di, dj, dk) as bit 4 di + 2 dj + dk; this maps a
+# code to the case index of the tables, whose bit i is corner CORNER_OFFSETS[i].
+_CODE_BITS = np.array(CORNER_OFFSETS) @ (4, 2, 1)
+_CASE_OF_CODE = (
+    ((np.arange(256)[:, None] >> _CODE_BITS) & 1) << np.arange(8)
+).sum(axis=1).astype(np.uint8)
+
+
+def _corner_codes(flag, *args):
+    """Per-cube 8-bit codes of the per-node booleans ``flag(*args)``: bit
+    4 di + 2 dj + dk is the flag at corner (di, dj, dk).
+
+    The flags are combined along k, then j, then i, each pass over an array
+    one node shorter along its axis; each stage is freed once the next exists,
+    so the peak is about two grid-sized byte arrays.
+    """
+    code = flag(*args).view(np.uint8)
+    for axis, shift in ((2, 1), (1, 2), (0, 4)):
+        head = (np.s_[:],) * axis
+        upper = np.left_shift(code[head + (np.s_[1:],)], shift)
+        upper |= code[head + (np.s_[:-1],)]
+        code = upper
+    return code
+
+
+def _cube_cases(vals, level):
+    """Flat indices of the active cubes in index order, and their case indices.
+
+    A cube is active when no corner is NaN and the level separates its
+    corners; a corner is below the level when its value is less than it.
+    """
+    active = _corner_codes(np.isnan, vals) == 0
+    code = _corner_codes(np.less, vals, level)
+    active &= code != 0
+    active &= code != 255
+    cubes = np.flatnonzero(active)
+    return cubes, _CASE_OF_CODE[code.ravel()[cubes]]
 
 
 def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
@@ -284,26 +360,10 @@ def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
     axis = grid.axis
     n = grid.resolution
 
-    # Cube case indices, vectorized over all (n-1)^3 cubes at once.  A cube
-    # is skipped when a corner is masked or no edge is crossed.  Every pass
-    # reuses one byte buffer, because fresh grid-sized temporaries would each
-    # be new memory to page in.
-    m = n - 1
-    case = np.zeros((m, m, m), dtype=np.uint8)
-    skip = np.zeros((m, m, m), dtype=bool)
-    flag = np.empty((m, m, m), dtype=np.uint8)
-    for bit, (di, dj, dk) in enumerate(CORNER_OFFSETS):
-        corner = vals[di : m + di, dj : m + dj, dk : m + dk]
-        skip |= np.isnan(corner, out=flag.view(bool))
-        np.less(corner, level, out=flag.view(bool))
-        case |= np.left_shift(flag, bit, out=flag)
-    skip |= np.equal(case, 0, out=flag.view(bool))
-    skip |= np.equal(case, 255, out=flag.view(bool))
-    cubes = np.flatnonzero(~skip)
+    cubes, cube_case = _cube_cases(vals, level)
     if not len(cubes):
         return TriangleMesh.empty()
-    cube_case = case.ravel()[cubes]
-    origin = np.stack(np.unravel_index(cubes, case.shape), axis=1)
+    origin = np.stack(np.unravel_index(cubes, (n - 1,) * 3), axis=1)
 
     # Crossed (cube, edge) pairs in cube order, keyed by lower node and axis;
     # ranking the distinct keys by first occurrence numbers the vertices.

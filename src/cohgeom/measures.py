@@ -43,8 +43,9 @@ def _xlog2x(v):
     v = np.asarray(v, dtype=float)
     out = np.zeros_like(v)
     pos = v > 0.0
-    out[pos] = v[pos] * np.log2(v[pos])
-    return out
+    np.log2(v, out=out, where=pos)
+    # without where= the zeros at NaN inputs would turn into NaN
+    return np.multiply(out, v, out=out, where=pos)
 
 
 def l1_values(c1, c2):

@@ -25,11 +25,25 @@ from . import channels, measures, states
 DEFAULT_SEED = 1234
 
 
+# Column names of the states the suites report.
+_BELL = ("c1", "c2", "c3")
+_X = ("r", "s") + _BELL
+_KINDS = np.array([kind.value for kind in channels.ChannelKind])
+
+
 @dataclass(frozen=True)
 class SuiteResult:
+    """A suite's worst deviation against its tolerance.
+
+    ``worst`` holds (name, value) pairs of the state at that deviation, such
+    as the correlation triple and, for the channel suites, the channel kind
+    and p.  A FAIL line prints them, so the failure can be replayed.
+    """
+
     name: str
     deviation: float
     tolerance: float
+    worst: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -37,10 +51,24 @@ class SuiteResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return (
+        line = (
             f"{self.name:<28} max_dev={self.deviation:.3e}  "
             f"tol={self.tolerance:.0e}  {status}"
         )
+        if not self.passed and self.worst:
+            line += "  at " + " ".join(f"{key}={value}" for key, value in self.worst)
+        return line
+
+
+def _worst(dev, names, columns) -> tuple:
+    """The state at the first maximum of ``dev``: each column, broadcast
+    against ``dev``, read there and paired with its name."""
+    dev = np.asarray(dev)
+    at = np.unravel_index(np.argmax(dev), dev.shape)
+    return tuple(
+        (name, np.broadcast_to(column, dev.shape)[at].item())
+        for name, column in zip(names, columns)
+    )
 
 
 def sample_physical_bell(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -75,8 +103,9 @@ def bell_spectrum_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResu
     rows = sample_physical_bell(samples, rng)
     closed = _descending(states.bell_eigenvalues(*rows.T))
     numeric = states.hermitian_spectrum(states._x_matrix(0.0, 0.0, *rows.T))
-    worst = float(np.abs(closed - numeric).max())
-    return SuiteResult("bell_spectrum_vs_jacobi", worst, 1e-12)
+    dev = np.abs(closed - numeric).max(axis=1)
+    worst = _worst(dev, _BELL, rows.T)
+    return SuiteResult("bell_spectrum_vs_jacobi", float(dev.max()), 1e-12, worst)
 
 
 def x_spectrum_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
@@ -84,8 +113,9 @@ def x_spectrum_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     rows = sample_physical_x(samples, rng)
     closed = _descending(states.x_eigenvalues(*rows.T))
     numeric = states.hermitian_spectrum(states._x_matrix(*rows.T))
-    worst = float(np.abs(closed - numeric).max())
-    return SuiteResult("x_spectrum_vs_jacobi", worst, 1e-12)
+    dev = np.abs(closed - numeric).max(axis=1)
+    worst = _worst(dev, _X, rows.T)
+    return SuiteResult("x_spectrum_vs_jacobi", float(dev.max()), 1e-12, worst)
 
 
 def bell_closed_vs_jacobi(
@@ -95,8 +125,9 @@ def bell_closed_vs_jacobi(
     rows = sample_physical_bell(samples, rng)
     closed = (closed_form or measures.bell_relative_entropy_values)(*rows.T)
     generic = measures.relative_entropy_coherence(states._x_matrix(0.0, 0.0, *rows.T))
-    worst = float(np.abs(closed - generic).max())
-    return SuiteResult("bell_closed_vs_jacobi", worst, 1e-10)
+    dev = np.abs(closed - generic)
+    worst = _worst(dev, _BELL, rows.T)
+    return SuiteResult("bell_closed_vs_jacobi", float(dev.max()), 1e-10, worst)
 
 
 def x_closed_vs_jacobi(
@@ -106,8 +137,9 @@ def x_closed_vs_jacobi(
     rows = sample_physical_x(samples, rng)
     closed = (closed_form or measures.x_relative_entropy_values)(*rows.T)
     generic = measures.relative_entropy_coherence(states._x_matrix(*rows.T))
-    worst = float(np.abs(closed - generic).max())
-    return SuiteResult("x_closed_vs_jacobi", worst, 1e-10)
+    dev = np.abs(closed - generic)
+    worst = _worst(dev, _X, rows.T)
+    return SuiteResult("x_closed_vs_jacobi", float(dev.max()), 1e-10, worst)
 
 
 def channel_map_vs_kraus(state_count: int, rng: np.random.Generator) -> SuiteResult:
@@ -115,25 +147,27 @@ def channel_map_vs_kraus(state_count: int, rng: np.random.Generator) -> SuiteRes
     triples = sample_physical_bell(state_count, rng)
     rho = states._x_matrix(0.0, 0.0, *triples.T)
     probs = np.linspace(0.0, 1.0, 101)[:, None]
-    worst = 0.0
+    dev = []
     for kind in channels.ChannelKind:
         mapped = np.broadcast_arrays(
             *channels.correlation_map_values(kind, probs, *triples.T)
         )
         direct = states.correlations_of(channels.apply_product_channel(rho, kind, probs))
-        worst = max(worst, float(np.abs(np.subtract(mapped, direct)).max()))
-    return SuiteResult("channel_map_vs_kraus", worst, 1e-12)
+        dev.append(np.abs(np.subtract(mapped, direct)).max(axis=0))
+    worst = _worst(dev, ("kind", "p") + _BELL, (_KINDS[:, None, None], probs, *triples.T))
+    return SuiteResult("channel_map_vs_kraus", float(np.max(dev)), 1e-12, worst)
 
 
 def kraus_completeness() -> SuiteResult:
     """sum(E^dag E) = I for every channel across a probability grid."""
     probs = np.linspace(0.0, 1.0, 101)
-    worst = 0.0
+    dev = []
     for kind in channels.ChannelKind:
         ops = channels.kraus_ops(kind, probs)
         total = np.einsum("...kba,...kbc->...ac", ops.conj(), ops)
-        worst = max(worst, float(np.abs(total - np.eye(2)).max()))
-    return SuiteResult("kraus_completeness", worst, 1e-12)
+        dev.append(np.abs(total - np.eye(2)).max(axis=(-2, -1)))
+    worst = _worst(dev, ("kind", "p"), (_KINDS[:, None], probs))
+    return SuiteResult("kraus_completeness", float(np.max(dev)), 1e-12, worst)
 
 
 def discord_predicate_consistency(grid_points: int = 41) -> SuiteResult:
@@ -153,20 +187,28 @@ def discord_predicate_consistency(grid_points: int = 41) -> SuiteResult:
         <= measures.TOL_EQ
     )
     predicate = np.abs(c3) >= np.maximum(np.abs(c1), np.abs(c2)) - measures.TOL_EQ
-    mismatches = int(np.count_nonzero(physical & (numeric_eq != predicate)))
-    return SuiteResult("discord_predicate_grid", float(mismatches), 0.0)
+    mismatch = physical & (numeric_eq != predicate)
+    return SuiteResult(
+        "discord_predicate_grid",
+        float(np.count_nonzero(mismatch)),
+        0.0,
+        _worst(mismatch, _BELL, (c1, c2, c3)),
+    )
 
 
 def trajectory_monotonicity(state_count: int, rng: np.random.Generator) -> SuiteResult:
     """Coherence along every channel trajectory must not increase with p."""
     probs = np.linspace(0.0, 1.0, 101)
     c1, c2, c3 = sample_physical_bell(state_count, rng).T[:, :, None]
-    worst = 0.0
+    rise = []
     for kind in channels.ChannelKind:
         mapped = channels.correlation_map_values(kind, probs, c1, c2, c3)
-        curves = measures.bell_relative_entropy_values(*mapped)
-        worst = max(worst, float(np.diff(curves, axis=-1).max(initial=0.0)))
-    return SuiteResult("trajectory_monotonicity", worst, 1e-9)
+        rise.append(np.diff(measures.bell_relative_entropy_values(*mapped), axis=-1))
+    # a rise from p to the next grid point is reported at p
+    columns = (_KINDS[:, None, None], probs[:-1], c1, c2, c3)
+    worst = _worst(rise, ("kind", "p") + _BELL, columns)
+    deviation = float(np.max(rise, initial=0.0))
+    return SuiteResult("trajectory_monotonicity", deviation, 1e-9, worst)
 
 
 def run_all(samples: int = 10000, seed: int = DEFAULT_SEED) -> list[SuiteResult]:

@@ -238,6 +238,20 @@ class TestAtomicWrites:
         assert old.read_bytes() == b"previous contents\n"
         assert [p.name for p in tmp_path.iterdir()] == ["old.out"]
 
+    def test_unwritable_stats_out_keeps_old_obj(self, tmp_path, capsys):
+        old = tmp_path / "keep.obj"
+        old.write_bytes(b"OLD\n")
+        stats = tmp_path / "missing" / "x.json"
+        code = run_cli(
+            "surface", "--level", "0.5", "--resolution", "16",
+            "--out", str(old), "--stats-out", str(stats),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{stats}'" in err
+        assert old.read_bytes() == b"OLD\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.obj"]
+
 
 class TestDynamics:
     def test_all_channels_csv(self, capsys):

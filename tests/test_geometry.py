@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from cohgeom import geometry, measures
 from cohgeom.channels import correlation_map_values
-from cohgeom._mc_tables import TRI_TABLE
+from cohgeom._mc_tables import CORNER_OFFSETS, TRI_TABLE
 from cohgeom.geometry import (
     EDGE_CROSSED,
     RegionTag,
@@ -241,6 +241,48 @@ class TestExtractIsosurface:
             & (mesh.vertices[:, 2] < -0.2)
         )
         assert not octant.any()
+
+
+class TestCubeCases:
+    @staticmethod
+    def corner_loop(vals, level):
+        # the 8-corner pass that _cube_cases replaced, kept as its reference
+        m = vals.shape[0] - 1
+        case = np.zeros((m, m, m), dtype=np.uint8)
+        skip = np.zeros((m, m, m), dtype=bool)
+        for bit, (di, dj, dk) in enumerate(CORNER_OFFSETS):
+            corner = vals[di : m + di, dj : m + dj, dk : m + dk]
+            skip |= np.isnan(corner)
+            case |= (corner < level).astype(np.uint8) << bit
+        skip |= (case == 0) | (case == 255)
+        cubes = np.flatnonzero(~skip)
+        return cubes, case.ravel()[cubes]
+
+    @pytest.mark.parametrize("n", [8, 9, 20])
+    @pytest.mark.parametrize("nan_share", [0.0, 0.02, 0.3])
+    def test_matches_corner_loop(self, n, nan_share):
+        rng = np.random.default_rng(n)
+        for vals in (
+            rng.random((n, n, n)),
+            # many nodes exactly at the level, which count as not below it
+            rng.choice([0.25, 0.5, 0.75], size=(n, n, n)),
+        ):
+            vals[rng.random(vals.shape) < nan_share] = np.nan
+            cubes, case = geometry._cube_cases(vals, 0.5)
+            expected_cubes, expected_case = self.corner_loop(vals, 0.5)
+            assert np.array_equal(cubes, expected_cubes)
+            assert np.array_equal(case, expected_case) and case.dtype == np.uint8
+
+    @pytest.mark.parametrize("fill", [np.nan, 0.5, 0.2])
+    def test_uniform_grids_have_no_active_cube(self, fill):
+        cubes, case = geometry._cube_cases(np.full((8, 8, 8), fill), 0.5)
+        assert len(cubes) == len(case) == 0
+
+    def test_sampled_field(self):
+        vals = sample_field("discord", 24).values
+        for level in (0.05, 0.2, 0.5):
+            got, expected = geometry._cube_cases(vals, level), self.corner_loop(vals, level)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
 class TestMeshBytes:

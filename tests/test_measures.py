@@ -20,6 +20,34 @@ from cohgeom.verification import sample_physical_bell, sample_physical_x
 COHERENCE_HALF_AXIS = 0.18872187554086706
 
 
+class TestXlog2x:
+    @staticmethod
+    def gather(v):
+        # the gather-and-scatter form that _xlog2x replaced, kept as its reference
+        v = np.asarray(v, dtype=float)
+        out = np.zeros_like(v)
+        pos = v > 0.0
+        out[pos] = v[pos] * np.log2(v[pos])
+        return out
+
+    def test_special_values(self):
+        v = np.array([np.nan, -0.0, 0.0, -1e-17, -1.0, 5e-324, np.inf, -np.inf, 1.0, 0.5])
+        got = measures._xlog2x(v)
+        assert got.tobytes() == self.gather(v).tobytes()
+        assert np.array_equal(got[:6], [0.0] * 5 + [5e-324 * -1074.0])
+        assert not np.signbit(got[1])
+        assert got[6] == np.inf and got[8] == 0.0 and got[9] == -0.5
+
+    def test_bitwise_equal_to_gather_form(self):
+        rng = np.random.default_rng(11)
+        v = rng.uniform(-0.25, 1.0, 10**6)
+        v[rng.random(v.size) < 0.01] = np.nan
+        v[rng.random(v.size) < 0.01] = 0.0
+        assert measures._xlog2x(v).tobytes() == self.gather(v).tobytes()
+        for scalar in (0.3, 0.0, -0.0, np.nan):
+            assert measures._xlog2x(scalar).tobytes() == self.gather(scalar).tobytes()
+
+
 class TestL1Coherence:
     def test_diagonal_state(self):
         assert l1_coherence(bell_density((0, 0, 0.7))) == 0.0
