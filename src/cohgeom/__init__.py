@@ -8,7 +8,6 @@ surfaces over the state tetrahedron exported as triangle meshes.
 from .channels import (
     ChannelKind,
     apply_product_channel,
-    bell_param_map,
     correlation_map_values,
     default_p_grid,
     dynamics_trajectory,
@@ -32,6 +31,7 @@ from .measures import (
     bell_relative_entropy,
     discord_bell,
     discord_equals_coherence,
+    discord_equals_coherence_values,
     l1_coherence,
     relative_entropy_coherence,
     trace_norm_coherence_x,
@@ -43,14 +43,10 @@ from .states import (
     TOL_PSD,
     XParams,
     bell_density,
-    bell_spectrum,
     correlations_of,
     hermitian_spectrum,
-    is_physical_bell,
-    is_physical_x,
     von_neumann_entropy,
     x_density,
-    x_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -68,23 +64,20 @@ __all__ = [
     "XParams",
     "apply_product_channel",
     "bell_density",
-    "bell_param_map",
     "bell_relative_entropy",
-    "bell_spectrum",
     "classify_point",
     "correlation_map_values",
     "correlations_of",
     "default_p_grid",
     "discord_bell",
     "discord_equals_coherence",
+    "discord_equals_coherence_values",
     "dynamics_trajectory",
     "export_obj",
     "extract_isosurface",
     "filter_triangles",
     "grid_axis",
     "hermitian_spectrum",
-    "is_physical_bell",
-    "is_physical_x",
     "kraus_ops",
     "l1_coherence",
     "relative_entropy_coherence",
@@ -94,5 +87,4 @@ __all__ = [
     "von_neumann_entropy",
     "x_density",
     "x_relative_entropy",
-    "x_spectrum",
 ]

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import measures
 from .states import (
-    BellParams,
     DomainError,
     IDENTITY_2,
     PAULI_X,
@@ -27,7 +26,6 @@ from .states import (
     TOL_PSD,
     bell_eigenvalues,
     require_physical_bell,
-    _as_bell,
     _require_density,
 )
 
@@ -126,17 +124,6 @@ def correlation_map_values(kind, p, c1, c2, c3):
     if kind is ChannelKind.BIT_PHASE_FLIP:
         return c1 * shrink, c2, c3 * shrink
     return c1 * (1.0 - p), c2 * (1.0 - p), c3 * shrink
-
-
-def bell_param_map(kind, p: float, params) -> BellParams:
-    """Closed-form action of the product channel on a correlation triple.
-
-    Components are range-checked but physicality is the caller's concern:
-    the formulas are linear and apply to any triple.  Physical inputs always
-    map to physical outputs (the maps contract the state tetrahedron).
-    """
-    c1, c2, c3 = _as_bell(params)
-    return BellParams(*correlation_map_values(kind, p, c1, c2, c3))
 
 
 def dynamics_trajectory(params, kind, p_grid) -> list[tuple[float, float]]:

@@ -60,7 +60,10 @@ def classify_point(params) -> RegionTag:
     otherwise.
     """
     c1, c2, c3 = (float(v) for v in params)
-    return _region_tags(c1, c2, c3)
+    invalid, entangled = _classify_arrays(c1, c2, c3)
+    if invalid:
+        return RegionTag.INVALID
+    return RegionTag.ENTANGLED if entangled else RegionTag.SEPARABLE
 
 
 def _classify_arrays(c1, c2, c3):
@@ -69,15 +72,6 @@ def _classify_arrays(c1, c2, c3):
     invalid = ~(lam_min >= -TOL_PSD)  # catches NaN as invalid
     entangled = ~invalid & (np.abs(c1) + np.abs(c2) + np.abs(c3) > 1.0 + TOL_SEPARABLE)
     return invalid, entangled
-
-
-_TAGS = np.array([RegionTag.SEPARABLE, RegionTag.ENTANGLED, RegionTag.INVALID], dtype=object)
-
-
-def _region_tags(c1, c2, c3):
-    """RegionTag members, as an object array shaped like the broadcast inputs."""
-    invalid, entangled = _classify_arrays(c1, c2, c3)
-    return _TAGS[np.where(invalid, 2, entangled)]
 
 
 def grid_axis(resolution: int) -> np.ndarray:
@@ -250,23 +244,18 @@ def _physical_intervals(eigenvalues, rising, c1, c2, axis):
 
 @dataclass
 class TriangleMesh:
-    """Indexed triangle mesh in correlation coordinates with per-vertex tags."""
+    """Indexed triangle mesh in correlation coordinates."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-    # Object array of RegionTag members, one per vertex, or empty.
-    region_tags: np.ndarray = ()
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
-        self.region_tags = np.asarray(self.region_tags, dtype=object)
         if self.triangles.size and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
             raise DomainError("triangle indices out of range")
-        if len(self.region_tags) not in (0, len(self.vertices)):
-            raise DomainError("region tag count does not match vertex count")
 
     @classmethod
     def empty(cls) -> "TriangleMesh":
@@ -392,7 +381,7 @@ def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
     cube_row, slot = np.nonzero(tri_edges >= 0)
     tris = edge_vertex[cube_row, tri_edges[cube_row, slot]]
 
-    mesh = TriangleMesh(verts, tris, _region_tags(verts[:, 0], verts[:, 1], verts[:, 2]))
+    mesh = TriangleMesh(verts, tris)
     mesh.triangles = mesh.triangles[mesh.triangle_areas() > DEGENERATE_AREA]
     return mesh
 
@@ -400,20 +389,18 @@ def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
 def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:
     """Keep only triangles whose centroid satisfies the predicate.
 
-    ``keep`` is called with a centroid triple and returns a bool.  Vertices no
+    ``keep(c1, c2, c3)`` is called once with the centroid columns and returns
+    a boolean array, such as
+    :func:`~cohgeom.measures.discord_equals_coherence_values`.  Vertices no
     longer referenced are dropped and indices compacted, preserving order.
     This realizes restricted surfaces such as the part of a coherence level
     set on which discord agrees with the coherence.
     """
     if not len(mesh.triangles):
         return mesh
-    kept = np.array([bool(keep(c)) for c in mesh.centroids()])
+    kept = np.asarray(keep(*mesh.centroids().T), dtype=bool)
     used, triangles = np.unique(mesh.triangles[kept].ravel(), return_inverse=True)
-    return TriangleMesh(
-        mesh.vertices[used],
-        triangles,
-        mesh.region_tags[used] if len(mesh.region_tags) else (),
-    )
+    return TriangleMesh(mesh.vertices[used], triangles)
 
 
 def surface_stats(mesh: TriangleMesh) -> dict:

@@ -19,6 +19,7 @@ from .states import (
     require_physical_bell,
     require_physical_x,
     von_neumann_entropy,
+    x_eigenvalues,
     _check_4x4,
     _require_density,
 )
@@ -27,6 +28,9 @@ from .states import (
 # equal by the discord/coherence equality predicate.  Entropy evaluations
 # carry ~1e-12 noise that logs near zero eigenvalues amplify.
 TOL_EQ = 1e-9
+
+# Entries of a 4x4 matrix off both the diagonal and the anti-diagonal.
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 
 
 class MeasureKind(enum.Enum):
@@ -63,10 +67,9 @@ def bell_relative_entropy_values(c1, c2, c3):
     """
     lam = bell_eigenvalues(c1, c2, c3)
     s_rho = -sum(_xlog2x(v) for v in lam)
-    diag = ((1 - np.asarray(c3)) / 4, (1 + np.asarray(c3)) / 4)
-    s_diag = -(
-        _xlog2x(diag[0]) + _xlog2x(diag[1]) + _xlog2x(diag[1]) + _xlog2x(diag[0])
-    )
+    low = _xlog2x((1 - np.asarray(c3)) / 4)
+    high = _xlog2x((1 + np.asarray(c3)) / 4)
+    s_diag = -(low + high + high + low)
     return np.maximum(s_diag - s_rho, 0.0)
 
 
@@ -78,14 +81,7 @@ def x_relative_entropy_values(r, s, c1, c2, c3):
     assumed physical; stray negatives from rounding at the boundary are
     treated as zero by the entropy terms.
     """
-    outer = np.sqrt((np.asarray(r) + s) ** 2 + (np.asarray(c1) - c2) ** 2)
-    inner = np.sqrt((np.asarray(r) - s) ** 2 + (np.asarray(c1) + c2) ** 2)
-    lam = (
-        (1 + np.asarray(c3) + outer) / 4,
-        (1 + np.asarray(c3) - outer) / 4,
-        (1 - np.asarray(c3) + inner) / 4,
-        (1 - np.asarray(c3) - inner) / 4,
-    )
+    lam = x_eigenvalues(r, s, c1, c2, c3)
     diag = (
         (1 + np.asarray(r) + s + c3) / 4,
         (1 + np.asarray(r) - s - c3) / 4,
@@ -119,23 +115,14 @@ def l1_coherence(m) -> float:
     return float(np.abs(a).sum() - np.abs(np.diag(a)).sum())
 
 
-def is_x_shaped(m, tol: float = 1e-12) -> bool:
-    """True when every entry off the diagonal and anti-diagonal is below tol."""
-    a = _check_4x4(m)
-    mask = np.ones((4, 4), dtype=bool)
-    for i in range(4):
-        mask[i, i] = False
-        mask[i, 3 - i] = False
-    return bool(np.abs(a[mask]).max() < tol)
-
-
 def trace_norm_coherence_x(m) -> float:
     """Trace-norm coherence of an X-shaped density matrix.
 
     For X states this coincides with the l1 coherence, which is the only case
-    in which the identity is asserted, so non-X inputs are rejected.
+    in which the identity is asserted, so inputs with an entry of magnitude
+    1e-12 or more off the diagonal and anti-diagonal are rejected.
     """
-    if not is_x_shaped(m):
+    if not np.abs(_check_4x4(m)[_OFF_X]).max() < 1e-12:
         raise DomainError("trace-norm coherence shortcut requires an X-shaped matrix")
     return l1_coherence(m)
 
@@ -172,14 +159,18 @@ def discord_bell(params) -> float:
     return float(bell_discord_values(p.c1, p.c2, p.c3))
 
 
-def discord_equals_coherence(params, tol: float = TOL_EQ) -> bool:
-    """Whether discord equals relative entropy of coherence for these parameters.
+def discord_equals_coherence_values(c1, c2, c3, tol: float = TOL_EQ):
+    """Vectorized predicate: where discord equals relative entropy of coherence.
 
     The two quantities differ only through the largest correlation magnitude:
     they coincide exactly when |c3| attains max(|c1|, |c2|, |c3|).  The
     condition is symmetric under c3 -> -c3, which the numerical equality test
     confirms on dense grids (and which the paired level surfaces on both sides
-    of the c3 = 0 plane reflect).
+    of the c3 = 0 plane reflect).  Inputs are assumed physical.
     """
-    p = require_physical_bell(params)
-    return abs(p.c3) >= max(abs(p.c1), abs(p.c2)) - tol
+    return np.abs(c3) >= np.maximum(np.abs(c1), np.abs(c2)) - tol
+
+
+def discord_equals_coherence(params, tol: float = TOL_EQ) -> bool:
+    """:func:`discord_equals_coherence_values` for one physical triple."""
+    return bool(discord_equals_coherence_values(*require_physical_bell(params), tol))

@@ -97,7 +97,7 @@ def bell_density(params) -> np.ndarray:
     The matrix has diagonal (1 +- c3)/4, anti-diagonal corners (c1 - c2)/4 and
     inner anti-diagonal (c1 + c2)/4; it is Hermitian with unit trace for any
     parameters in range.  Positivity is a separate question, decided by
-    :func:`bell_spectrum`.
+    :func:`bell_eigenvalues`.
     """
     p = _as_bell(params)
     return _x_matrix(0.0, 0.0, p.c1, p.c2, p.c3)
@@ -145,51 +145,26 @@ def x_eigenvalues(r, s, c1, c2, c3):
     )
 
 
-def bell_spectrum(params) -> np.ndarray:
-    """Eigenvalues of ``bell_density(params)``, descending."""
-    p = _as_bell(params)
-    lam = np.array(bell_eigenvalues(p.c1, p.c2, p.c3), dtype=float)
-    return np.sort(lam)[::-1]
-
-
-def x_spectrum(params) -> np.ndarray:
-    """Eigenvalues of ``x_density(params)``, descending."""
-    q = _as_x(params)
-    lam = np.array(x_eigenvalues(*q), dtype=float)
-    return np.sort(lam)[::-1]
-
-
-def is_physical_bell(params, tol: float = TOL_PSD) -> bool:
-    """True when all eigenvalues of the Bell-diagonal state are >= -tol."""
-    p = _as_bell(params)
-    return min(bell_eigenvalues(p.c1, p.c2, p.c3)) >= -tol
-
-
-def is_physical_x(params, tol: float = TOL_PSD) -> bool:
-    """True when all eigenvalues of the X state are >= -tol."""
-    q = _as_x(params)
-    return min(x_eigenvalues(*q)) >= -tol
+def _require_psd(lam) -> None:
+    """Raise unless the smallest of the eigenvalues ``lam`` is >= -TOL_PSD."""
+    smallest = min(lam)
+    if smallest < -TOL_PSD:
+        raise DomainError(
+            f"state not positive semidefinite: smallest eigenvalue {smallest:.6g}"
+        )
 
 
 def require_physical_bell(params) -> BellParams:
     """Range-check and positivity-check Bell parameters, raising on failure."""
     p = _as_bell(params)
-    lam = min(bell_eigenvalues(p.c1, p.c2, p.c3))
-    if lam < -TOL_PSD:
-        raise DomainError(
-            f"state not positive semidefinite: smallest eigenvalue {lam:.6g}"
-        )
+    _require_psd(bell_eigenvalues(*p))
     return p
 
 
 def require_physical_x(params) -> XParams:
     """Range-check and positivity-check X-state parameters, raising on failure."""
     q = _as_x(params)
-    lam = min(x_eigenvalues(*q))
-    if lam < -TOL_PSD:
-        raise DomainError(
-            f"state not positive semidefinite: smallest eigenvalue {lam:.6g}"
-        )
+    _require_psd(x_eigenvalues(*q))
     return q
 
 

@@ -71,26 +71,25 @@ def _worst(dev, names, columns) -> tuple:
     )
 
 
-def sample_physical_bell(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform samples from the physical Bell-diagonal tetrahedron, (count, 3)."""
-    out = np.empty((0, 3))
+def _sample_physical(eigenvalues, width, oversample, count, rng) -> np.ndarray:
+    """Uniform samples from [-1, 1]^width where every eigenvalue is >= 0,
+    drawn in batches of ``oversample * count`` candidates; (count, width)."""
+    out = np.empty((0, width))
     while len(out) < count:
-        cand = rng.uniform(-1.0, 1.0, size=(4 * count, 3))
-        lam_min = np.minimum.reduce(
-            states.bell_eigenvalues(cand[:, 0], cand[:, 1], cand[:, 2])
-        )
+        cand = rng.uniform(-1.0, 1.0, size=(oversample * count, width))
+        lam_min = np.minimum.reduce(eigenvalues(*cand.T))
         out = np.concatenate([out, cand[lam_min >= 0.0]])
     return out[:count]
+
+
+def sample_physical_bell(count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform samples from the physical Bell-diagonal tetrahedron, (count, 3)."""
+    return _sample_physical(states.bell_eigenvalues, 3, 4, count, rng)
 
 
 def sample_physical_x(count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples from the physical X-state parameter set, (count, 5)."""
-    out = np.empty((0, 5))
-    while len(out) < count:
-        cand = rng.uniform(-1.0, 1.0, size=(8 * count, 5))
-        lam_min = np.minimum.reduce(states.x_eigenvalues(*cand.T))
-        out = np.concatenate([out, cand[lam_min >= 0.0]])
-    return out[:count]
+    return _sample_physical(states.x_eigenvalues, 5, 8, count, rng)
 
 
 def _descending(eigenvalues) -> np.ndarray:
@@ -186,7 +185,7 @@ def discord_predicate_consistency(grid_points: int = 41) -> SuiteResult:
         )
         <= measures.TOL_EQ
     )
-    predicate = np.abs(c3) >= np.maximum(np.abs(c1), np.abs(c2)) - measures.TOL_EQ
+    predicate = measures.discord_equals_coherence_values(c1, c2, c3)
     mismatch = physical & (numeric_eq != predicate)
     return SuiteResult(
         "discord_predicate_grid",

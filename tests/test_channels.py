@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from cohgeom.channels import (
     ChannelKind,
     apply_product_channel,
-    bell_param_map,
     correlation_map_values,
     default_p_grid,
     dynamics_trajectory,
@@ -115,9 +114,8 @@ class TestApplyProductChannel:
     def test_matches_map_on_physical_state(self):
         rho = bell_density((0.2, 0.1, 0.3))
         out = apply_product_channel(rho, "bf", 0.5)
-        assert_allclose(
-            correlations_of(out), bell_param_map("bf", 0.5, (0.2, 0.1, 0.3)), atol=1e-12
-        )
+        mapped = correlation_map_values("bf", 0.5, 0.2, 0.1, 0.3)
+        assert_allclose(correlations_of(out), mapped, atol=1e-12)
 
     def test_phase_flip_kills_transverse_at_one(self):
         rho = bell_density((0.5, -0.3, 0.2))
@@ -147,15 +145,15 @@ class TestApplyProductChannel:
 class TestBellParamMap:
     def test_amplitude_damping_row(self):
         assert_allclose(
-            bell_param_map("gad", 0.5, (0.8, 0.4, 0.4)), (0.4, 0.2, 0.1), atol=1e-15
+            correlation_map_values("gad", 0.5, 0.8, 0.4, 0.4), (0.4, 0.2, 0.1), atol=1e-15
         )
 
     def test_bit_phase_flip_at_one_keeps_c2(self):
-        assert_allclose(bell_param_map("bpf", 1.0, (0.3, -0.2, 0.4)), (0, -0.2, 0))
+        assert_allclose(correlation_map_values("bpf", 1.0, 0.3, -0.2, 0.4), (0, -0.2, 0))
 
     def test_phase_flip_at_zero_is_identity(self):
         p = (0.3, -0.2, 0.4)
-        assert bell_param_map("pf", 0.0, p) == p
+        assert correlation_map_values("pf", 0.0, *p) == p
 
     def test_matches_kraus_application(self):
         rng = np.random.default_rng(73)
@@ -164,7 +162,7 @@ class TestBellParamMap:
             rho = bell_density(row)
             for kind in ChannelKind:
                 for p in np.linspace(0, 1, 11):
-                    mapped = bell_param_map(kind, p, row)
+                    mapped = correlation_map_values(kind, p, *row)
                     direct = correlations_of(apply_product_channel(rho, kind, p))
                     worst = max(worst, max(abs(a - b) for a, b in zip(mapped, direct)))
         assert worst <= 1e-12
@@ -177,19 +175,21 @@ class TestBellParamMap:
                 for v in correlation_map_values(kind, probs, -0.1, 0.4, 0.4)
             )
             for i, p in enumerate(probs):
-                assert (c1[i], c2[i], c3[i]) == bell_param_map(kind, p, (-0.1, 0.4, 0.4))
+                scalar = correlation_map_values(kind, float(p), -0.1, 0.4, 0.4)
+                assert (c1[i], c2[i], c3[i]) == scalar
 
     def test_accepts_any_in_range_triple(self):
         # the formulas are linear: triples outside the physical set map fine
         assert_allclose(
-            bell_param_map("bf", 0.5, (0.6, 0.4, 0.2)), (0.6, 0.1, 0.05), atol=1e-15
+            correlation_map_values("bf", 0.5, 0.6, 0.4, 0.2), (0.6, 0.1, 0.05), atol=1e-15
         )
 
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            bell_param_map("bf", 1.5, (0.1, 0.1, 0.1))
+            correlation_map_values("bf", 1.5, 0.1, 0.1, 0.1)
+        # the map itself takes any triple; the trajectory range-checks it
         with pytest.raises(DomainError):
-            bell_param_map("bf", 0.5, (1.2, 0, 0))
+            dynamics_trajectory((1.2, 0, 0), "bf", [0.0, 0.5])
 
 
 class TestDynamicsTrajectory:

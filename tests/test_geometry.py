@@ -20,7 +20,7 @@ from cohgeom.geometry import (
     sample_field,
     surface_stats,
 )
-from cohgeom.measures import discord_equals_coherence
+from cohgeom.measures import discord_equals_coherence, discord_equals_coherence_values
 from cohgeom.states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
 
 
@@ -214,7 +214,10 @@ class TestExtractIsosurface:
             bell_eigenvalues(mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2])
         )
         assert lam_min.min() >= -1e-9
-        assert all(tag is not RegionTag.INVALID for tag in mesh.region_tags)
+        invalid, entangled = geometry._classify_arrays(*mesh.vertices.T)
+        assert not invalid.any()
+        # the surface has both separable and entangled vertices
+        assert entangled.any() and not entangled.all()
 
     def test_transverse_sign_flip_symmetry(self):
         mesh = extract_isosurface(sample_field("rel-ent", 24), 0.2)
@@ -315,13 +318,6 @@ class TestMeshBytes:
             used[case, list(edges)] = True
         assert np.array_equal(used, EDGE_CROSSED)
 
-    def test_region_tags_are_members(self):
-        mesh = extract_isosurface(sample_field("rel-ent", 16), 0.3)
-        assert mesh.region_tags.shape == (len(mesh.vertices),)
-        expected = [classify_point(v) for v in mesh.vertices]
-        assert all(a is b for a, b in zip(mesh.region_tags, expected))
-        assert {RegionTag.SEPARABLE, RegionTag.ENTANGLED} <= set(expected)
-
 
 class TestSurfaceStats:
     def test_empty_mesh(self):
@@ -356,7 +352,7 @@ class TestFilterTriangles:
     def test_discord_equality_restriction_is_mirrored(self):
         grid = sample_field("rel-ent", 33)
         mesh = extract_isosurface(grid, 0.05)
-        restricted = filter_triangles(mesh, discord_equals_coherence)
+        restricted = filter_triangles(mesh, discord_equals_coherence_values)
         assert 0 < len(restricted.triangles) < len(mesh.triangles)
         cent = restricted.centroids()
         assert (cent[:, 2] > 0).any() and (cent[:, 2] < 0).any()
@@ -365,7 +361,7 @@ class TestFilterTriangles:
 
     def test_reindexing_preserves_geometry(self):
         mesh = extract_isosurface(sphere_grid(16), 0.5)
-        kept = filter_triangles(mesh, lambda c: c[2] > 0)
+        kept = filter_triangles(mesh, lambda c1, c2, c3: c3 > 0)
         assert len(kept.triangles) > 0
         assert kept.triangles.max() < len(kept.vertices)
         assert_allclose(

@@ -3,8 +3,9 @@
 A triple is drawn as a random point of the state tetrahedron: four
 non-negative weights, normalized, are the state's eigenvalues, and the
 correlations follow from them.  The sampled-grid property draws X-state
-slices and channel pre-maps instead.  The draws are derandomized, so the
-suite is deterministic.
+slices and channel pre-maps instead, and the triangle-filter property builds
+meshes on random triples.  The draws are derandomized, so the suite is
+deterministic.
 """
 
 import numpy as np
@@ -14,11 +15,19 @@ from hypothesis import strategies as st
 
 from cohgeom import geometry
 from cohgeom.channels import ChannelKind, correlation_map_values, default_p_grid
-from cohgeom.geometry import _classify_arrays, grid_axis, sample_field
+from cohgeom.geometry import (
+    TriangleMesh,
+    _classify_arrays,
+    filter_triangles,
+    grid_axis,
+    sample_field,
+)
 from cohgeom.measures import (
+    TOL_EQ,
     bell_discord_values,
     bell_relative_entropy_values,
     discord_equals_coherence,
+    discord_equals_coherence_values,
     l1_values,
     x_relative_entropy_values,
 )
@@ -77,6 +86,46 @@ def test_discord_bounded_by_coherence(params):
     # off the predicate the gap closes at its boundary, so no strict inequality
     if discord_equals_coherence(params):
         assert abs(discord - coherence) <= 1e-12
+
+
+@SETTINGS
+@given(bell_triples())
+@with_vertices
+def test_equality_kernel_matches_scalar_predicate(params):
+    c1, c2, c3 = (float(v) for v in params)
+    column = discord_equals_coherence_values(*(np.array([v]) for v in params))
+    assert column.shape == (1,)
+    assert bool(column[0]) is discord_equals_coherence(params)
+    assert discord_equals_coherence(params) is (abs(c3) >= max(abs(c1), abs(c2)) - TOL_EQ)
+
+
+def filter_per_centroid(mesh, keep):
+    """filter_triangles as a Python loop over the centroids: the oracle."""
+    if not len(mesh.triangles):
+        return mesh
+    kept = np.array([bool(keep(c)) for c in mesh.centroids()])
+    used, triangles = np.unique(mesh.triangles[kept].ravel(), return_inverse=True)
+    return TriangleMesh(mesh.vertices[used], triangles)
+
+
+@SETTINGS
+@given(
+    points=st.lists(bell_triples(), max_size=8),
+    corners=st.lists(st.tuples(*[st.integers(0, 99)] * 3), max_size=20),
+)
+# every triangle of the Bell vertices has its centroid on a tie |c3| = |c1|
+@example(points=[], corners=[(0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 4)])
+@example(points=[], corners=[])
+def test_filter_triangles_matches_per_centroid_loop(points, corners):
+    # Bell vertices and the origin, then the drawn triples; centroids of
+    # physical triples are physical, as the scalar predicate requires
+    vertices = np.array(BELL_VERTICES + [(0.0, 0.0, 0.0)] + points)
+    triangles = np.array(corners, dtype=int).reshape(-1, 3) % len(vertices)
+    mesh = TriangleMesh(vertices, triangles)
+    expected = filter_per_centroid(mesh, discord_equals_coherence)
+    got = filter_triangles(mesh, discord_equals_coherence_values)
+    assert np.array_equal(got.vertices, expected.vertices)
+    assert np.array_equal(got.triangles, expected.triangles)
 
 
 @SETTINGS

@@ -4,10 +4,11 @@ import pytest
 from cohgeom import measures
 from cohgeom.states import (
     DomainError,
+    TOL_PSD,
     bell_density,
-    is_physical_bell,
-    is_physical_x,
+    bell_eigenvalues,
     x_density,
+    x_eigenvalues,
 )
 from cohgeom.verification import (
     SuiteResult,
@@ -27,13 +28,32 @@ class TestSampling:
         rng = np.random.default_rng(0)
         rows = sample_physical_bell(200, rng)
         assert rows.shape == (200, 3)
-        assert all(is_physical_bell(row) for row in rows)
+        assert np.abs(rows).max() <= 1.0
+        assert np.minimum.reduce(bell_eigenvalues(*rows.T)).min() >= -TOL_PSD
 
     def test_x_samples_physical(self):
         rng = np.random.default_rng(0)
         rows = sample_physical_x(200, rng)
         assert rows.shape == (200, 5)
-        assert all(is_physical_x(row) for row in rows)
+        assert np.abs(rows).max() <= 1.0
+        assert np.minimum.reduce(x_eigenvalues(*rows.T)).min() >= -TOL_PSD
+
+    def test_draws_follow_the_rejection_batches(self):
+        # verify's output depends on these exact draws: batches of 4 count
+        # (Bell) or 8 count (X) candidates, accepted rows kept in order
+        for sample, eigenvalues, width, batch in (
+            (sample_physical_bell, bell_eigenvalues, 3, 4),
+            (sample_physical_x, x_eigenvalues, 5, 8),
+        ):
+            rng = np.random.default_rng(2)
+            kept = np.empty((0, width))
+            while len(kept) < 7:
+                cand = rng.uniform(-1.0, 1.0, size=(batch * 7, width))
+                lam_min = np.minimum.reduce(eigenvalues(*cand.T))
+                kept = np.concatenate([kept, cand[lam_min >= 0.0]])
+            other = np.random.default_rng(2)
+            assert np.array_equal(sample(7, other), kept[:7])
+            assert other.random() == rng.random()
 
     def test_deterministic_for_fixed_seed(self):
         a = sample_physical_bell(50, np.random.default_rng(5))
@@ -91,6 +111,24 @@ class TestSuites:
     def test_predicate_grid_has_no_mismatches(self):
         result = discord_predicate_consistency(21)
         assert result.deviation == 0.0
+
+    def test_predicate_grid_checks_the_library_predicate(self, monkeypatch):
+        # strict and without the tolerance: wrong exactly at the ties |c3| = |c1|
+        def strict(c1, c2, c3, tol=measures.TOL_EQ):
+            return np.abs(c3) > np.maximum(np.abs(c1), np.abs(c2))
+
+        monkeypatch.setattr(measures, "discord_equals_coherence_values", strict)
+        result = discord_predicate_consistency()
+        assert not result.passed
+        _, at = result.line().split("  at ")
+        names, values = zip(*(item.split("=") for item in at.split()))
+        assert names == ("c1", "c2", "c3")
+        c1, c2, c3 = map(float, values)
+        assert {c1, c2, c3} <= set(np.linspace(-1.0, 1.0, 41))
+        assert abs(c3) == max(abs(c1), abs(c2))
+        assert measures.discord_bell((c1, c2, c3)) == pytest.approx(
+            measures.bell_relative_entropy((c1, c2, c3)), abs=measures.TOL_EQ
+        )
 
     def test_completeness(self):
         assert kraus_completeness().passed
