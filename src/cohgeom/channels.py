@@ -26,6 +26,7 @@ from .states import (
     TOL_PSD,
     bell_eigenvalues,
     require_physical_bell,
+    _member,
     _require_density,
 )
 
@@ -39,14 +40,13 @@ class ChannelKind(enum.Enum):
     AMPLITUDE_DAMPING = "gad"
 
 
-def _coerce_kind(kind) -> ChannelKind:
-    if isinstance(kind, ChannelKind):
-        return kind
-    try:
-        return ChannelKind(str(kind).lower())
-    except ValueError:
-        names = ", ".join(k.value for k in ChannelKind)
-        raise DomainError(f"unknown channel {kind!r}; expected one of {names}") from None
+# The power of (1 - p) by which each channel shrinks (c1, c2, c3).
+_SHRINK = {
+    ChannelKind.BIT_FLIP: (0, 2, 2),
+    ChannelKind.PHASE_FLIP: (2, 2, 0),
+    ChannelKind.BIT_PHASE_FLIP: (2, 0, 2),
+    ChannelKind.AMPLITUDE_DAMPING: (1, 1, 2),
+}
 
 
 def _check_probability(p):
@@ -69,7 +69,7 @@ def kraus_ops(kind, p) -> np.ndarray:
     amplitude damping gives k = 4 with the mixing probability fixed at 1/2.
     The completeness relation sum(E^dag E) = I holds for every p in [0, 1].
     """
-    kind = _coerce_kind(kind)
+    kind = _member(ChannelKind, kind, "channel")
     p = np.asarray(_check_probability(p))
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         half = math.sqrt(0.5)
@@ -111,19 +111,15 @@ def correlation_map_values(kind, p, c1, c2, c3):
     """Closed-form action of the product channel on correlation components.
 
     Elementwise over scalars or arrays (including p); no physicality checks.
-    The flip channels shrink the two non-preserved components by (1-p)^2,
+    Component i is multiplied by (1 - p) to the power ``_SHRINK[kind][i]``:
+    the flip channels shrink the two non-preserved components by (1-p)^2,
     amplitude damping shrinks c1 and c2 by (1-p) and c3 by (1-p)^2.
     """
-    kind = _coerce_kind(kind)
+    powers = _SHRINK[_member(ChannelKind, kind, "channel")]
     p = _check_probability(p)
-    shrink = (1.0 - p) ** 2
-    if kind is ChannelKind.BIT_FLIP:
-        return c1, c2 * shrink, c3 * shrink
-    if kind is ChannelKind.PHASE_FLIP:
-        return c1 * shrink, c2 * shrink, c3
-    if kind is ChannelKind.BIT_PHASE_FLIP:
-        return c1 * shrink, c2, c3 * shrink
-    return c1 * (1.0 - p), c2 * (1.0 - p), c3 * shrink
+    return tuple(
+        c if e == 0 else c * (1.0 - p) ** e for c, e in zip((c1, c2, c3), powers)
+    )
 
 
 def dynamics_trajectory(params, kind, p_grid) -> list[tuple[float, float]]:

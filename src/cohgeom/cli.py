@@ -29,7 +29,7 @@ import sys
 from . import channels, geometry, measures, states, verification
 from .measures import MeasureKind
 
-_CSV_COLUMNS = ("bf", "pf", "bpf", "gad")
+_CSV_COLUMNS = tuple(kind.value for kind in channels.ChannelKind)
 
 
 def _add_state_args(parser: argparse.ArgumentParser) -> None:

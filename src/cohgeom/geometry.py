@@ -13,14 +13,13 @@ from __future__ import annotations
 import contextlib
 import enum
 import functools
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, measures
+from . import channels, measures, states
 from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .measures import MeasureKind
 from .states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
@@ -146,7 +145,7 @@ def sample_field(
     nodes only, so memory is the grid plus a few temporaries of a slab's
     physical node count per thread.
     """
-    measure = measure if isinstance(measure, MeasureKind) else MeasureKind(str(measure))
+    measure = states._member(MeasureKind, measure, "measure")
     n = int(resolution)
     if n < 8:
         raise DomainError("resolution must be at least 8")
@@ -162,12 +161,12 @@ def sample_field(
                 "channel maps act on the Bell-diagonal family; they cannot be "
                 "combined with an X-state slice"
             )
-        r, s = (float(v) for v in slice)
-        for name, v in (("r", r), ("s", s)):
-            if not -1.0 <= v <= 1.0:
-                raise DomainError(f"{name} must lie in [-1, 1], got {v}")
+        r, s = states._in_range(("r", "s"), slice)
     if (channel is None) != (p is None):
         raise DomainError("a channel pre-map and its probability p must be given together")
+    if channel is not None:
+        channel = states._member(channels.ChannelKind, channel, "channel")
+        p = channels._check_probability(p)
     peak = PEAK_PER_GRID_BYTE * 8 * n**3
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if peak > memory:
@@ -257,24 +256,13 @@ class TriangleMesh:
         ):
             raise DomainError("triangle indices out of range")
 
-    @classmethod
-    def empty(cls) -> "TriangleMesh":
-        return cls(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
-
-    def __len__(self) -> int:
-        return len(self.triangles)
-
     def triangle_areas(self) -> np.ndarray:
-        if not len(self.triangles):
-            return np.zeros(0)
         a = self.vertices[self.triangles[:, 0]]
         b = self.vertices[self.triangles[:, 1]]
         c = self.vertices[self.triangles[:, 2]]
         return np.linalg.norm(np.cross(b - a, c - a), axis=1) / 2
 
     def centroids(self) -> np.ndarray:
-        if not len(self.triangles):
-            return np.zeros((0, 3))
         return self.vertices[self.triangles].mean(axis=1)
 
 
@@ -342,7 +330,7 @@ def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
     if not isinstance(grid, ScalarGrid):
         grid = ScalarGrid(grid)
     level = float(level)
-    if not level > 0.0 or math.isnan(level):
+    if not level > 0.0:
         raise DomainError(f"level must be positive, got {level}")
 
     vals = grid.values
@@ -350,8 +338,6 @@ def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
     n = grid.resolution
 
     cubes, cube_case = _cube_cases(vals, level)
-    if not len(cubes):
-        return TriangleMesh.empty()
     origin = np.stack(np.unravel_index(cubes, (n - 1,) * 3), axis=1)
 
     # Crossed (cube, edge) pairs in cube order, keyed by lower node and axis;
@@ -389,16 +375,22 @@ def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
 def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:
     """Keep only triangles whose centroid satisfies the predicate.
 
-    ``keep(c1, c2, c3)`` is called once with the centroid columns and returns
-    a boolean array, such as
-    :func:`~cohgeom.measures.discord_equals_coherence_values`.  Vertices no
-    longer referenced are dropped and indices compacted, preserving order.
+    ``keep(c1, c2, c3)`` is called once with the centroid columns and must
+    return a boolean array with one entry per triangle, such as
+    :func:`~cohgeom.measures.discord_equals_coherence_values`; anything else
+    raises DomainError.  Vertices no longer referenced are dropped and
+    indices compacted, preserving order.
     This realizes restricted surfaces such as the part of a coherence level
     set on which discord agrees with the coherence.
     """
     if not len(mesh.triangles):
         return mesh
-    kept = np.asarray(keep(*mesh.centroids().T), dtype=bool)
+    kept = np.asarray(keep(*mesh.centroids().T))
+    if kept.dtype != bool or kept.shape != (len(mesh.triangles),):
+        raise DomainError(
+            f"keep must return a boolean array of shape ({len(mesh.triangles)},), "
+            f"got {kept.dtype} of shape {kept.shape}"
+        )
     used, triangles = np.unique(mesh.triangles[kept].ravel(), return_inverse=True)
     return TriangleMesh(mesh.vertices[used], triangles)
 

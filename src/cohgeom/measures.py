@@ -159,7 +159,7 @@ def discord_bell(params) -> float:
     return float(bell_discord_values(p.c1, p.c2, p.c3))
 
 
-def discord_equals_coherence_values(c1, c2, c3, tol: float = TOL_EQ):
+def discord_equals_coherence_values(c1, c2, c3):
     """Vectorized predicate: where discord equals relative entropy of coherence.
 
     The two quantities differ only through the largest correlation magnitude:
@@ -168,9 +168,9 @@ def discord_equals_coherence_values(c1, c2, c3, tol: float = TOL_EQ):
     confirms on dense grids (and which the paired level surfaces on both sides
     of the c3 = 0 plane reflect).  Inputs are assumed physical.
     """
-    return np.abs(c3) >= np.maximum(np.abs(c1), np.abs(c2)) - tol
+    return np.abs(c3) >= np.maximum(np.abs(c1), np.abs(c2)) - TOL_EQ
 
 
-def discord_equals_coherence(params, tol: float = TOL_EQ) -> bool:
+def discord_equals_coherence(params) -> bool:
     """:func:`discord_equals_coherence_values` for one physical triple."""
-    return bool(discord_equals_coherence_values(*require_physical_bell(params), tol))
+    return bool(discord_equals_coherence_values(*require_physical_bell(params)))

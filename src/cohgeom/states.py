@@ -9,7 +9,6 @@ share no code with the closed forms.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -53,29 +52,26 @@ class XParams(NamedTuple):
     c3: float
 
 
-def _check_range(name: str, value: float) -> float:
-    value = float(value)
-    if not -1.0 <= value <= 1.0 or math.isnan(value):
-        raise DomainError(f"{name} must lie in [-1, 1], got {value}")
-    return value
+def _in_range(names, values) -> tuple[float, ...]:
+    """``values`` as floats, each named by ``names`` and checked to lie in
+    [-1, 1]; NaN fails the check too."""
+    values = tuple(float(v) for v in values)
+    for name, value in zip(names, values, strict=True):
+        if not -1.0 <= value <= 1.0:
+            raise DomainError(f"{name} must lie in [-1, 1], got {value}")
+    return values
 
 
-def _as_bell(params) -> BellParams:
-    c1, c2, c3 = params
-    return BellParams(
-        _check_range("c1", c1), _check_range("c2", c2), _check_range("c3", c3)
-    )
-
-
-def _as_x(params) -> XParams:
-    r, s, c1, c2, c3 = params
-    return XParams(
-        _check_range("r", r),
-        _check_range("s", s),
-        _check_range("c1", c1),
-        _check_range("c2", c2),
-        _check_range("c3", c3),
-    )
+def _member(kind, value, what: str):
+    """``value`` as a member of the enum ``kind``: a member itself, or its
+    value in any letter case; ``what`` names the kind in the error."""
+    if isinstance(value, kind):
+        return value
+    try:
+        return kind(str(value).lower())
+    except ValueError:
+        names = ", ".join(k.value for k in kind)
+        raise DomainError(f"unknown {what} {value!r}; expected one of {names}") from None
 
 
 def _x_matrix(r, s, c1, c2, c3) -> np.ndarray:
@@ -99,8 +95,7 @@ def bell_density(params) -> np.ndarray:
     parameters in range.  Positivity is a separate question, decided by
     :func:`bell_eigenvalues`.
     """
-    p = _as_bell(params)
-    return _x_matrix(0.0, 0.0, p.c1, p.c2, p.c3)
+    return _x_matrix(0.0, 0.0, *_in_range(BellParams._fields, params))
 
 
 def x_density(params) -> np.ndarray:
@@ -109,8 +104,7 @@ def x_density(params) -> np.ndarray:
     With r = s = 0 the construction is identical, entry for entry, to
     :func:`bell_density`.
     """
-    q = _as_x(params)
-    return _x_matrix(q.r, q.s, q.c1, q.c2, q.c3)
+    return _x_matrix(*_in_range(XParams._fields, params))
 
 
 def bell_eigenvalues(c1, c2, c3):
@@ -156,33 +150,35 @@ def _require_psd(lam) -> None:
 
 def require_physical_bell(params) -> BellParams:
     """Range-check and positivity-check Bell parameters, raising on failure."""
-    p = _as_bell(params)
+    p = BellParams(*_in_range(BellParams._fields, params))
     _require_psd(bell_eigenvalues(*p))
     return p
 
 
 def require_physical_x(params) -> XParams:
     """Range-check and positivity-check X-state parameters, raising on failure."""
-    q = _as_x(params)
+    q = XParams(*_in_range(XParams._fields, params))
     _require_psd(x_eigenvalues(*q))
     return q
-
-
-def _check_4x4(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 matrix, got shape {a.shape}")
-    return a
 
 
 def _check_stack(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.shape[-2:] != (4, 4):
         raise DomainError(f"expected (..., 4, 4) matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries must be finite")
     return a
 
 
-def hermitian_spectrum(m, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def _check_4x4(m) -> np.ndarray:
+    a = _check_stack(m)
+    if a.shape != (4, 4):
+        raise DomainError(f"expected a 4x4 matrix, got shape {a.shape}")
+    return a
+
+
+def hermitian_spectrum(m) -> np.ndarray:
     """Eigenvalues of a 4x4 Hermitian matrix or a ``(..., 4, 4)`` stack, descending.
 
     One batched LAPACK ``eigvalsh`` call over the whole stack.  It is the
@@ -193,10 +189,11 @@ def hermitian_spectrum(m, hermiticity_tol: float = 1e-10) -> np.ndarray:
     Raises
     ------
     DomainError
-        If any matrix is not Hermitian within ``hermiticity_tol``.
+        If any entry is not finite, or any matrix is not Hermitian within
+        1e-10.
     """
     a = _check_stack(m)
-    if np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) > hermiticity_tol:
+    if np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-10:
         raise DomainError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)[..., ::-1]
 

@@ -117,24 +117,20 @@ def x_spectrum_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     return SuiteResult("x_spectrum_vs_jacobi", float(dev.max()), 1e-12, worst)
 
 
-def bell_closed_vs_jacobi(
-    samples: int, rng: np.random.Generator, closed_form=None
-) -> SuiteResult:
+def bell_closed_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form Bell coherence against the generic entropy-difference route."""
     rows = sample_physical_bell(samples, rng)
-    closed = (closed_form or measures.bell_relative_entropy_values)(*rows.T)
+    closed = measures.bell_relative_entropy_values(*rows.T)
     generic = measures.relative_entropy_coherence(states._x_matrix(0.0, 0.0, *rows.T))
     dev = np.abs(closed - generic)
     worst = _worst(dev, _BELL, rows.T)
     return SuiteResult("bell_closed_vs_jacobi", float(dev.max()), 1e-10, worst)
 
 
-def x_closed_vs_jacobi(
-    samples: int, rng: np.random.Generator, closed_form=None
-) -> SuiteResult:
+def x_closed_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form X coherence against the generic entropy-difference route."""
     rows = sample_physical_x(samples, rng)
-    closed = (closed_form or measures.x_relative_entropy_values)(*rows.T)
+    closed = measures.x_relative_entropy_values(*rows.T)
     generic = measures.relative_entropy_coherence(states._x_matrix(*rows.T))
     dev = np.abs(closed - generic)
     worst = _worst(dev, _X, rows.T)
@@ -169,13 +165,13 @@ def kraus_completeness() -> SuiteResult:
     return SuiteResult("kraus_completeness", float(np.max(dev)), 1e-12, worst)
 
 
-def discord_predicate_consistency(grid_points: int = 41) -> SuiteResult:
+def discord_predicate_consistency() -> SuiteResult:
     """Equality predicate against |discord - coherence| <= tol on a dense grid.
 
     The deviation is the number of physical grid points where the two
-    disagree, so the tolerance is zero.
+    disagree, so the tolerance is zero.  The grid has 41 points per axis.
     """
-    axis = np.linspace(-1.0, 1.0, grid_points)
+    axis = np.linspace(-1.0, 1.0, 41)
     c1, c2, c3 = np.meshgrid(axis, axis, axis, indexing="ij")
     physical = np.minimum.reduce(states.bell_eigenvalues(c1, c2, c3)) >= -states.TOL_PSD
     numeric_eq = (
@@ -210,11 +206,11 @@ def trajectory_monotonicity(state_count: int, rng: np.random.Generator) -> Suite
     return SuiteResult("trajectory_monotonicity", deviation, 1e-9, worst)
 
 
-def run_all(samples: int = 10000, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
-    """Run every suite with deterministic sampling; returns results in order."""
+def run_all(samples: int = 10000) -> list[SuiteResult]:
+    """Run every suite, sampling from DEFAULT_SEED; returns results in order."""
     if samples < 1:
         raise states.DomainError("samples must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     return [
         bell_spectrum_vs_jacobi(samples, rng),
         x_spectrum_vs_jacobi(samples, rng),

@@ -121,6 +121,19 @@ class TestSampleField:
         with pytest.raises(DomainError):
             sample_field("l1", 16, p=0.5)
 
+    def test_unknown_measure_rejected(self):
+        with pytest.raises(DomainError, match="unknown measure 'bogus'"):
+            sample_field("bogus", 16)
+
+    @pytest.mark.parametrize("channel, p", [("zz", 0.5), ("bf", 2.0)])
+    def test_bad_channel_rejected_before_sampling(self, monkeypatch, channel, p):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(DomainError):
+            sample_field("rel-ent", 16, channel=channel, p=p)
+
     def test_huge_resolution_rejected_before_allocating(self):
         with pytest.raises(DomainError, match="physical memory"):
             sample_field("l1", 100000)
@@ -358,6 +371,21 @@ class TestFilterTriangles:
         assert (cent[:, 2] > 0).any() and (cent[:, 2] < 0).any()
         # every surviving centroid satisfies the predicate
         assert all(discord_equals_coherence(c) for c in cent)
+
+    @pytest.mark.parametrize(
+        "keep",
+        [
+            lambda *c: True,
+            lambda *c: np.float64(0.3),
+            lambda c1, c2, c3: c3,
+            lambda c1, c2, c3: c3[1:] > 0,
+        ],
+        ids=["scalar", "float", "float-column", "wrong-length"],
+    )
+    def test_predicate_must_give_one_bool_per_triangle(self, keep):
+        mesh = extract_isosurface(sphere_grid(16), 0.5)
+        with pytest.raises(DomainError, match="keep must return a boolean array"):
+            filter_triangles(mesh, keep)
 
     def test_reindexing_preserves_geometry(self):
         mesh = extract_isosurface(sphere_grid(16), 0.5)

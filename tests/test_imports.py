@@ -1,0 +1,40 @@
+"""Every name a package module imports is used in that module.
+
+``__init__.py`` is skipped, because it imports names to re-export them, and
+so are ``__future__`` imports.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cohgeom"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_scanner_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "from x import y as z\n"
+        "os.sep\n"
+    )
+    assert unused_imports(source) == ["math", "z"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -3,10 +3,13 @@
 A triple is drawn as a random point of the state tetrahedron: four
 non-negative weights, normalized, are the state's eigenvalues, and the
 correlations follow from them.  The sampled-grid property draws X-state
-slices and channel pre-maps instead, and the triangle-filter property builds
-meshes on random triples.  The draws are derandomized, so the suite is
-deterministic.
+slices and channel pre-maps instead, the triangle-filter property builds
+meshes on random triples, and the symmetry properties draw a seed for
+verify's samplers of physical Bell-diagonal and X states.  The draws are
+derandomized, so the suite is deterministic.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from cohgeom.measures import (
     x_relative_entropy_values,
 )
 from cohgeom.states import TOL_PSD, bell_eigenvalues, x_eigenvalues
+from cohgeom.verification import sample_physical_bell, sample_physical_x
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -152,3 +156,36 @@ def test_sampled_grid_matches_per_node_mask(rs, kind, p, n):
         got = sample_field("rel-ent", n, channel=kind, p=p, threads=2).values
     assert np.array_equal(got_x, x_field, equal_nan=True)
     assert np.array_equal(got, field, equal_nan=True)
+
+
+seeds = st.integers(0, 2**32 - 1)
+PAIR_FLIPS = [(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
+
+
+@SETTINGS
+@given(seeds)
+def test_discord_invariant_under_permutations_and_pair_sign_flips(seed):
+    c = sample_physical_bell(100, np.random.default_rng(seed)).T
+    base = bell_discord_values(*c)
+    for order in itertools.permutations(range(3)):
+        for flip in PAIR_FLIPS:
+            moved = [sign * c[axis] for sign, axis in zip(flip, order)]
+            assert np.abs(bell_discord_values(*moved) - base).max() <= 1e-12
+
+
+@SETTINGS
+@given(seeds)
+def test_relative_entropy_c1_c2_swap_and_x_reduction(seed):
+    c1, c2, c3 = sample_physical_bell(100, np.random.default_rng(seed)).T
+    base = bell_relative_entropy_values(c1, c2, c3)
+    assert np.abs(bell_relative_entropy_values(c2, c1, c3) - base).max() <= 1e-12
+    assert np.abs(x_relative_entropy_values(0.0, 0.0, c1, c2, c3) - base).max() <= 1e-12
+
+
+@SETTINGS
+@given(seeds)
+def test_x_relative_entropy_bloch_symmetries(seed):
+    r, s, *c = sample_physical_x(100, np.random.default_rng(seed)).T
+    base = x_relative_entropy_values(r, s, *c)
+    for moved in ((s, r), (-r, -s)):
+        assert np.abs(x_relative_entropy_values(*moved, *c) - base).max() <= 1e-12

@@ -172,6 +172,22 @@ class TestHermitianSpectrum:
             hermitian_spectrum(np.eye(3))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "reads",
+    [
+        hermitian_spectrum,
+        measures.relative_entropy_coherence,
+        measures.l1_coherence,
+        lambda m: apply_product_channel(m, "bf", 0.5),
+    ],
+    ids=["spectrum", "rel-ent", "l1", "channel"],
+)
+def test_non_finite_matrices_rejected(reads, entry):
+    with pytest.raises(DomainError, match="finite"):
+        reads(np.full((4, 4), entry))
+
+
 class TestVonNeumannEntropy:
     def test_pure(self):
         assert von_neumann_entropy([1, 0, 0, 0]) == 0.0

@@ -76,17 +76,20 @@ class TestSuites:
         assert line.endswith("FAIL  at kind=pf p=0.25 c1=0.1")
         assert SuiteResult("demo", 1.0, 1e-10).line().endswith("FAIL")
 
-    def test_negative_control_detects_corruption(self):
-        for suite, closed, to_matrix in (
-            (bell_closed_vs_jacobi, measures.bell_relative_entropy_values, bell_density),
-            (x_closed_vs_jacobi, measures.x_relative_entropy_values, x_density),
+    def test_negative_control_detects_corruption(self, monkeypatch):
+        for suite, kernel, to_matrix in (
+            (bell_closed_vs_jacobi, "bell_relative_entropy_values", bell_density),
+            (x_closed_vs_jacobi, "x_relative_entropy_values", x_density),
         ):
             rng = np.random.default_rng(3)
+            closed = getattr(measures, kernel)
+
             # corrupt one state in three, so the worst state is a specific one
             def corrupted(*c):
                 return closed(*c) + 1e-6 * (np.arange(len(c[0])) % 3 == 1)
 
-            result = suite(50, rng, closed_form=corrupted)
+            monkeypatch.setattr(measures, kernel, corrupted)
+            result = suite(50, rng)
             assert not result.passed
             # the FAIL line names a state that reproduces the deviation
             _, at = result.line().split("  at ")
@@ -109,12 +112,12 @@ class TestSuites:
         assert " kind=" in result.line() and " p=" in result.line()
 
     def test_predicate_grid_has_no_mismatches(self):
-        result = discord_predicate_consistency(21)
+        result = discord_predicate_consistency()
         assert result.deviation == 0.0
 
     def test_predicate_grid_checks_the_library_predicate(self, monkeypatch):
         # strict and without the tolerance: wrong exactly at the ties |c3| = |c1|
-        def strict(c1, c2, c3, tol=measures.TOL_EQ):
+        def strict(c1, c2, c3):
             return np.abs(c3) > np.maximum(np.abs(c1), np.abs(c2))
 
         monkeypatch.setattr(measures, "discord_equals_coherence_values", strict)
