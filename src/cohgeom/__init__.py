@@ -15,7 +15,6 @@ from .channels import (
 )
 from .geometry import (
     RegionTag,
-    ScalarGrid,
     TriangleMesh,
     classify_point,
     export_obj,
@@ -57,7 +56,6 @@ __all__ = [
     "DomainError",
     "MeasureKind",
     "RegionTag",
-    "ScalarGrid",
     "TOL_EQ",
     "TOL_PSD",
     "TriangleMesh",

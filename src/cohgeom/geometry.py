@@ -79,32 +79,6 @@ def grid_axis(resolution: int) -> np.ndarray:
     return (2.0 * np.arange(n) - (n - 1)) / (n - 1)
 
 
-@dataclass
-class ScalarGrid:
-    """A measure sampled on a cubic grid over [-1, 1]^3.
-
-    ``values[i, j, k]`` holds the field at (axis[i], axis[j], axis[k]) in
-    (c1, c2, c3) order; masked (unphysical) nodes carry NaN.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 3 or len(set(self.values.shape)) != 1:
-            raise DomainError(f"grid values must be cubic, got shape {self.values.shape}")
-        if self.values.shape[0] < 8:
-            raise DomainError("grid resolution must be at least 8 per axis")
-
-    @property
-    def resolution(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def axis(self) -> np.ndarray:
-        return grid_axis(self.resolution)
-
-
 def sample_field(
     measure,
     resolution: int,
@@ -112,8 +86,12 @@ def sample_field(
     channel=None,
     p: float | None = None,
     threads: int = 1,
-) -> ScalarGrid:
+) -> np.ndarray:
     """Sample a coherence/discord field over the correlation-space grid.
+
+    Returns an ``(n, n, n)`` float array: entry ``[i, j, k]`` is the field at
+    (axis[i], axis[j], axis[k]) in (c1, c2, c3) order, with ``axis =
+    grid_axis(n)``; unphysical nodes are NaN.
 
     Parameters
     ----------
@@ -131,8 +109,8 @@ def sample_field(
         measures.
     channel, p : optional
         Pre-map every grid triple through this decoherence channel at
-        strength p before evaluating the measure (Bell-diagonal only).
-        Give both or neither.
+        strength p, a scalar, before evaluating the measure (Bell-diagonal
+        only).  Give both or neither.
     threads : int
         Worker threads for the sampling pass.  Output is identical for any
         thread count.
@@ -166,6 +144,8 @@ def sample_field(
         raise DomainError("a channel pre-map and its probability p must be given together")
     if channel is not None:
         channel = states._member(channels.ChannelKind, channel, "channel")
+        if np.ndim(p) != 0:
+            raise DomainError(f"p must be a scalar, got shape {np.shape(p)}")
         p = channels._check_probability(p)
     peak = PEAK_PER_GRID_BYTE * 8 * n**3
     memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -206,7 +186,7 @@ def sample_field(
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(fill, range(0, n, rows)))
-    return ScalarGrid(values)
+    return values
 
 
 def _physical_intervals(eigenvalues, rising, c1, c2, axis):
@@ -315,8 +295,11 @@ def _cube_cases(vals, level):
     return cubes, _CASE_OF_CODE[code.ravel()[cubes]]
 
 
-def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
+def extract_isosurface(grid, level: float) -> TriangleMesh:
     """Extract the triangle mesh of the field's level set via marching cubes.
+
+    ``grid`` is a cubic array laid out as :func:`sample_field` returns it,
+    with at least 8 nodes per axis.
 
     Linear interpolation along cube edges; any cube with a masked (NaN)
     corner contributes nothing, which trims the surface at the boundary of
@@ -327,15 +310,16 @@ def extract_isosurface(grid: ScalarGrid, level: float) -> TriangleMesh:
     vertex.  Triangles follow in the same cube order, each cube's in table
     order, minus those of area at most DEGENERATE_AREA.
     """
-    if not isinstance(grid, ScalarGrid):
-        grid = ScalarGrid(grid)
+    vals = np.asarray(grid, dtype=float)
+    if vals.ndim != 3 or len(set(vals.shape)) != 1:
+        raise DomainError(f"grid must be cubic, got shape {vals.shape}")
+    n = vals.shape[0]
+    if n < 8:
+        raise DomainError("grid resolution must be at least 8 per axis")
     level = float(level)
     if not level > 0.0:
         raise DomainError(f"level must be positive, got {level}")
-
-    vals = grid.values
-    axis = grid.axis
-    n = grid.resolution
+    axis = grid_axis(n)
 
     cubes, cube_case = _cube_cases(vals, level)
     origin = np.stack(np.unravel_index(cubes, (n - 1,) * 3), axis=1)
@@ -383,8 +367,6 @@ def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:
     This realizes restricted surfaces such as the part of a coherence level
     set on which discord agrees with the coherence.
     """
-    if not len(mesh.triangles):
-        return mesh
     kept = np.asarray(keep(*mesh.centroids().T))
     if kept.dtype != bool or kept.shape != (len(mesh.triangles),):
         raise DomainError(
@@ -422,12 +404,11 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
 
     One ``v`` line per vertex with 9-significant-digit coordinates, one
     1-indexed ``f`` line per triangle, preceded by comment lines recording
-    the metadata (measure, level, resolution, slice, ...).  ``destination``
-    is a path or a writable text stream.  Identical meshes and metadata
-    produce byte-identical files.
+    the metadata (measure, level, resolution, slice, ...).  The file at the
+    path ``destination`` is written atomically through :func:`open_atomic`.
+    Identical meshes and metadata produce byte-identical files.
     """
-
-    def write(out) -> None:
+    with open_atomic(destination) as out:
         out.write("# constant-level surface mesh\n")
         for key, value in (metadata or {}).items():
             if isinstance(value, float):
@@ -439,12 +420,6 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
         out.write(f"# triangles: {len(mesh.triangles)}\n")
         out.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % tuple(mesh.vertices.flat))
         out.write("f %d %d %d\n" * len(mesh.triangles) % tuple((mesh.triangles + 1).flat))
-
-    if hasattr(destination, "write"):
-        write(destination)
-    else:
-        with open_atomic(destination) as handle:
-            write(handle)
 
 
 @contextlib.contextmanager

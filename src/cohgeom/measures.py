@@ -20,7 +20,7 @@ from .states import (
     require_physical_x,
     von_neumann_entropy,
     x_eigenvalues,
-    _check_4x4,
+    _check_stack,
     _require_density,
 )
 
@@ -109,20 +109,24 @@ def bell_discord_values(c1, c2, c3):
     )
 
 
-def l1_coherence(m) -> float:
-    """Sum of the magnitudes of the off-diagonal entries of a density matrix."""
-    a = _check_4x4(m)
-    return float(np.abs(a).sum() - np.abs(np.diag(a)).sum())
+def l1_coherence(m):
+    """Sum of the magnitudes of the off-diagonal entries of a density matrix.
+
+    A ``(..., 4, 4)`` stack gives one value per matrix.
+    """
+    a = np.abs(_check_stack(m))
+    return a.sum(axis=(-2, -1)) - np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1)
 
 
-def trace_norm_coherence_x(m) -> float:
-    """Trace-norm coherence of an X-shaped density matrix.
+def trace_norm_coherence_x(m):
+    """Trace-norm coherence of an X-shaped density matrix or a ``(..., 4, 4)``
+    stack of them.
 
     For X states this coincides with the l1 coherence, which is the only case
     in which the identity is asserted, so inputs with an entry of magnitude
     1e-12 or more off the diagonal and anti-diagonal are rejected.
     """
-    if not np.abs(_check_4x4(m)[_OFF_X]).max() < 1e-12:
+    if not np.abs(_check_stack(m)[..., _OFF_X]).max(initial=0.0) < 1e-12:
         raise DomainError("trace-norm coherence shortcut requires an X-shaped matrix")
     return l1_coherence(m)
 

@@ -171,13 +171,6 @@ def _check_stack(m) -> np.ndarray:
     return a
 
 
-def _check_4x4(m) -> np.ndarray:
-    a = _check_stack(m)
-    if a.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 matrix, got shape {a.shape}")
-    return a
-
-
 def hermitian_spectrum(m) -> np.ndarray:
     """Eigenvalues of a 4x4 Hermitian matrix or a ``(..., 4, 4)`` stack, descending.
 

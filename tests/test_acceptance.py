@@ -15,7 +15,6 @@ import pytest
 from cohgeom import measures, verification
 from cohgeom.channels import ChannelKind, default_p_grid, dynamics_trajectory
 from cohgeom.geometry import (
-    ScalarGrid,
     extract_isosurface,
     grid_axis,
     sample_field,
@@ -138,7 +137,7 @@ def test_criterion_07_isosurface_fidelity():
         n = 32
         ax = grid_axis(n)
         x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-        sphere = ScalarGrid(np.sqrt(x * x + y * y + z * z))
+        sphere = np.sqrt(x * x + y * y + z * z)
         mesh = extract_isosurface(sphere, 0.5)
         assert len(mesh.triangles) > 0
         radii = np.linalg.norm(mesh.vertices, axis=1)

@@ -1,5 +1,4 @@
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from cohgeom._mc_tables import CORNER_OFFSETS, TRI_TABLE
 from cohgeom.geometry import (
     EDGE_CROSSED,
     RegionTag,
-    ScalarGrid,
     classify_point,
     export_obj,
     extract_isosurface,
@@ -27,7 +25,7 @@ from cohgeom.states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
 def sphere_grid(n=32):
     ax = grid_axis(n)
     x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-    return ScalarGrid(np.sqrt(x * x + y * y + z * z))
+    return np.sqrt(x * x + y * y + z * z)
 
 
 class TestClassifyPoint:
@@ -63,47 +61,47 @@ class TestGridAxis:
 class TestSampleField:
     def test_l1_zero_on_axis_node(self):
         grid = sample_field("l1", 17)
-        assert grid.values[8, 8, 3] == 0.0
+        assert grid[8, 8, 3] == 0.0
 
     def test_l1_near_axis_node_value(self):
         grid = sample_field("l1", 16)
-        ax = grid.axis
+        ax = grid_axis(len(grid))
         i = np.argmin(np.abs(ax))
         expected = float(measures.l1_values(ax[i], ax[i]))
-        assert grid.values[i, i, i] == expected
+        assert grid[i, i, i] == expected
 
     def test_rel_ent_bounded_by_one(self):
         grid = sample_field("rel-ent", 16)
-        assert np.nanmax(grid.values) <= 1.0 + 1e-12
+        assert np.nanmax(grid) <= 1.0 + 1e-12
         # node at the (1, -1, 1) vertex itself
-        assert grid.values[-1, 0, -1] == pytest.approx(1.0, abs=1e-12)
+        assert grid[-1, 0, -1] == pytest.approx(1.0, abs=1e-12)
 
     def test_slice_masks_unphysical_nodes(self):
         grid = sample_field("rel-ent", 16, slice=(0.5, 0.5))
-        ax = grid.axis
+        ax = grid_axis(len(grid))
         i0 = 0  # c3 = -1 layer is unphysical for r = s = 0.5
-        assert np.isnan(grid.values[:, :, i0]).all()
-        lam_ok = np.isfinite(grid.values)
+        assert np.isnan(grid[:, :, i0]).all()
+        lam_ok = np.isfinite(grid)
         assert lam_ok.any()
 
     def test_mask_matches_physicality(self):
         grid = sample_field("l1", 16)
-        ax = grid.axis
+        ax = grid_axis(len(grid))
         c1, c2, c3 = np.meshgrid(ax, ax, ax, indexing="ij")
         physical = np.minimum.reduce(bell_eigenvalues(c1, c2, c3)) >= -TOL_PSD
-        assert np.array_equal(np.isfinite(grid.values), physical)
+        assert np.array_equal(np.isfinite(grid), physical)
 
     def test_channel_premap_changes_field(self):
         plain = sample_field("rel-ent", 16)
         mapped = sample_field("rel-ent", 16, channel="pf", p=0.5)
-        mask = np.isfinite(plain.values)
-        assert np.array_equal(mask, np.isfinite(mapped.values))
-        assert np.nanmax(mapped.values) < np.nanmax(plain.values)
+        mask = np.isfinite(plain)
+        assert np.array_equal(mask, np.isfinite(mapped))
+        assert np.nanmax(mapped) < np.nanmax(plain)
 
     def test_thread_count_does_not_change_values(self):
         one = sample_field("rel-ent", 20, threads=1)
         many = sample_field("rel-ent", 20, threads=7)
-        assert np.array_equal(one.values, many.values, equal_nan=True)
+        assert np.array_equal(one, many, equal_nan=True)
 
     def test_discord_with_slice_rejected(self):
         with pytest.raises(DomainError):
@@ -125,7 +123,9 @@ class TestSampleField:
         with pytest.raises(DomainError, match="unknown measure 'bogus'"):
             sample_field("bogus", 16)
 
-    @pytest.mark.parametrize("channel, p", [("zz", 0.5), ("bf", 2.0)])
+    @pytest.mark.parametrize(
+        "channel, p", [("zz", 0.5), ("bf", 2.0), ("bf", [0.1, 0.2]), ("bf", np.array([0.5]))]
+    )
     def test_bad_channel_rejected_before_sampling(self, monkeypatch, channel, p):
         def no_pool(*args, **kwargs):
             raise AssertionError("sampling started")
@@ -171,7 +171,7 @@ class TestSampleField:
         else:
             field = measures.bell_relative_entropy_values(*c)
         expected = np.where(physical, field, np.nan)
-        got = sample_field(measure, 20, threads=threads, **kwargs).values
+        got = sample_field(measure, 20, threads=threads, **kwargs)
         assert np.array_equal(got, expected, equal_nan=True)
 
     def test_kernel_sees_only_physical_nodes(self, monkeypatch):
@@ -183,7 +183,7 @@ class TestSampleField:
             lambda *c: seen.append(np.broadcast(*c).size) or kernel(*c),
         )
         grid = sample_field("rel-ent", 24)
-        assert sum(seen) == np.isfinite(grid.values).sum()
+        assert sum(seen) == np.isfinite(grid).sum()
 
 
 class TestExtractIsosurface:
@@ -218,8 +218,9 @@ class TestExtractIsosurface:
             extract_isosurface(sphere_grid(8), 0.0)
 
     def test_malformed_grid_rejected(self):
-        with pytest.raises(DomainError):
-            extract_isosurface(np.zeros((4, 5, 4)), 0.5)
+        for shape in ((4, 5, 4), (7, 7, 7), (8, 8)):
+            with pytest.raises(DomainError):
+                extract_isosurface(np.zeros(shape), 0.5)
 
     def test_vertices_stay_physical(self):
         mesh = extract_isosurface(sample_field("rel-ent", 24), 0.2)
@@ -249,7 +250,7 @@ class TestExtractIsosurface:
 
     def test_masked_cubes_contribute_nothing(self):
         grid = sphere_grid(16)
-        grid.values[0:8, 0:8, 0:8] = np.nan
+        grid[0:8, 0:8, 0:8] = np.nan
         mesh = extract_isosurface(grid, 0.5)
         octant = (
             (mesh.vertices[:, 0] < -0.2)
@@ -295,7 +296,7 @@ class TestCubeCases:
         assert len(cubes) == len(case) == 0
 
     def test_sampled_field(self):
-        vals = sample_field("discord", 24).values
+        vals = sample_field("discord", 24)
         for level in (0.05, 0.2, 0.5):
             got, expected = geometry._cube_cases(vals, level), self.corner_loop(vals, level)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
@@ -320,10 +321,10 @@ class TestMeshBytes:
             ),
         ],
     )
-    def test_pinned_digest(self, measure, n, level, kwargs, digest):
-        buf = io.StringIO()
-        export_obj(extract_isosurface(sample_field(measure, n, **kwargs), level), buf)
-        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+    def test_pinned_digest(self, tmp_path, measure, n, level, kwargs, digest):
+        path = tmp_path / "mesh.obj"
+        export_obj(extract_isosurface(sample_field(measure, n, **kwargs), level), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_triangle_table_uses_exactly_the_crossed_edges(self):
         used = np.zeros_like(EDGE_CROSSED)
@@ -387,6 +388,12 @@ class TestFilterTriangles:
         with pytest.raises(DomainError, match="keep must return a boolean array"):
             filter_triangles(mesh, keep)
 
+    @pytest.mark.parametrize("triangles", [np.empty((0, 3)), [[0, 1, 2]]])
+    def test_no_kept_triangle_keeps_no_vertex(self, triangles):
+        mesh = geometry.TriangleMesh(np.eye(3), triangles)
+        kept = filter_triangles(mesh, lambda c1, c2, c3: c3 > 1.0)
+        assert kept.vertices.shape == (0, 3) and kept.triangles.shape == (0, 3)
+
     def test_reindexing_preserves_geometry(self):
         mesh = extract_isosurface(sphere_grid(16), 0.5)
         kept = filter_triangles(mesh, lambda c1, c2, c3: c3 > 0)
@@ -407,16 +414,16 @@ class TestExportObj:
         assert lines and all(line.startswith("#") for line in lines)
         assert "# measure: l1" in lines
 
-    def test_single_triangle_format(self):
+    def test_single_triangle_format(self, tmp_path):
         from cohgeom.geometry import TriangleMesh
 
         mesh = TriangleMesh(
             np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
             np.array([[0, 1, 2]]),
         )
-        buf = io.StringIO()
-        export_obj(mesh, buf)
-        lines = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
+        path = tmp_path / "triangle.obj"
+        export_obj(mesh, path)
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert lines == ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3"]
 
     def test_round_trip(self, tmp_path):

@@ -1,9 +1,13 @@
-"""The README's Python examples run as written, on public names only."""
+"""The README's Python and CLI examples run as written, on public names only."""
 
 import pathlib
 import re
+import shlex
+import subprocess
+import sys
 
 import cohgeom
+from conftest import cli_env
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +24,22 @@ def test_python_blocks_run(tmp_path, monkeypatch):
     for name in cohgeom.__all__:
         assert hasattr(cohgeom, name), name
     assert set(re.findall(r"\bcg\.(\w+)", text)) <= set(cohgeom.__all__)
+
+
+def test_cli_examples_run(tmp_path):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("cohgeom ")
+    ]
+    assert len(commands) >= 7
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohgeom.cli", *argv[1:]],
+            cwd=tmp_path,
+            env=cli_env(),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)

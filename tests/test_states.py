@@ -243,6 +243,7 @@ class TestStackedOracle:
             lambda m: apply_product_channel(m, "gad", 0.3),
         )
         check(np.stack(correlations_of(rho), axis=-1), correlations_of)
+        check(measures.l1_coherence(rho), measures.l1_coherence)
 
         non_hermitian = rho.copy()
         non_hermitian[1, 3, 0, 1] += 0.1
@@ -256,8 +257,10 @@ class TestStackedOracle:
         with pytest.raises(DomainError):
             hermitian_spectrum(non_hermitian)
 
-        # the single-matrix measures must not sum over a stack
-        bell_stack = np.array([bell_density((0.1, 0.2, 0.3))] * 2)
+        # the X-state measures give one value per stack entry, each the
+        # per-matrix value
+        bell_stack = np.array(
+            [bell_density((0.1, 0.2, 0.3)), bell_density((0.5, -0.3, 0.1))]
+        )
         for fn in (measures.l1_coherence, measures.trace_norm_coherence_x):
-            with pytest.raises(DomainError):
-                fn(bell_stack)
+            assert fn(bell_stack).tolist() == [fn(m) for m in bell_stack]
