@@ -122,13 +122,13 @@ def correlation_map_values(kind, p, c1, c2, c3):
     )
 
 
-def dynamics_trajectory(params, kind, p_grid) -> list[tuple[float, float]]:
+def dynamics_trajectory(params, kind, p_grid) -> np.ndarray:
     """Relative entropy of coherence of the evolved state along a p grid.
 
     The initial correlations are mapped through :func:`correlation_map_values`
     at every grid point at once (the maps are one-shot in p, not iterated) and
-    the closed-form coherence is evaluated on the result.  Returns
-    (p, coherence) pairs in grid order.
+    the closed-form coherence is evaluated on the result.  Returns one
+    coherence per grid point, in grid order.
     """
     initial = require_physical_bell(params)
     grid = _check_probability(p_grid)
@@ -137,12 +137,11 @@ def dynamics_trajectory(params, kind, p_grid) -> list[tuple[float, float]]:
     mapped = correlation_map_values(kind, grid, *initial)
     # physical initial states cannot leave the physical set under these maps
     assert all(np.all(lam >= -TOL_PSD) for lam in bell_eigenvalues(*mapped))
-    values = measures.bell_relative_entropy_values(*mapped)
-    return list(zip(grid.tolist(), values.tolist()))
+    return measures.bell_relative_entropy_values(*mapped)
 
 
-def default_p_grid(steps: int = 101) -> list[float]:
+def default_p_grid(steps: int) -> np.ndarray:
     """Uniform grid of decoherence probabilities covering [0, 1]."""
     if steps < 2:
         raise DomainError("p grid needs at least two points")
-    return [i / (steps - 1) for i in range(steps)]
+    return np.arange(steps) / (steps - 1)

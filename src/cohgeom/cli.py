@@ -15,7 +15,7 @@ verify
 Exit codes: 0 on success, 1 when a verification suite fails, 2 for invalid or
 unphysical input, for output paths that cannot be written and for inputs too
 large to allocate.  Repeated invocations with identical flags produce
-byte-identical output, regardless of ``surface --threads``.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from . import channels, geometry, measures, states, verification
@@ -76,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=float, help="channel probability for --channel")
     s.add_argument("--out", required=True, help="output OBJ path")
     s.add_argument("--stats-out", help="write the stats JSON here instead of stdout")
-    s.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker thread cap; results do not depend on it (default: CPU count)",
-    )
 
     d = sub.add_parser("dynamics", help="coherence of the evolved state versus p")
     _add_state_args(d)
@@ -141,9 +134,9 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_surface(args) -> int:
     if not 0.0 < args.level <= 1.0:
-        parser.error(f"--level must lie in (0, 1], got {args.level}")
+        raise states.DomainError(f"--level must lie in (0, 1], got {args.level}")
     slice_rs = None
     if args.r is not None or args.s is not None:
         slice_rs = (args.r or 0.0, args.s or 0.0)
@@ -154,7 +147,6 @@ def _cmd_surface(args, parser: argparse.ArgumentParser) -> int:
         slice=slice_rs,
         channel=args.channel,
         p=args.p,
-        threads=args.threads,
     )
     if args.level < 2.0 / args.resolution:
         print(
@@ -191,19 +183,16 @@ def _cmd_dynamics(args) -> int:
     params = states.require_physical_bell((args.c1, args.c2, args.c3))
     grid = channels.default_p_grid(args.steps)
     columns = list(_CSV_COLUMNS) if args.channel == "all" else [args.channel]
-    curves = {
-        name: channels.dynamics_trajectory(params, name, grid) for name in columns
-    }
+    curves = [channels.dynamics_trajectory(params, name, grid) for name in columns]
     lines = ["p," + ",".join(f"C_{name}" for name in columns)]
-    for idx, p in enumerate(grid):
-        row = [repr(p)] + [repr(curves[name][idx][1]) for name in columns]
-        lines.append(",".join(row))
+    for row in zip(grid.tolist(), *(c.tolist() for c in curves)):
+        lines.append(",".join(map(repr, row)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    results = verification.run_all(samples=args.samples)
+    results = verification.run_all(args.samples)
     for result in results:
         print(result.line())
     failed = [r.name for r in results if not r.passed]
@@ -221,7 +210,7 @@ def main(argv=None) -> int:
         if args.command == "measure":
             return _cmd_measure(args)
         if args.command == "surface":
-            return _cmd_surface(args, parser)
+            return _cmd_surface(args)
         if args.command == "dynamics":
             return _cmd_dynamics(args)
         return _cmd_verify(args)

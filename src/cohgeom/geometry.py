@@ -85,7 +85,6 @@ def sample_field(
     slice: tuple[float, float] | None = None,
     channel=None,
     p: float | None = None,
-    threads: int = 1,
 ) -> np.ndarray:
     """Sample a coherence/discord field over the correlation-space grid.
 
@@ -111,15 +110,13 @@ def sample_field(
         Pre-map every grid triple through this decoherence channel at
         strength p, a scalar, before evaluating the measure (Bell-diagonal
         only).  Give both or neither.
-    threads : int
-        Worker threads for the sampling pass.  Output is identical for any
-        thread count.
 
     Nodes whose state is unphysical are masked with NaN; with a channel
     pre-map the mask reflects the initial (unmapped) state.  The grid is
-    filled in fixed c1-slabs of about SLAB_NODES nodes.  The physical nodes
-    of each (c1, c2) row form one interval of c3, whose ends are found by
-    bisection, and the channel map and the measure are evaluated on those
+    filled in fixed c1-slabs of about SLAB_NODES nodes by ``os.cpu_count()``
+    worker threads; the output does not depend on that count.  The physical
+    nodes of each (c1, c2) row form one interval of c3, whose ends are found
+    by bisection, and the channel map and the measure are evaluated on those
     nodes only, so memory is the grid plus a few temporaries of a slab's
     physical node count per thread.
     """
@@ -127,8 +124,6 @@ def sample_field(
     n = int(resolution)
     if n < 8:
         raise DomainError("resolution must be at least 8")
-    if threads < 1:
-        raise DomainError("threads must be at least 1")
     if slice is not None:
         if measure in (MeasureKind.DISCORD, MeasureKind.TRACE_NORM):
             raise DomainError(
@@ -184,7 +179,7 @@ def sample_field(
         else:
             slab[node] = measures.bell_discord_values(e1, e2, e3)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         list(pool.map(fill, range(0, n, rows)))
     return values
 

@@ -206,7 +206,7 @@ def trajectory_monotonicity(state_count: int, rng: np.random.Generator) -> Suite
     return SuiteResult("trajectory_monotonicity", deviation, 1e-9, worst)
 
 
-def run_all(samples: int = 10000) -> list[SuiteResult]:
+def run_all(samples: int) -> list[SuiteResult]:
     """Run every suite, sampling from DEFAULT_SEED; returns results in order."""
     if samples < 1:
         raise states.DomainError("samples must be positive")

@@ -16,3 +16,15 @@ def cli_env() -> dict:
     inherited = os.environ.get("PYTHONPATH")
     path = os.pathsep.join([str(SRC), inherited] if inherited else [str(SRC)])
     return {**os.environ, "PYTHONPATH": path}
+
+
+def cli_args(cpus: int) -> list:
+    """Argument prefix that runs ``cohgeom.cli`` in a child whose
+    ``os.cpu_count()`` reports ``cpus``, which sets the sampling pool size."""
+    return [
+        sys.executable,
+        "-c",
+        "import os, runpy; "
+        f"os.cpu_count = lambda: {cpus}; "
+        "runpy.run_module('cohgeom.cli', run_name='__main__')",
+    ]

@@ -29,7 +29,7 @@ from cohgeom.measures import (
 )
 from cohgeom.states import bell_density, bell_eigenvalues
 from cohgeom.verification import sample_physical_bell
-from conftest import cli_env
+from conftest import cli_args, cli_env
 
 BELL_VERTICES = ((1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1))
 
@@ -122,11 +122,11 @@ def test_criterion_06_dynamics_endpoints_and_monotonicity():
         grid = default_p_grid(101)
         for start in ((-0.1, 0.4, 0.4), (-0.5, 0.1, 0.1)):
             for kind in ChannelKind:
-                values = [v for _, v in dynamics_trajectory(start, kind, grid)]
+                values = dynamics_trajectory(start, kind, grid)
                 assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
                 if kind in (ChannelKind.PHASE_FLIP, ChannelKind.AMPLITUDE_DAMPING):
                     assert values[-1] == 0.0
-        bf_end = dynamics_trajectory((-0.5, 0.1, 0.1), "bf", grid)[-1][1]
+        bf_end = dynamics_trajectory((-0.5, 0.1, 0.1), "bf", grid)[-1]
         oracle = relative_entropy_coherence(bell_density((-0.5, 0, 0)))
         assert abs(bf_end - oracle) <= 1e-4
         assert abs(bf_end - COHERENCE_HALF_AXIS) <= 1e-12
@@ -176,9 +176,9 @@ def test_criterion_09_x_slice_shift():
 def test_criterion_10_cli_determinism(tmp_path):
     with criterion(10, "byte-identical CLI output across runs and threads", 300.0):
 
-        def run(*argv):
+        def run(*argv, cli=(sys.executable, "-m", "cohgeom.cli")):
             proc = subprocess.run(
-                [sys.executable, "-m", "cohgeom.cli", *argv],
+                [*cli, *argv],
                 capture_output=True,
                 cwd=tmp_path,
                 env=cli_env(),
@@ -196,13 +196,15 @@ def test_criterion_10_cli_determinism(tmp_path):
             assert run(*argv) == run(*argv), f"{name} stdout differs between runs"
 
         payloads = []
-        for tag, threads in (("a", "1"), ("b", "1"), ("c", "8")):
+        # the sampling pool takes os.cpu_count() workers, which each child
+        # reports as 1, 1 and 8
+        for tag, cpus in (("a", 1), ("b", 1), ("c", 8)):
             obj = tmp_path / f"{tag}.obj"
             stats = tmp_path / f"{tag}.json"
             out = run(
                 "surface", "--measure", "rel-ent", "--level", "0.2",
                 "--resolution", "32", "--out", str(obj), "--stats-out", str(stats),
-                "--threads", threads,
+                cli=cli_args(cpus),
             )
             payloads.append((out, obj.read_bytes(), stats.read_bytes()))
         assert payloads[0] == payloads[1], "surface output differs between runs"

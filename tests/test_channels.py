@@ -58,7 +58,7 @@ class TestKrausOps:
 
     def test_completeness_over_grid(self):
         # an array of p gives one operator set per p, equal to the scalar calls
-        probs = np.array(default_p_grid(101))
+        probs = default_p_grid(101)
         for kind in ChannelKind:
             stacked = kraus_ops(kind, probs)
             assert stacked.shape == (101, len(kraus_ops(kind, 0.5)), 2, 2)
@@ -97,7 +97,7 @@ class TestApplyProductChannel:
         # is the operator-by-operator Kraus sum at that p
         rows = sample_physical_bell(5, np.random.default_rng(7))
         rhos = np.array([bell_density(row) for row in rows])
-        probs = np.array(default_p_grid(11))
+        probs = default_p_grid(11)
         for kind in ChannelKind:
             out = apply_product_channel(rhos, kind, probs[:, None])
             assert out.shape == (11, 5, 4, 4)
@@ -194,17 +194,17 @@ class TestBellParamMap:
 
 class TestDynamicsTrajectory:
     def test_phase_flip_endpoint_zero(self):
-        traj = dynamics_trajectory((-0.1, 0.4, 0.4), "pf", default_p_grid())
-        assert traj[-1] == (1.0, 0.0)
+        traj = dynamics_trajectory((-0.1, 0.4, 0.4), "pf", default_p_grid(101))
+        assert traj[-1] == 0.0
 
     def test_amplitude_damping_endpoint_zero(self):
-        traj = dynamics_trajectory((-0.1, 0.4, 0.4), "gad", default_p_grid())
-        assert traj[-1] == (1.0, 0.0)
+        traj = dynamics_trajectory((-0.1, 0.4, 0.4), "gad", default_p_grid(101))
+        assert traj[-1] == 0.0
 
     def test_bit_flip_endpoint_keeps_c1_coherence(self):
-        traj = dynamics_trajectory((-0.5, 0.1, 0.1), "bf", default_p_grid())
-        assert traj[-1][1] == pytest.approx(COHERENCE_HALF_AXIS, abs=1e-12)
-        assert traj[-1][1] == pytest.approx(
+        traj = dynamics_trajectory((-0.5, 0.1, 0.1), "bf", default_p_grid(101))
+        assert traj[-1] == pytest.approx(COHERENCE_HALF_AXIS, abs=1e-12)
+        assert traj[-1] == pytest.approx(
             bell_relative_entropy((-0.5, 0, 0)), abs=1e-12
         )
 
@@ -213,7 +213,7 @@ class TestDynamicsTrajectory:
         grid = default_p_grid(51)
         for row in sample_physical_bell(25, rng):
             for kind in ChannelKind:
-                values = [v for _, v in dynamics_trajectory(row, kind, grid)]
+                values = dynamics_trajectory(row, kind, grid)
                 assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_grid(self):
@@ -223,7 +223,7 @@ class TestDynamicsTrajectory:
             dynamics_trajectory((0, 0, 0.5), "bf", [0.0, 1.2])
 
     def test_default_grid(self):
-        grid = default_p_grid()
+        grid = default_p_grid(101)
         assert len(grid) == 101
         assert grid[0] == 0.0 and grid[-1] == 1.0
         with pytest.raises(DomainError):

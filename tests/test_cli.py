@@ -10,7 +10,7 @@ import pytest
 from cohgeom import geometry
 from cohgeom.cli import main
 from cohgeom.verification import SuiteResult
-from conftest import cli_env
+from conftest import cli_args, cli_env
 
 
 def run_cli(*argv):
@@ -147,13 +147,13 @@ class TestSurface:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x.obj").exists()
 
-    def test_level_out_of_range_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(
-                "surface", "--measure", "l1", "--level", "1.5",
-                "--out", str(tmp_path / "x.obj"),
-            )
-        assert exc.value.code == 2
+    def test_level_out_of_range_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "surface", "--measure", "l1", "--level", "1.5",
+            "--out", str(tmp_path / "x.obj"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_small_level_warns(self, tmp_path, capsys):
         code = run_cli(
@@ -188,18 +188,18 @@ class TestSurface:
         # the child's peak RSS over a bare import, against the 8 n^3 grid bytes;
         # each sampling thread adds its slab temporaries, so the count is fixed
         def peak_rss(*argv):
-            proc = subprocess.Popen([sys.executable, *argv], env=cli_env())
+            proc = subprocess.Popen(argv, env=cli_env())
             _, status, usage = os.wait4(proc.pid, 0)
             assert os.waitstatus_to_exitcode(status) == 0
             return usage.ru_maxrss * 1024
 
         n = 192
         surface = peak_rss(
-            "-m", "cohgeom.cli", "surface", "--measure", "rel-ent", "--level", "0.3",
+            *cli_args(2), "surface", "--measure", "rel-ent", "--level", "0.3",
             "--resolution", str(n), "--out", str(tmp_path / "x.obj"),
-            "--stats-out", str(tmp_path / "x.json"), "--threads", "2",
+            "--stats-out", str(tmp_path / "x.json"),
         )
-        assert surface - peak_rss("-c", "import cohgeom") <= 5 * 8 * n**3
+        assert surface - peak_rss(sys.executable, "-c", "import cohgeom") <= 5 * 8 * n**3
 
 
 class TestAtomicWrites:
@@ -348,15 +348,15 @@ class TestDeterminism:
         run_cli("measure", "--c1", "0.3", "--c2", "-0.2", "--c3", "0.4")
         assert capsys.readouterr().out == first
 
-    def test_surface_independent_of_threads(self, tmp_path):
+    def test_surface_independent_of_threads(self, tmp_path, monkeypatch):
         outputs = []
-        for threads in ("1", "8"):
+        for threads in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: threads)
             obj = tmp_path / f"t{threads}.obj"
             stats = tmp_path / f"s{threads}.json"
             assert run_cli(
                 "surface", "--measure", "rel-ent", "--level", "0.2",
                 "--resolution", "24", "--out", str(obj), "--stats-out", str(stats),
-                "--threads", threads,
             ) == 0
             outputs.append((obj.read_bytes(), stats.read_bytes()))
         assert outputs[0] == outputs[1]
@@ -370,11 +370,3 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["region"] == "separable"
-
-    def test_invalid_threads_rejected(self, tmp_path, capsys):
-        code = run_cli(
-            "surface", "--level", "0.5", "--out", str(tmp_path / "x.obj"),
-            "--threads", "0",
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,6 @@
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -98,10 +100,26 @@ class TestSampleField:
         assert np.array_equal(mask, np.isfinite(mapped))
         assert np.nanmax(mapped) < np.nanmax(plain)
 
-    def test_thread_count_does_not_change_values(self):
-        one = sample_field("rel-ent", 20, threads=1)
-        many = sample_field("rel-ent", 20, threads=7)
+    def test_thread_count_does_not_change_values(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        one = sample_field("rel-ent", 20)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        many = sample_field("rel-ent", 20)
         assert np.array_equal(one, many, equal_nan=True)
+
+    def test_pool_takes_cpu_count(self, monkeypatch):
+        # one worker when the count is unknown
+        seen = []
+
+        def pool(max_workers):
+            seen.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", pool)
+        for cpus in (5, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            sample_field("l1", 8)
+        assert seen == [5, 1]
 
     def test_discord_with_slice_rejected(self):
         with pytest.raises(DomainError):
@@ -153,6 +171,7 @@ class TestSampleField:
     def test_slabs_match_full_grid_reference(self, monkeypatch, measure, kwargs, threads):
         # 3-row slabs: n = 20 splits into six full slabs and a 2-row one
         monkeypatch.setattr(geometry, "SLAB_NODES", 3 * 20 * 20 + 7)
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)
         ax = grid_axis(20)
         c = np.meshgrid(ax, ax, ax, indexing="ij")
         if "slice" in kwargs:
@@ -171,7 +190,7 @@ class TestSampleField:
         else:
             field = measures.bell_relative_entropy_values(*c)
         expected = np.where(physical, field, np.nan)
-        got = sample_field(measure, 20, threads=threads, **kwargs)
+        got = sample_field(measure, 20, **kwargs)
         assert np.array_equal(got, expected, equal_nan=True)
 
     def test_kernel_sees_only_physical_nodes(self, monkeypatch):

@@ -10,6 +10,7 @@ derandomized, so the suite is deterministic.
 """
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_transverse_sign_flip_symmetry(params):
 @given(bell_triples())
 @with_vertices
 def test_channels_keep_states_physical_and_do_not_raise_coherence(params):
-    p = np.array(default_p_grid(101))
+    p = default_p_grid(101)
     for kind in ChannelKind:
         mapped = correlation_map_values(kind, p, *params)
         assert np.minimum.reduce(bell_eigenvalues(*mapped)).min() >= -TOL_PSD
@@ -150,8 +151,11 @@ def test_sampled_grid_matches_per_node_mask(rs, kind, p, n):
     with pytest.MonkeyPatch.context() as patch:
         # 3-row slabs, the last one partial unless 3 divides n
         patch.setattr(geometry, "SLAB_NODES", 3 * n * n)
+        # one sampling worker, then two
+        patch.setattr(os, "cpu_count", lambda: 1)
         got_x = sample_field("rel-ent", n, slice=rs)
-        got = sample_field("rel-ent", n, channel=kind, p=p, threads=2)
+        patch.setattr(os, "cpu_count", lambda: 2)
+        got = sample_field("rel-ent", n, channel=kind, p=p)
     assert np.array_equal(got_x, x_field, equal_nan=True)
     assert np.array_equal(got, field, equal_nan=True)
 

@@ -43,3 +43,12 @@ def test_cli_examples_run(tmp_path):
             capture_output=True,
         )
         assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_flags_exist():
+    # every flag the README names is an option of the CLI; the one exception
+    # belongs to pip
+    cli = (README.parent / "src" / "cohgeom" / "cli.py").read_text()
+    options = set(re.findall(r'"(--[\w-]+)"', cli))
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", README.read_text()))
+    assert flags - options - {"--no-build-isolation"} == set()
