@@ -31,15 +31,19 @@ TOL_SEPARABLE = 1e-12
 DEGENERATE_AREA = 1e-14
 
 # Nodes per c1-slab of the sampling pass.  Each worker holds a few temporaries
-# of at most this size; 2^20- and 2^21-node slabs were measured no faster and
-# used up to 2.5x the peak memory.
+# of at most this size, and keeps them resident from one slab to the next:
+# rel-ent at n = 256 peaked at 178, 197, 294 and 404 MB RSS after sampling
+# with 1, 2, 8 and 16 workers, about 15 MB per worker.  2^20- and 2^21-node
+# slabs were measured no faster and used up to 2.5x the peak memory.
 SLAB_NODES = 1 << 18
 
 # Estimated peak bytes of a surface run per grid byte: the float64 grid,
 # extract_isosurface's per-cube arrays and mesh, and the sampling slabs.
-# Measured at 1.4-2.7 over a bare import at n = 192 and 256 (rel-ent, discord
-# and l1 at levels 0.2-0.84, one and two threads); the larger meshes of low
-# levels set the top of that range.
+# Measured at 1.4-2.6 over a bare import at n = 192 and 256 (rel-ent, discord
+# and l1 at levels 0.2 and 0.84, one and two workers); the larger meshes of
+# low levels set the top of that range.  The workers' temporaries do not grow
+# with the grid: with 16 workers the ratio reached 3.9 at n = 192 and 2.8 at
+# n = 256, but near the memory limit the grid is gigabytes and dominates.
 PEAK_PER_GRID_BYTE = 3
 
 
@@ -113,12 +117,15 @@ def sample_field(
 
     Nodes whose state is unphysical are masked with NaN; with a channel
     pre-map the mask reflects the initial (unmapped) state.  The grid is
-    filled in fixed c1-slabs of about SLAB_NODES nodes by ``os.cpu_count()``
-    worker threads; the output does not depend on that count.  The physical
-    nodes of each (c1, c2) row form one interval of c3, whose ends are found
-    by bisection, and the channel map and the measure are evaluated on those
-    nodes only, so memory is the grid plus a few temporaries of a slab's
-    physical node count per thread.
+    filled in fixed c1-slabs of about SLAB_NODES nodes by ``workers =
+    os.cpu_count()`` threads; the output does not depend on that count.
+    Worker w fills slabs w, w + workers, ... in turn, which spreads the
+    uneven physical share along c1 evenly, and keeps its temporaries
+    resident from one slab to the next instead of paging them in again for
+    every slab.  The physical nodes of each (c1, c2) row form one interval
+    of c3, whose ends are found by bisection, and the channel map and the
+    measure are evaluated on those nodes only, so memory is the grid plus a
+    few temporaries of a slab's physical node count per worker.
     """
     measure = states._member(MeasureKind, measure, "measure")
     n = int(resolution)
@@ -158,29 +165,40 @@ def sample_field(
     else:
         eigenvalues, rising = functools.partial(x_eigenvalues, r, s), (0, 1)
 
-    def fill(i0: int) -> None:
-        slab = values[i0 : i0 + rows].reshape(-1)
-        c1 = np.repeat(axis[i0 : i0 + rows], n)
-        c2 = np.tile(axis, len(c1) // n)
-        lo, hi = _physical_intervals(eigenvalues, rising, c1, c2, axis)
-        length = np.maximum(hi - lo, 0)
-        k = np.arange(length.sum()) + np.repeat(lo - np.cumsum(length) + length, length)
-        e1, e2, e3 = np.repeat(c1, length), np.repeat(c2, length), axis[k]
-        # node k of row q is entry q n + k of the slab
-        node = k + np.repeat(np.arange(len(c1)) * n, length)
-        if channel is not None:
-            e1, e2, e3 = channels.correlation_map_values(channel, p, e1, e2, e3)
-        if measure in (MeasureKind.L1, MeasureKind.TRACE_NORM):
-            slab[node] = measures.l1_values(e1, e2)
-        elif measure is MeasureKind.RELATIVE_ENTROPY and slice is None:
-            slab[node] = measures.bell_relative_entropy_values(e1, e2, e3)
-        elif measure is MeasureKind.RELATIVE_ENTROPY:
-            slab[node] = measures.x_relative_entropy_values(r, s, e1, e2, e3)
-        else:
-            slab[node] = measures.bell_discord_values(e1, e2, e3)
+    workers = os.cpu_count() or 1
 
-    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-        list(pool.map(fill, range(0, n, rows)))
+    def fill(worker: int) -> None:
+        # One loop per worker, not one call per slab: a slab's arrays stay
+        # referenced until the next slab's replace them, so the heap never
+        # empties in bulk and malloc keeps the pages of freed temporaries
+        # instead of returning them to the OS.  The field is named for the
+        # same reason: written straight into the slab, it would leave the
+        # kernel's freed temporaries on top of the heap, and rel-ent at
+        # n = 256 took 2.7x the minor faults.
+        for i0 in range(worker * rows, n, workers * rows):
+            slab = values[i0 : i0 + rows].reshape(-1)
+            c1 = np.repeat(axis[i0 : i0 + rows], n)
+            c2 = np.tile(axis, len(c1) // n)
+            lo, hi = _physical_intervals(eigenvalues, rising, c1, c2, axis)
+            length = np.maximum(hi - lo, 0)
+            k = np.arange(length.sum()) + np.repeat(lo - np.cumsum(length) + length, length)
+            e1, e2, e3 = np.repeat(c1, length), np.repeat(c2, length), axis[k]
+            # node k of row q is entry q n + k of the slab
+            node = k + np.repeat(np.arange(len(c1)) * n, length)
+            if channel is not None:
+                e1, e2, e3 = channels.correlation_map_values(channel, p, e1, e2, e3)
+            if measure in (MeasureKind.L1, MeasureKind.TRACE_NORM):
+                field = measures.l1_values(e1, e2)
+            elif measure is MeasureKind.RELATIVE_ENTROPY and slice is None:
+                field = measures.bell_relative_entropy_values(e1, e2, e3)
+            elif measure is MeasureKind.RELATIVE_ENTROPY:
+                field = measures.x_relative_entropy_values(r, s, e1, e2, e3)
+            else:
+                field = measures.bell_discord_values(e1, e2, e3)
+            slab[node] = field
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, range(workers)))
     return values
 
 

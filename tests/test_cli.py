@@ -156,12 +156,28 @@ class TestSurface:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_small_level_warns(self, tmp_path, capsys):
+        # 0.05 is below the feature size 2 / 16: a warning, and the run goes on
         code = run_cli(
-            "surface", "--measure", "rel-ent", "--level", "0.01",
-            "--resolution", "24", "--out", str(tmp_path / "w.obj"),
+            "surface", "--measure", "rel-ent", "--level", "0.05",
+            "--resolution", "16", "--out", str(tmp_path / "w.obj"),
         )
         assert code == 0
-        assert "consider a higher --resolution" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert err == (
+            "warning: level 0.05 is below the grid feature size 0.125; "
+            "consider a higher --resolution\n"
+        )
+        assert json.loads(out)["level"] == 0.05
+
+    def test_level_above_feature_size_is_quiet(self, tmp_path, capsys):
+        code = run_cli(
+            "surface", "--measure", "rel-ent", "--level", "0.2",
+            "--resolution", "16", "--out", str(tmp_path / "q.obj"),
+        )
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["level"] == 0.2
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         code = run_cli(
