@@ -32,9 +32,9 @@ DEGENERATE_AREA = 1e-14
 
 # Nodes per c1-slab of the sampling pass.  Each worker holds a few temporaries
 # of at most this size, and keeps them resident from one slab to the next:
-# rel-ent at n = 256 peaked at 178, 197, 294 and 404 MB RSS after sampling
-# with 1, 2, 8 and 16 workers, about 15 MB per worker.  2^20- and 2^21-node
-# slabs were measured no faster and used up to 2.5x the peak memory.
+# rel-ent at n = 256 peaked at 167, 166-172, 229-237 and 367-370 MB RSS after
+# sampling with 1, 2, 8 and 16 workers, about 13 MB per worker.  2^20- and
+# 2^21-node slabs were measured no faster and used up to 2.5x the peak memory.
 SLAB_NODES = 1 << 18
 
 # Estimated peak bytes of a surface run per grid byte: the float64 grid,
@@ -42,8 +42,9 @@ SLAB_NODES = 1 << 18
 # Measured at 1.4-2.6 over a bare import at n = 192 and 256 (rel-ent, discord
 # and l1 at levels 0.2 and 0.84, one and two workers); the larger meshes of
 # low levels set the top of that range.  The workers' temporaries do not grow
-# with the grid: with 16 workers the ratio reached 3.9 at n = 192 and 2.8 at
-# n = 256, but near the memory limit the grid is gigabytes and dominates.
+# with the grid: with 16 workers, whose first slabs are the 16 largest, the
+# ratio reached 4.8 at n = 192 and 2.6 at n = 256, but near the memory limit
+# the grid is gigabytes and dominates.
 PEAK_PER_GRID_BYTE = 3
 
 
@@ -116,16 +117,20 @@ def sample_field(
         only).  Give both or neither.
 
     Nodes whose state is unphysical are masked with NaN; with a channel
-    pre-map the mask reflects the initial (unmapped) state.  The grid is
+    pre-map the mask reflects the initial (unmapped) state.  The physical
+    nodes of each (c1, c2) row form one interval of c3, whose ends are found
+    once per grid, by bisection over all n^2 rows at once.  Every channel
+    scales each component on its own, so the channel map is applied to the
+    axis once, and the l1 field, free of c3, is evaluated once per row; the
+    other measures are evaluated on the physical nodes only.  The grid is
     filled in fixed c1-slabs of about SLAB_NODES nodes by ``workers =
-    os.cpu_count()`` threads; the output does not depend on that count.
-    Worker w fills slabs w, w + workers, ... in turn, which spreads the
-    uneven physical share along c1 evenly, and keeps its temporaries
-    resident from one slab to the next instead of paging them in again for
-    every slab.  The physical nodes of each (c1, c2) row form one interval
-    of c3, whose ends are found by bisection, and the channel map and the
-    measure are evaluated on those nodes only, so memory is the grid plus a
-    few temporaries of a slab's physical node count per worker.
+    os.cpu_count()`` threads; the output does not depend on that count.  The
+    slabs are ordered by physical node count, largest first, and worker w
+    fills the w-th, (w + workers)-th, ... of them in turn, which spreads the
+    uneven physical share along c1 evenly.  Each worker fills the NaN of its
+    own slabs and keeps its temporaries resident from one slab to the next
+    instead of paging them in again for every slab, so memory is the grid
+    plus a few temporaries of a slab's physical node count per worker.
     """
     measure = states._member(MeasureKind, measure, "measure")
     n = int(resolution)
@@ -158,14 +163,29 @@ def sample_field(
         )
 
     axis = grid_axis(n)
-    values = np.full((n, n, n), np.nan)
+    values = np.empty((n, n, n))
     rows = max(1, SLAB_NODES // (n * n))
     if slice is None:
         eigenvalues, rising = bell_eigenvalues, (1, 2)
     else:
         eigenvalues, rising = functools.partial(x_eigenvalues, r, s), (0, 1)
+    # per (c1, c2) row q = i n + j
+    c1, c2 = np.repeat(axis, n), np.tile(axis, n)
+    lo, hi = _physical_intervals(eigenvalues, rising, c1, c2, axis)
+    length = np.maximum(hi - lo, 0)
+    ax3 = axis
+    if channel is not None:
+        # every channel scales each component on its own, so mapping the axis
+        # maps every node; the mask above stays that of the unmapped state
+        ax1, ax2, ax3 = channels.correlation_map_values(channel, p, axis, axis, axis)
+        c1, c2 = np.repeat(ax1, n), np.tile(ax2, n)
 
     workers = os.cpu_count() or 1
+    # largest physical share first: each worker's temporaries then only
+    # shrink from slab to slab, so malloc can reuse their pages
+    starts = np.arange(0, n, rows)
+    physical = np.add.reduceat(length, starts * n)
+    starts = starts[np.argsort(-physical, kind="stable")]
 
     def fill(worker: int) -> None:
         # One loop per worker, not one call per slab: a slab's arrays stay
@@ -175,26 +195,24 @@ def sample_field(
         # same reason: written straight into the slab, it would leave the
         # kernel's freed temporaries on top of the heap, and rel-ent at
         # n = 256 took 2.7x the minor faults.
-        for i0 in range(worker * rows, n, workers * rows):
+        for i0 in starts[worker::workers]:
             slab = values[i0 : i0 + rows].reshape(-1)
-            c1 = np.repeat(axis[i0 : i0 + rows], n)
-            c2 = np.tile(axis, len(c1) // n)
-            lo, hi = _physical_intervals(eigenvalues, rising, c1, c2, axis)
-            length = np.maximum(hi - lo, 0)
-            k = np.arange(length.sum()) + np.repeat(lo - np.cumsum(length) + length, length)
-            e1, e2, e3 = np.repeat(c1, length), np.repeat(c2, length), axis[k]
-            # node k of row q is entry q n + k of the slab
-            node = k + np.repeat(np.arange(len(c1)) * n, length)
-            if channel is not None:
-                e1, e2, e3 = channels.correlation_map_values(channel, p, e1, e2, e3)
+            slab.fill(np.nan)
+            q = np.s_[i0 * n : i0 * n + len(slab) // n]
+            run = length[q]
+            k = np.arange(run.sum()) + np.repeat(lo[q] - np.cumsum(run) + run, run)
+            # node k of the slab's row t is entry t n + k of the slab
+            node = k + np.repeat(np.arange(len(run)) * n, run)
             if measure in (MeasureKind.L1, MeasureKind.TRACE_NORM):
-                field = measures.l1_values(e1, e2)
-            elif measure is MeasureKind.RELATIVE_ENTROPY and slice is None:
-                field = measures.bell_relative_entropy_values(e1, e2, e3)
-            elif measure is MeasureKind.RELATIVE_ENTROPY:
-                field = measures.x_relative_entropy_values(r, s, e1, e2, e3)
+                field = np.repeat(measures.l1_values(c1[q], c2[q]), run)
             else:
-                field = measures.bell_discord_values(e1, e2, e3)
+                e1, e2, e3 = np.repeat(c1[q], run), np.repeat(c2[q], run), ax3[k]
+                if measure is MeasureKind.RELATIVE_ENTROPY and slice is None:
+                    field = measures.bell_relative_entropy_values(e1, e2, e3)
+                elif measure is MeasureKind.RELATIVE_ENTROPY:
+                    field = measures.x_relative_entropy_values(r, s, e1, e2, e3)
+                else:
+                    field = measures.bell_discord_values(e1, e2, e3)
             slab[node] = field
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -299,13 +317,26 @@ def _cube_cases(vals, level):
 
     A cube is active when no corner is NaN and the level separates its
     corners; a corner is below the level when its value is less than it.
+    The cube layers are split into ``os.cpu_count()`` contiguous runs of i,
+    one per thread, and the results joined in order.
     """
-    active = _corner_codes(np.isnan, vals) == 0
-    code = _corner_codes(np.less, vals, level)
-    active &= code != 0
-    active &= code != 255
-    cubes = np.flatnonzero(active)
-    return cubes, _CASE_OF_CODE[code.ravel()[cubes]]
+    m = len(vals) - 1
+    workers = os.cpu_count() or 1
+    bounds = [m * w // workers for w in range(workers + 1)]
+
+    def cases(i0: int, i1: int):
+        # cube layers [i0, i1) read grid layers i0 ... i1
+        part = vals[i0 : i1 + 1]
+        active = _corner_codes(np.isnan, part) == 0
+        code = _corner_codes(np.less, part, level)
+        active &= code != 0
+        active &= code != 255
+        cubes = np.flatnonzero(active)
+        return cubes + i0 * m * m, _CASE_OF_CODE[code.ravel()[cubes]]
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        cubes, case = zip(*pool.map(cases, bounds[:-1], bounds[1:]))
+    return np.concatenate(cubes), np.concatenate(case)
 
 
 def extract_isosurface(grid, level: float) -> TriangleMesh:
@@ -321,7 +352,9 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     encounter when cubes are visited in index order and, within a cube,
     edges 0-11 in order; a grid edge shared by several cubes gives one
     vertex.  Triangles follow in the same cube order, each cube's in table
-    order, minus those of area at most DEGENERATE_AREA.
+    order, minus those of area at most DEGENERATE_AREA.  The per-cube case
+    pass runs split across ``os.cpu_count()`` threads, one contiguous run of
+    c1 layers each; the mesh does not depend on that count.
     """
     vals = np.asarray(grid, dtype=float)
     if vals.ndim != 3 or len(set(vals.shape)) != 1:

@@ -45,11 +45,12 @@ class MeasureKind(enum.Enum):
 def _xlog2x(v):
     """Elementwise v*log2(v) with 0 log 0 = 0; negative dust counts as 0."""
     v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
-    pos = v > 0.0
-    np.log2(v, out=out, where=pos)
-    # without where= the zeros at NaN inputs would turn into NaN
-    return np.multiply(out, v, out=out, where=pos)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log2(v, out=np.empty_like(v))
+        out *= v
+    # NaN fails v > 0 as well, so it comes out 0 like zero and negatives
+    out[~(v > 0.0)] = 0.0
+    return out
 
 
 def l1_values(c1, c2):

@@ -194,6 +194,11 @@ class TestSampleField:
             ("discord", {}),
             ("discord", {"channel": "gad", "p": 0.3}),
             ("rel-ent", {"slice": (0.3, -0.2)}),
+            ("rel-ent", {"channel": "bf", "p": 0.3}),
+            ("rel-ent", {"channel": "pf", "p": 0.3}),
+            ("rel-ent", {"channel": "bpf", "p": 0.3}),
+            ("rel-ent", {"channel": "gad", "p": 0.3}),
+            ("l1", {"slice": (0.3, -0.2)}),
         ],
     )
     def test_slabs_match_full_grid_reference(self, monkeypatch, measure, kwargs, threads):
@@ -348,6 +353,34 @@ class TestCubeCases:
         for level in (0.05, 0.2, 0.5):
             got, expected = geometry._cube_cases(vals, level), self.corner_loop(vals, level)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_split_case_pass_gives_the_same_mesh(self, monkeypatch, n):
+        # 7 cube layers at n = 8, so 16 workers leave some chunks empty
+        grid = sample_field("rel-ent", n)
+        meshes = []
+        for cpus in (1, 2, 3, 16):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            meshes.append(extract_isosurface(grid, 0.2))
+        assert len(meshes[0].triangles) > 0
+        for mesh in meshes[1:]:
+            assert np.array_equal(mesh.vertices, meshes[0].vertices)
+            assert np.array_equal(mesh.triangles, meshes[0].triangles)
+
+    def test_case_pool_takes_cpu_count(self, monkeypatch):
+        # one worker when the count is unknown
+        seen = []
+
+        def pool(max_workers):
+            seen.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(geometry, "ThreadPoolExecutor", pool)
+        for cpus in (5, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            geometry._cube_cases(sphere_grid(8), 0.5)
+        assert seen == [5, 1]
 
 
 class TestMeshBytes:

@@ -47,6 +47,29 @@ class TestXlog2x:
         for scalar in (0.3, 0.0, -0.0, np.nan):
             assert measures._xlog2x(scalar).tobytes() == self.gather(scalar).tobytes()
 
+    @staticmethod
+    def masked(v):
+        # the masked-ufunc form that _xlog2x replaced
+        v = np.asarray(v, dtype=float)
+        out = np.zeros_like(v)
+        pos = v > 0.0
+        np.log2(v, out=out, where=pos)
+        return np.multiply(out, v, out=out, where=pos)
+
+    def test_bitwise_equal_to_masked_form(self):
+        special = [0.0, -0.0, 5e-324, -5e-324, -1e-13, np.nan, 0.25, 1.0]
+        v = np.concatenate([special, np.random.default_rng(13).random(10**5)])
+        assert np.array_equal(
+            measures._xlog2x(v).view(np.int64), self.masked(v).view(np.int64)
+        )
+
+    def test_python_float_gives_a_0d_array(self):
+        for scalar in (0.25, 0.0, -0.0, -1e-13, float("nan")):
+            got, expected = measures._xlog2x(scalar), self.masked(scalar)
+            assert type(got) is type(expected) is np.ndarray
+            assert got.shape == () and got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestL1Coherence:
     def test_diagonal_state(self):
