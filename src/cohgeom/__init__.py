@@ -14,9 +14,7 @@ from .channels import (
     kraus_ops,
 )
 from .geometry import (
-    RegionTag,
     TriangleMesh,
-    classify_point,
     export_obj,
     extract_isosurface,
     filter_triangles,
@@ -26,51 +24,42 @@ from .geometry import (
 )
 from .measures import (
     MeasureKind,
-    TOL_EQ,
-    bell_relative_entropy,
-    discord_bell,
-    discord_equals_coherence,
+    bell_discord_values,
+    bell_relative_entropy_values,
     discord_equals_coherence_values,
     l1_coherence,
     relative_entropy_coherence,
     trace_norm_coherence_x,
-    x_relative_entropy,
+    x_relative_entropy_values,
 )
 from .states import (
-    BellParams,
     DomainError,
     TOL_PSD,
-    XParams,
     bell_density,
     correlations_of,
+    entangled_values,
     hermitian_spectrum,
-    von_neumann_entropy,
     x_density,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellParams",
     "ChannelKind",
     "DomainError",
     "MeasureKind",
-    "RegionTag",
-    "TOL_EQ",
     "TOL_PSD",
     "TriangleMesh",
-    "XParams",
     "apply_product_channel",
     "bell_density",
-    "bell_relative_entropy",
-    "classify_point",
+    "bell_discord_values",
+    "bell_relative_entropy_values",
     "correlation_map_values",
     "correlations_of",
     "default_p_grid",
-    "discord_bell",
-    "discord_equals_coherence",
     "discord_equals_coherence_values",
     "dynamics_trajectory",
+    "entangled_values",
     "export_obj",
     "extract_isosurface",
     "filter_triangles",
@@ -82,7 +71,6 @@ __all__ = [
     "sample_field",
     "surface_stats",
     "trace_norm_coherence_x",
-    "von_neumann_entropy",
     "x_density",
-    "x_relative_entropy",
+    "x_relative_entropy_values",
 ]

@@ -110,26 +110,30 @@ def _emit(text: str, path: str | None) -> None:
 
 def _cmd_measure(args) -> int:
     params = states.require_physical_x((args.r, args.s, args.c1, args.c2, args.c3))
+    r, s, c1, c2, c3 = params
     rho = states.x_density(params)
-    is_bell = params.r == 0.0 and params.s == 0.0
+    is_bell = r == 0.0 and s == 0.0
     doc = {
-        "c1": params.c1,
-        "c2": params.c2,
-        "c3": params.c3,
-        "r": params.r,
-        "s": params.s,
+        "c1": c1,
+        "c2": c2,
+        "c3": c3,
+        "r": r,
+        "s": s,
         "l1": measures.l1_coherence(rho),
         "trace_norm": measures.trace_norm_coherence_x(rho),
-        "relative_entropy": (
-            measures.bell_relative_entropy(params[2:])
+        "relative_entropy": float(
+            measures.bell_relative_entropy_values(c1, c2, c3)
             if is_bell
-            else measures.x_relative_entropy(params)
+            else measures.x_relative_entropy_values(*params)
         ),
     }
     if is_bell:
-        doc["discord"] = measures.discord_bell(params[2:])
-        doc["discord_equals_coherence"] = measures.discord_equals_coherence(params[2:])
-    doc["region"] = geometry.classify_point(params[2:]).value
+        doc["discord"] = float(measures.bell_discord_values(c1, c2, c3))
+        # json writes bool but not np.bool_
+        doc["discord_equals_coherence"] = bool(
+            measures.discord_equals_coherence_values(c1, c2, c3)
+        )
+    doc["region"] = "entangled" if states.entangled_values(*params) else "separable"
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
@@ -163,7 +167,7 @@ def _cmd_surface(args) -> int:
         "r": None if slice_rs is None else slice_rs[0],
         "s": None if slice_rs is None else slice_rs[1],
     }
-    stats = json.dumps({**geometry.surface_stats(mesh), **metadata}, indent=2) + "\n"
+    stats = json.dumps({**geometry.surface_stats(mesh, slice_rs), **metadata}, indent=2) + "\n"
     if args.channel is not None:
         metadata["channel"] = args.channel
         metadata["p"] = float(args.p)

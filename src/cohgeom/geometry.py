@@ -3,15 +3,14 @@
 Samples a chosen measure on a regular grid covering [-1, 1]^3 in correlation
 space (optionally for an X-state slice at fixed Bloch components, optionally
 after pre-mapping the grid through a decoherence channel), extracts
-constant-value surfaces with marching cubes, classifies geometry against the
-separable octahedron |c1| + |c2| + |c3| <= 1, and exports meshes as Wavefront
-OBJ plus flat JSON statistics.
+constant-value surfaces with marching cubes, measures the share of a surface
+that lies in the entangled region by the PPT test, and exports meshes as
+Wavefront OBJ plus flat JSON statistics.
 """
 
 from __future__ import annotations
 
 import contextlib
-import enum
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,9 +22,6 @@ from . import channels, measures, states
 from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .measures import MeasureKind
 from .states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
-
-# Region classification slack on the octahedron boundary.
-TOL_SEPARABLE = 1e-12
 
 # Triangles at or below this area are dropped as degenerate.
 DEGENERATE_AREA = 1e-14
@@ -46,36 +42,6 @@ SLAB_NODES = 1 << 18
 # ratio reached 4.8 at n = 192 and 2.6 at n = 256, but near the memory limit
 # the grid is gigabytes and dominates.
 PEAK_PER_GRID_BYTE = 3
-
-
-class RegionTag(enum.Enum):
-    """Where a point in correlation space sits."""
-
-    INVALID = "invalid"
-    SEPARABLE = "separable"
-    ENTANGLED = "entangled"
-
-
-def classify_point(params) -> RegionTag:
-    """Classify a correlation triple against the state set and the octahedron.
-
-    Unphysical triples (any eigenvalue below -TOL_PSD, or NaN) are invalid;
-    physical ones are separable when |c1| + |c2| + |c3| <= 1 and entangled
-    otherwise.
-    """
-    c1, c2, c3 = (float(v) for v in params)
-    invalid, entangled = _classify_arrays(c1, c2, c3)
-    if invalid:
-        return RegionTag.INVALID
-    return RegionTag.ENTANGLED if entangled else RegionTag.SEPARABLE
-
-
-def _classify_arrays(c1, c2, c3):
-    """Vectorized classify_point returning (invalid, entangled) boolean arrays."""
-    lam_min = np.minimum.reduce(bell_eigenvalues(c1, c2, c3))
-    invalid = ~(lam_min >= -TOL_PSD)  # catches NaN as invalid
-    entangled = ~invalid & (np.abs(c1) + np.abs(c2) + np.abs(c3) > 1.0 + TOL_SEPARABLE)
-    return invalid, entangled
 
 
 def grid_axis(resolution: int) -> np.ndarray:
@@ -423,17 +389,20 @@ def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:
     return TriangleMesh(mesh.vertices[used], triangles)
 
 
-def surface_stats(mesh: TriangleMesh) -> dict:
+def surface_stats(mesh: TriangleMesh, slice: tuple[float, float] | None = None) -> dict:
     """Area totals and the entangled-region share of a mesh.
 
-    A triangle counts as entangled when its centroid classifies entangled.
-    An empty mesh reports zero areas and fraction 0.
+    ``slice`` is the (r, s) of the X states the mesh was sampled over, as
+    given to :func:`sample_field`; None means Bell-diagonal states.  A
+    triangle counts as entangled when the state at its centroid is, by
+    :func:`~cohgeom.states.entangled_values`.  An empty mesh reports zero
+    areas and fraction 0.
     """
+    r, s = (0.0, 0.0) if slice is None else states._in_range(("r", "s"), slice)
     areas = mesh.triangle_areas()
     total = float(areas.sum())
     if total > 0.0:
-        cent = mesh.centroids()
-        _, entangled = _classify_arrays(cent[:, 0], cent[:, 1], cent[:, 2])
+        entangled = states.entangled_values(r, s, *mesh.centroids().T)
         fraction = float(areas[entangled].sum() / total)
     else:
         fraction = 0.0

@@ -16,8 +16,6 @@ import numpy as np
 from .states import (
     DomainError,
     bell_eigenvalues,
-    require_physical_bell,
-    require_physical_x,
     von_neumann_entropy,
     x_eigenvalues,
     _check_stack,
@@ -137,31 +135,14 @@ def relative_entropy_coherence(m):
 
     This is the generic route: the state entropy comes from the LAPACK
     spectrum, independent of the closed forms in
-    :func:`bell_relative_entropy` and :func:`x_relative_entropy`.  A
-    ``(..., 4, 4)`` stack gives an array of coherences.
+    :func:`bell_relative_entropy_values` and
+    :func:`x_relative_entropy_values`.  A ``(..., 4, 4)`` stack gives an
+    array of coherences.
     """
     a, spectrum = _require_density(m)
     diag = np.diagonal(a, axis1=-2, axis2=-1).real
     s_diag = von_neumann_entropy(np.clip(diag, 0.0, None))
     return np.maximum(s_diag - von_neumann_entropy(spectrum), 0.0)
-
-
-def bell_relative_entropy(params) -> float:
-    """Closed-form relative entropy of coherence of a Bell-diagonal state."""
-    p = require_physical_bell(params)
-    return float(bell_relative_entropy_values(p.c1, p.c2, p.c3))
-
-
-def x_relative_entropy(params) -> float:
-    """Closed-form relative entropy of coherence of an X state."""
-    q = require_physical_x(params)
-    return float(x_relative_entropy_values(*q))
-
-
-def discord_bell(params) -> float:
-    """Quantum discord of a Bell-diagonal state, in bits."""
-    p = require_physical_bell(params)
-    return float(bell_discord_values(p.c1, p.c2, p.c3))
 
 
 def discord_equals_coherence_values(c1, c2, c3):
@@ -174,8 +155,3 @@ def discord_equals_coherence_values(c1, c2, c3):
     of the c3 = 0 plane reflect).  Inputs are assumed physical.
     """
     return np.abs(c3) >= np.maximum(np.abs(c1), np.abs(c2)) - TOL_EQ
-
-
-def discord_equals_coherence(params) -> bool:
-    """:func:`discord_equals_coherence_values` for one physical triple."""
-    return bool(discord_equals_coherence_values(*require_physical_bell(params)))

@@ -9,8 +9,6 @@ share no code with the closed forms.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Numerical slack below zero allowed for eigenvalues when deciding whether a
@@ -31,35 +29,28 @@ class DomainError(ValueError):
     """Raised when an input is outside the operation's domain."""
 
 
-class BellParams(NamedTuple):
-    """Correlation triple (c1, c2, c3) of a Bell-diagonal two-qubit state."""
-
-    c1: float
-    c2: float
-    c3: float
+# Parameter names of a Bell-diagonal state, the correlation triple, and of an
+# X state with z-aligned Bloch components r and s.
+BELL_FIELDS = ("c1", "c2", "c3")
+X_FIELDS = ("r", "s") + BELL_FIELDS
 
 
-class XParams(NamedTuple):
-    """Parameters (r, s, c1, c2, c3) of an X state with z-aligned Bloch vectors.
-
-    Reduces to ``BellParams(c1, c2, c3)`` when r = s = 0.
-    """
-
-    r: float
-    s: float
-    c1: float
-    c2: float
-    c3: float
-
-
-def _in_range(names, values) -> tuple[float, ...]:
-    """``values`` as floats, each named by ``names`` and checked to lie in
-    [-1, 1]; NaN fails the check too."""
-    values = tuple(float(v) for v in values)
-    for name, value in zip(names, values, strict=True):
-        if not -1.0 <= value <= 1.0:
-            raise DomainError(f"{name} must lie in [-1, 1], got {value}")
-    return values
+def _in_range(names, values, columns=False) -> tuple:
+    """``values``, one per name in ``names``, as floats (or, with ``columns``,
+    float arrays), each checked to lie in [-1, 1]; NaN fails the check too."""
+    values = tuple(values)
+    if len(values) != len(names):
+        raise DomainError(
+            f"expected {len(names)} values ({', '.join(names)}), got {len(values)}"
+        )
+    values = tuple(np.asarray(v, dtype=float) for v in values)
+    if not columns and any(v.ndim for v in values):
+        raise DomainError(f"expected one number each for {', '.join(names)}")
+    for name, value in zip(names, values):
+        bad = value[~((-1.0 <= value) & (value <= 1.0))]
+        if bad.size:
+            raise DomainError(f"{name} must lie in [-1, 1], got {bad[0]}")
+    return tuple(float(v) if v.ndim == 0 else v for v in values)
 
 
 def _member(kind, value, what: str):
@@ -74,9 +65,26 @@ def _member(kind, value, what: str):
         raise DomainError(f"unknown {what} {value!r}; expected one of {names}") from None
 
 
-def _x_matrix(r, s, c1, c2, c3) -> np.ndarray:
-    """X-state density matrices, shape ``broadcast(r, s, c1, c2, c3) + (4, 4)``."""
-    r, s, c1, c2, c3 = np.broadcast_arrays(r, s, c1, c2, c3)
+def bell_density(params) -> np.ndarray:
+    """Density matrix of the Bell-diagonal state with correlations (c1, c2, c3).
+
+    The matrix has diagonal (1 +- c3)/4, anti-diagonal corners (c1 - c2)/4 and
+    inner anti-diagonal (c1 + c2)/4; it is Hermitian with unit trace for any
+    parameters in range.  Positivity is a separate question, decided by
+    :func:`bell_eigenvalues`.  Columns give a stack, as for :func:`x_density`.
+    """
+    return x_density((0.0, 0.0, *_in_range(BELL_FIELDS, params, columns=True)))
+
+
+def x_density(params) -> np.ndarray:
+    """Density matrix of the X state (r, s, c1, c2, c3).
+
+    Each parameter may be an array; they broadcast against each other and
+    give a stack of shape ``broadcast(r, s, c1, c2, c3) + (4, 4)``.  With
+    r = s = 0 the construction is identical, entry for entry, to
+    :func:`bell_density`.
+    """
+    r, s, c1, c2, c3 = np.broadcast_arrays(*_in_range(X_FIELDS, params, columns=True))
     rho = np.zeros(r.shape + (4, 4), dtype=complex)
     rho[..., 0, 0] = (1 + r + s + c3) / 4
     rho[..., 1, 1] = (1 + r - s - c3) / 4
@@ -85,26 +93,6 @@ def _x_matrix(r, s, c1, c2, c3) -> np.ndarray:
     rho[..., 0, 3] = rho[..., 3, 0] = (c1 - c2) / 4
     rho[..., 1, 2] = rho[..., 2, 1] = (c1 + c2) / 4
     return rho
-
-
-def bell_density(params) -> np.ndarray:
-    """Density matrix of the Bell-diagonal state with correlations (c1, c2, c3).
-
-    The matrix has diagonal (1 +- c3)/4, anti-diagonal corners (c1 - c2)/4 and
-    inner anti-diagonal (c1 + c2)/4; it is Hermitian with unit trace for any
-    parameters in range.  Positivity is a separate question, decided by
-    :func:`bell_eigenvalues`.
-    """
-    return _x_matrix(0.0, 0.0, *_in_range(BellParams._fields, params))
-
-
-def x_density(params) -> np.ndarray:
-    """Density matrix of the X state (r, s, c1, c2, c3).
-
-    With r = s = 0 the construction is identical, entry for entry, to
-    :func:`bell_density`.
-    """
-    return _x_matrix(*_in_range(XParams._fields, params))
 
 
 def bell_eigenvalues(c1, c2, c3):
@@ -148,16 +136,34 @@ def _require_psd(lam) -> None:
         )
 
 
-def require_physical_bell(params) -> BellParams:
-    """Range-check and positivity-check Bell parameters, raising on failure."""
-    p = BellParams(*_in_range(BellParams._fields, params))
+def entangled_values(r, s, c1, c2, c3):
+    """Vectorized PPT test: True where the X state (r, s, c1, c2, c3) is entangled.
+
+    A two-qubit state is separable exactly when its partial transpose is
+    positive semidefinite (Peres, PRL 77, 1413; Horodecki et al., PLA 223,
+    1).  Transposing the second qubit flips the sign of sigma_y alone, so the
+    partial transpose is the X state (r, s, c1, -c2, c3), whose closed-form
+    spectrum decides.  An eigenvalue counts as negative below -TOL_PSD / 4, so
+    that with r = s = 0, where a negative one is (1 - |c1| - |c2| - |c3|)/4,
+    this is the octahedron |c1| + |c2| + |c3| > 1 + TOL_PSD.  Inputs are
+    assumed physical.
+    """
+    lam = np.minimum.reduce(x_eigenvalues(r, s, c1, -np.asarray(c2), c3))
+    return lam < -TOL_PSD / 4
+
+
+def require_physical_bell(params) -> tuple[float, float, float]:
+    """Range-check and positivity-check Bell parameters, raising on failure;
+    returns (c1, c2, c3) as floats."""
+    p = _in_range(BELL_FIELDS, params)
     _require_psd(bell_eigenvalues(*p))
     return p
 
 
-def require_physical_x(params) -> XParams:
-    """Range-check and positivity-check X-state parameters, raising on failure."""
-    q = XParams(*_in_range(XParams._fields, params))
+def require_physical_x(params) -> tuple[float, float, float, float, float]:
+    """Range-check and positivity-check X-state parameters, raising on
+    failure; returns (r, s, c1, c2, c3) as floats."""
+    q = _in_range(X_FIELDS, params)
     _require_psd(x_eigenvalues(*q))
     return q
 
@@ -223,7 +229,7 @@ def von_neumann_entropy(spectrum):
     return -np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
 
 
-def correlations_of(m) -> BellParams:
+def correlations_of(m) -> tuple:
     """Correlation triple Tr(m sigma_i (x) sigma_i) of a density matrix.
 
     Round-trips ``bell_density``; for a general state it returns the triple of
@@ -232,4 +238,4 @@ def correlations_of(m) -> BellParams:
     """
     a = _check_stack(m)
     values = np.einsum("...ab,kba->k...", a, _PAULI_PAIRS).real
-    return BellParams(*values)
+    return tuple(values)

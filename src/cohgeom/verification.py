@@ -21,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, measures, states
+from .states import BELL_FIELDS, X_FIELDS
 
 DEFAULT_SEED = 1234
 
-
-# Column names of the states the suites report.
-_BELL = ("c1", "c2", "c3")
-_X = ("r", "s") + _BELL
 _KINDS = np.array([kind.value for kind in channels.ChannelKind])
 
 
@@ -101,9 +98,9 @@ def bell_spectrum_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResu
     """Closed-form Bell-diagonal spectra against LAPACK spectra."""
     rows = sample_physical_bell(samples, rng)
     closed = _descending(states.bell_eigenvalues(*rows.T))
-    numeric = states.hermitian_spectrum(states._x_matrix(0.0, 0.0, *rows.T))
+    numeric = states.hermitian_spectrum(states.bell_density(rows.T))
     dev = np.abs(closed - numeric).max(axis=1)
-    worst = _worst(dev, _BELL, rows.T)
+    worst = _worst(dev, BELL_FIELDS, rows.T)
     return SuiteResult("bell_spectrum_vs_jacobi", float(dev.max()), 1e-12, worst)
 
 
@@ -111,9 +108,9 @@ def x_spectrum_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form X-state spectra against LAPACK spectra."""
     rows = sample_physical_x(samples, rng)
     closed = _descending(states.x_eigenvalues(*rows.T))
-    numeric = states.hermitian_spectrum(states._x_matrix(*rows.T))
+    numeric = states.hermitian_spectrum(states.x_density(rows.T))
     dev = np.abs(closed - numeric).max(axis=1)
-    worst = _worst(dev, _X, rows.T)
+    worst = _worst(dev, X_FIELDS, rows.T)
     return SuiteResult("x_spectrum_vs_jacobi", float(dev.max()), 1e-12, worst)
 
 
@@ -121,9 +118,9 @@ def bell_closed_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult
     """Closed-form Bell coherence against the generic entropy-difference route."""
     rows = sample_physical_bell(samples, rng)
     closed = measures.bell_relative_entropy_values(*rows.T)
-    generic = measures.relative_entropy_coherence(states._x_matrix(0.0, 0.0, *rows.T))
+    generic = measures.relative_entropy_coherence(states.bell_density(rows.T))
     dev = np.abs(closed - generic)
-    worst = _worst(dev, _BELL, rows.T)
+    worst = _worst(dev, BELL_FIELDS, rows.T)
     return SuiteResult("bell_closed_vs_jacobi", float(dev.max()), 1e-10, worst)
 
 
@@ -131,16 +128,16 @@ def x_closed_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form X coherence against the generic entropy-difference route."""
     rows = sample_physical_x(samples, rng)
     closed = measures.x_relative_entropy_values(*rows.T)
-    generic = measures.relative_entropy_coherence(states._x_matrix(*rows.T))
+    generic = measures.relative_entropy_coherence(states.x_density(rows.T))
     dev = np.abs(closed - generic)
-    worst = _worst(dev, _X, rows.T)
+    worst = _worst(dev, X_FIELDS, rows.T)
     return SuiteResult("x_closed_vs_jacobi", float(dev.max()), 1e-10, worst)
 
 
 def channel_map_vs_kraus(state_count: int, rng: np.random.Generator) -> SuiteResult:
     """Correlation-triple maps against explicit product-channel application."""
     triples = sample_physical_bell(state_count, rng)
-    rho = states._x_matrix(0.0, 0.0, *triples.T)
+    rho = states.bell_density(triples.T)
     probs = np.linspace(0.0, 1.0, 101)[:, None]
     dev = []
     for kind in channels.ChannelKind:
@@ -149,7 +146,7 @@ def channel_map_vs_kraus(state_count: int, rng: np.random.Generator) -> SuiteRes
         )
         direct = states.correlations_of(channels.apply_product_channel(rho, kind, probs))
         dev.append(np.abs(np.subtract(mapped, direct)).max(axis=0))
-    worst = _worst(dev, ("kind", "p") + _BELL, (_KINDS[:, None, None], probs, *triples.T))
+    worst = _worst(dev, ("kind", "p") + BELL_FIELDS, (_KINDS[:, None, None], probs, *triples.T))
     return SuiteResult("channel_map_vs_kraus", float(np.max(dev)), 1e-12, worst)
 
 
@@ -187,7 +184,7 @@ def discord_predicate_consistency() -> SuiteResult:
         "discord_predicate_grid",
         float(np.count_nonzero(mismatch)),
         0.0,
-        _worst(mismatch, _BELL, (c1, c2, c3)),
+        _worst(mismatch, BELL_FIELDS, (c1, c2, c3)),
     )
 
 
@@ -201,7 +198,7 @@ def trajectory_monotonicity(state_count: int, rng: np.random.Generator) -> Suite
         rise.append(np.diff(measures.bell_relative_entropy_values(*mapped), axis=-1))
     # a rise from p to the next grid point is reported at p
     columns = (_KINDS[:, None, None], probs[:-1], c1, c2, c3)
-    worst = _worst(rise, ("kind", "p") + _BELL, columns)
+    worst = _worst(rise, ("kind", "p") + BELL_FIELDS, columns)
     deviation = float(np.max(rise, initial=0.0))
     return SuiteResult("trajectory_monotonicity", deviation, 1e-9, worst)
 

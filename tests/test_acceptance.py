@@ -21,8 +21,8 @@ from cohgeom.geometry import (
     surface_stats,
 )
 from cohgeom.measures import (
-    bell_relative_entropy,
-    discord_equals_coherence,
+    bell_relative_entropy_values,
+    discord_equals_coherence_values,
     l1_coherence,
     relative_entropy_coherence,
     trace_norm_coherence_x,
@@ -63,7 +63,7 @@ def test_criterion_01_bell_vertex_coherence():
         for vertex in BELL_VERTICES:
             rho = bell_density(vertex)
             assert abs(l1_coherence(rho) - 1.0) <= 1e-12
-            assert abs(bell_relative_entropy(vertex) - 1.0) <= 1e-12
+            assert abs(bell_relative_entropy_values(*vertex) - 1.0) <= 1e-12
             assert abs(relative_entropy_coherence(rho) - 1.0) <= 1e-12
 
 
@@ -73,7 +73,7 @@ def test_criterion_02_zero_characterization():
             rho = bell_density((0, 0, c3))
             assert l1_coherence(rho) <= 1e-12
             assert trace_norm_coherence_x(rho) <= 1e-12
-            assert bell_relative_entropy((0, 0, c3)) <= 1e-12
+            assert bell_relative_entropy_values(0, 0, c3) <= 1e-12
             assert relative_entropy_coherence(rho) <= 1e-12
         rng = np.random.default_rng(101)
         rows = sample_physical_bell(30000, rng)
@@ -112,8 +112,7 @@ def test_criterion_05_discord_equality_region():
         # the numerical equality set is exactly the |c3|-attains-max region
         assert np.array_equal(numeric_eq[physical], region[physical])
         # and the public predicate agrees with the numerical test pointwise
-        points = np.stack([c1[physical], c2[physical], c3[physical]], axis=1)
-        flags = np.array([discord_equals_coherence(row) for row in points])
+        flags = discord_equals_coherence_values(c1[physical], c2[physical], c3[physical])
         assert np.array_equal(flags, numeric_eq[physical])
 
 

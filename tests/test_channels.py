@@ -18,7 +18,7 @@ from cohgeom.states import (
     correlations_of,
     hermitian_spectrum,
 )
-from cohgeom.measures import bell_relative_entropy
+from cohgeom.measures import bell_relative_entropy_values
 from cohgeom.verification import sample_physical_bell
 
 COHERENCE_HALF_AXIS = 0.18872187554086706
@@ -205,7 +205,7 @@ class TestDynamicsTrajectory:
         traj = dynamics_trajectory((-0.5, 0.1, 0.1), "bf", default_p_grid(101))
         assert traj[-1] == pytest.approx(COHERENCE_HALF_AXIS, abs=1e-12)
         assert traj[-1] == pytest.approx(
-            bell_relative_entropy((-0.5, 0, 0)), abs=1e-12
+            bell_relative_entropy_values(-0.5, 0, 0), abs=1e-12
         )
 
     def test_nonincreasing(self):
@@ -221,6 +221,10 @@ class TestDynamicsTrajectory:
             dynamics_trajectory((0, 0, 0.5), "bf", [0.0, 0.5, 0.5, 1.0])
         with pytest.raises(DomainError):
             dynamics_trajectory((0, 0, 0.5), "bf", [0.0, 1.2])
+
+    def test_rejects_columns(self):
+        with pytest.raises(DomainError, match="one number each"):
+            dynamics_trajectory((np.array([0.1, 0.2]), 0, 0), "bf", default_p_grid(3))
 
     def test_default_grid(self):
         grid = default_p_grid(101)

@@ -54,6 +54,47 @@ class TestMeasure:
         assert doc["relative_entropy"] > 0
         assert doc["region"] == "separable"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("--c1", "0.7", "--c2", "-0.5", "--c3", "0.3"),
+                {
+                    "c1": 0.7, "c2": -0.5, "c3": 0.3, "r": 0.0, "s": 0.0,
+                    "l1": 0.7, "trace_norm": 0.7,
+                    "relative_entropy": 0.5180242162827724,
+                    "discord": 0.19379646562368166,
+                    "discord_equals_coherence": False,
+                    "region": "entangled",
+                },
+            ),
+            (
+                ("--r", "0.1", "--s", "0.1", "--c1", "0.6", "--c2", "-0.5", "--c3", "0.5"),
+                {
+                    "c1": 0.6, "c2": -0.5, "c3": 0.5, "r": 0.1, "s": 0.1,
+                    "l1": 0.6000000000000001, "trace_norm": 0.6000000000000001,
+                    "relative_entropy": 0.3350798624784044,
+                    "region": "entangled",
+                },
+            ),
+        ],
+        ids=["bell", "x"],
+    )
+    def test_json_bytes_pinned(self, capsys, argv, expected):
+        # the whole document, byte for byte: key order, float digits, layout
+        assert run_cli("measure", *argv) == 0
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    def test_x_state_region_is_the_ppt_test(self, capsys):
+        # |c1| + |c2| + |c3| < 1, yet the partial transpose has the eigenvalue
+        # (1 + c3 - sqrt((r + s)^2 + (c1 + c2)^2)) / 4 = -0.0178: the Bloch
+        # components decide
+        assert run_cli(
+            "measure", "--c1", "0.2", "--c2", "0.2", "--c3", "-0.35",
+            "--r", "-0.3", "--s", "0.9",
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["region"] == "entangled"
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         assert run_cli(
@@ -121,6 +162,38 @@ class TestSurface:
         stats = json.loads(capsys.readouterr().out)
         assert stats["triangle_count"] > 0
         assert "# channel: bf" in obj.read_text()
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--measure", "rel-ent", "--level", "0.2", "--resolution", "32"),
+                "3114d4ffb827033429c9daa69f101b8dc26f503f57838c9d00803610fcebacab",
+            ),
+            (
+                ("--measure", "discord", "--level", "0.3", "--resolution", "32"),
+                "cf93458933b7cddedfc1ddd46c0f57571416d7febe6474452607e50b25cf4071",
+            ),
+            (
+                ("--measure", "l1", "--level", "0.5", "--resolution", "33"),
+                "526e5784353f6598f6e47663924d3dfee23828dd1e8743993140f7c138bb0ad1",
+            ),
+            (
+                ("--measure", "rel-ent", "--level", "0.25", "--resolution", "32",
+                 "--channel", "gad", "--p", "0.1"),
+                "eece873a8f584081c1c57f745241917e22f54b19c50199717b15335bfaa3a9f5",
+            ),
+        ],
+        ids=["rel-ent", "discord", "l1", "gad"],
+    )
+    def test_bell_stats_bytes_pinned(self, tmp_path, argv, digest):
+        # sha256 of the stats JSON: areas, entangled fraction and counts
+        stats = tmp_path / "stats.json"
+        code = run_cli(
+            "surface", *argv, "--out", str(tmp_path / "m.obj"), "--stats-out", str(stats)
+        )
+        assert code == 0
+        assert hashlib.sha256(stats.read_bytes()).hexdigest() == digest
 
     def test_discord_slice_is_usage_error(self, tmp_path, capsys):
         code = run_cli(

@@ -14,8 +14,6 @@ from cohgeom.channels import correlation_map_values
 from cohgeom._mc_tables import CORNER_OFFSETS, TRI_TABLE
 from cohgeom.geometry import (
     EDGE_CROSSED,
-    RegionTag,
-    classify_point,
     export_obj,
     extract_isosurface,
     filter_triangles,
@@ -23,8 +21,15 @@ from cohgeom.geometry import (
     sample_field,
     surface_stats,
 )
-from cohgeom.measures import discord_equals_coherence, discord_equals_coherence_values
-from cohgeom.states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
+from cohgeom.measures import discord_equals_coherence_values
+from cohgeom.states import (
+    DomainError,
+    TOL_PSD,
+    bell_eigenvalues,
+    entangled_values,
+    require_physical_bell,
+    x_eigenvalues,
+)
 from conftest import cli_env
 
 
@@ -34,23 +39,44 @@ def sphere_grid(n=32):
     return np.sqrt(x * x + y * y + z * z)
 
 
+def bell_entangled(c1, c2, c3):
+    return bool(entangled_values(0.0, 0.0, c1, c2, c3))
+
+
 class TestClassifyPoint:
+    # points are classified by entangled_values; the points it has no class
+    # for, unphysical ones, are refused by the input gate before it
     def test_origin_separable(self):
-        assert classify_point((0, 0, 0)) is RegionTag.SEPARABLE
+        assert not bell_entangled(0.0, 0.0, 0.0)
 
     def test_bell_vertex_entangled(self):
-        assert classify_point((1, -1, 1)) is RegionTag.ENTANGLED
+        assert bell_entangled(1.0, -1.0, 1.0)
 
     def test_unphysical_invalid(self):
         # smallest eigenvalue (1 - c1 - c2 - c3)/4 = -0.2
-        assert classify_point((0.9, 0.9, 0)) is RegionTag.INVALID
+        with pytest.raises(DomainError, match="not positive semidefinite"):
+            require_physical_bell((0.9, 0.9, 0))
 
     def test_octahedron_boundary(self):
-        assert classify_point((0.5, -0.25, 0.25)) is RegionTag.SEPARABLE
-        assert classify_point((0.6, -0.5, 0.5)) is RegionTag.ENTANGLED
+        assert not bell_entangled(0.5, -0.25, 0.25)
+        assert bell_entangled(0.6, -0.5, 0.5)
+        # on the boundary the partial transpose has a zero eigenvalue, which
+        # decimal inputs round to about -1e-17: still separable
+        for point in ((-0.2, 0.0, 0.8), (-0.4, 0.2, 0.4), (0.3, 0.3, -0.4)):
+            assert not bell_entangled(*point)
+            assert bell_entangled(*(1.001 * np.array(point)))
+        # as before the PPT test: entangled when |c1| + |c2| + |c3| > 1 + TOL_PSD
+        # (the partial transpose eigenvalue here is -5e-13)
+        assert bell_entangled(0.5, -0.5, 2e-12)
+        assert not bell_entangled(0.5, -0.5, 0.5e-12)
+        # beyond a face of the tetrahedron, accepted only by the positivity
+        # tolerance: the partial transpose is positive, so separable
+        require_physical_bell((0.5, 0.5, 3e-12))
+        assert not bell_entangled(0.5, 0.5, 3e-12)
 
     def test_nan_invalid(self):
-        assert classify_point((np.nan, 0, 0)) is RegionTag.INVALID
+        with pytest.raises(DomainError, match="c1 must lie in"):
+            require_physical_bell((np.nan, 0, 0))
 
 
 class TestGridAxis:
@@ -156,6 +182,14 @@ class TestSampleField:
     def test_channel_with_slice_rejected(self):
         with pytest.raises(DomainError):
             sample_field("l1", 16, slice=(0.1, 0.1), channel="bf", p=0.5)
+
+    def test_slice_of_wrong_length_rejected(self):
+        with pytest.raises(DomainError, match=r"expected 2 values \(r, s\), got 1"):
+            sample_field("rel-ent", 8, slice=(0.1,))
+
+    def test_slice_of_columns_rejected(self):
+        with pytest.raises(DomainError, match="one number each for r, s"):
+            sample_field("rel-ent", 8, slice=(np.array([0.1, 0.2]), 0.0))
 
     def test_small_resolution_rejected(self):
         with pytest.raises(DomainError):
@@ -280,9 +314,8 @@ class TestExtractIsosurface:
         lam_min = np.minimum.reduce(
             bell_eigenvalues(mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.vertices[:, 2])
         )
-        assert lam_min.min() >= -1e-9
-        invalid, entangled = geometry._classify_arrays(*mesh.vertices.T)
-        assert not invalid.any()
+        assert lam_min.min() >= -TOL_PSD  # NaN fails too
+        entangled = entangled_values(0.0, 0.0, *mesh.vertices.T)
         # the surface has both separable and entangled vertices
         assert entangled.any() and not entangled.all()
 
@@ -435,6 +468,24 @@ class TestSurfaceStats:
         assert high["entangled_area_fraction"] > low["entangled_area_fraction"]
         assert high["entangled_area_fraction"] > 0.9
 
+    def test_x_slice_uses_the_slice_states(self):
+        # every centroid has |c1| + |c2| + |c3| <= 1, yet the PPT test of the
+        # slice's X states finds 0.4633 of the area entangled (0.5307 at
+        # n = 128)
+        rs = (-0.3, 0.9)
+        mesh = extract_isosurface(sample_field("rel-ent", 64, slice=rs), 0.1)
+        assert surface_stats(mesh, rs)["entangled_area_fraction"] == pytest.approx(
+            0.4633, abs=1e-3
+        )
+
+    @pytest.mark.parametrize(
+        "rs", [(0.1,), (0.1, 0.2, 0.3), (0.1, 1.5), (0.1, np.array([0.2, 0.3]))]
+    )
+    def test_bad_slice_rejected(self, rs):
+        mesh = extract_isosurface(sphere_grid(8), 0.5)
+        with pytest.raises(DomainError, match=r"\(r, s\)|s must lie|r, s$"):
+            surface_stats(mesh, rs)
+
     def test_counts_match_mesh(self):
         mesh = extract_isosurface(sample_field("rel-ent", 16), 0.2)
         stats = surface_stats(mesh)
@@ -452,7 +503,7 @@ class TestFilterTriangles:
         cent = restricted.centroids()
         assert (cent[:, 2] > 0).any() and (cent[:, 2] < 0).any()
         # every surviving centroid satisfies the predicate
-        assert all(discord_equals_coherence(c) for c in cent)
+        assert discord_equals_coherence_values(*cent.T).all()
 
     @pytest.mark.parametrize(
         "keep",

@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+package exports exactly the pinned public names.
 
-``__init__.py`` is skipped, because it imports names to re-export them, and
-so are ``__future__`` imports.
+``__init__.py`` is skipped by the import scan, because it imports names to
+re-export them, and so are ``__future__`` imports.
 """
 
 import ast
@@ -38,3 +39,44 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# The public API, one entry point per quantity.  A name added to or dropped
+# from cohgeom.__all__ must show up here as a reviewed change.
+PUBLIC_API = [
+    "ChannelKind",
+    "DomainError",
+    "MeasureKind",
+    "TOL_PSD",
+    "TriangleMesh",
+    "apply_product_channel",
+    "bell_density",
+    "bell_discord_values",
+    "bell_relative_entropy_values",
+    "correlation_map_values",
+    "correlations_of",
+    "default_p_grid",
+    "discord_equals_coherence_values",
+    "dynamics_trajectory",
+    "entangled_values",
+    "export_obj",
+    "extract_isosurface",
+    "filter_triangles",
+    "grid_axis",
+    "hermitian_spectrum",
+    "kraus_ops",
+    "l1_coherence",
+    "relative_entropy_coherence",
+    "sample_field",
+    "surface_stats",
+    "trace_norm_coherence_x",
+    "x_density",
+    "x_relative_entropy_values",
+]
+
+
+def test_public_api_is_pinned():
+    import cohgeom
+
+    assert cohgeom.__all__ == PUBLIC_API
+    assert PUBLIC_API == sorted(PUBLIC_API) and len(PUBLIC_API) == 28

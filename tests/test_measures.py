@@ -4,15 +4,15 @@ import pytest
 from cohgeom import measures
 from cohgeom.measures import (
     MeasureKind,
-    bell_relative_entropy,
-    discord_bell,
-    discord_equals_coherence,
+    bell_discord_values,
+    bell_relative_entropy_values,
+    discord_equals_coherence_values,
     l1_coherence,
     relative_entropy_coherence,
     trace_norm_coherence_x,
-    x_relative_entropy,
+    x_relative_entropy_values,
 )
-from cohgeom.states import DomainError, bell_density, x_density
+from cohgeom.states import DomainError, bell_density, require_physical_bell, x_density
 from cohgeom.verification import sample_physical_bell, sample_physical_x
 
 # fixed reference: coherence of the state with correlations (0.5, 0, 0),
@@ -111,16 +111,16 @@ class TestTraceNormCoherence:
 class TestRelativeEntropyCoherence:
     def test_diagonal_state_is_zero(self):
         assert relative_entropy_coherence(bell_density((0, 0, 0.5))) == 0.0
-        assert bell_relative_entropy((0, 0, 0.5)) == 0.0
+        assert bell_relative_entropy_values(0, 0, 0.5) == 0.0
 
     def test_bell_vertex_is_one(self):
         assert relative_entropy_coherence(bell_density((1, -1, 1))) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert bell_relative_entropy((1, -1, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert bell_relative_entropy_values(1, -1, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_axis_value(self):
-        assert bell_relative_entropy((0.5, 0, 0)) == pytest.approx(
+        assert bell_relative_entropy_values(0.5, 0, 0) == pytest.approx(
             COHERENCE_HALF_AXIS, abs=1e-12
         )
         assert relative_entropy_coherence(bell_density((0.5, 0, 0))) == pytest.approx(
@@ -129,21 +129,22 @@ class TestRelativeEntropyCoherence:
 
     def test_closed_vs_generic_bell(self):
         rng = np.random.default_rng(43)
-        for row in sample_physical_bell(300, rng):
-            assert bell_relative_entropy(row) == pytest.approx(
-                relative_entropy_coherence(bell_density(row)), abs=1e-10
-            )
+        rows = sample_physical_bell(300, rng)
+        assert bell_relative_entropy_values(*rows.T) == pytest.approx(
+            relative_entropy_coherence(bell_density(rows.T)), abs=1e-10
+        )
 
     def test_closed_vs_generic_x(self):
         rng = np.random.default_rng(47)
-        for row in sample_physical_x(300, rng):
-            assert x_relative_entropy(row) == pytest.approx(
-                relative_entropy_coherence(x_density(row)), abs=1e-10
-            )
+        rows = sample_physical_x(300, rng)
+        assert x_relative_entropy_values(*rows.T) == pytest.approx(
+            relative_entropy_coherence(x_density(rows.T)), abs=1e-10
+        )
 
     def test_rejects_unphysical(self):
+        # the kernels assume physical input; the one gate refuses the rest
         with pytest.raises(DomainError):
-            bell_relative_entropy((0.9, 0.9, 0))
+            require_physical_bell((0.9, 0.9, 0))
         with pytest.raises(DomainError):
             relative_entropy_coherence(bell_density((0.9, 0.9, 0)))
 
@@ -151,77 +152,79 @@ class TestRelativeEntropyCoherence:
         rng = np.random.default_rng(53)
         transforms = [(-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
         for row in sample_physical_bell(200, rng):
-            base_r = bell_relative_entropy(row)
+            base_r = bell_relative_entropy_values(*row)
             base_l = l1_coherence(bell_density(row))
             for f in transforms:
                 flipped = tuple(v * s for v, s in zip(row, f))
-                assert bell_relative_entropy(flipped) == pytest.approx(base_r, abs=1e-12)
+                assert bell_relative_entropy_values(*flipped) == pytest.approx(
+                    base_r, abs=1e-12
+                )
                 assert l1_coherence(bell_density(flipped)) == pytest.approx(
                     base_l, abs=1e-12
                 )
 
     def test_zero_iff_no_transverse_correlations(self):
         for c3 in np.linspace(-1, 1, 21):
-            assert bell_relative_entropy((0, 0, c3)) == 0.0
+            assert bell_relative_entropy_values(0, 0, c3) == 0.0
             assert l1_coherence(bell_density((0, 0, c3))) == 0.0
         rng = np.random.default_rng(59)
         for row in sample_physical_bell(300, rng):
             if max(abs(row[0]), abs(row[1])) > 0.01:
                 assert l1_coherence(bell_density(row)) > 0.0
-                assert bell_relative_entropy(row) > 0.0
+                assert bell_relative_entropy_values(*row) > 0.0
 
 
 class TestDiscord:
     def test_classically_correlated_axis(self):
-        assert discord_bell((0, 0, 0.9)) == pytest.approx(0.0, abs=1e-12)
+        assert bell_discord_values(0, 0, 0.9) == pytest.approx(0.0, abs=1e-12)
 
     def test_product_state(self):
-        assert discord_bell((0, 0, 0)) == pytest.approx(0.0, abs=1e-12)
+        assert bell_discord_values(0, 0, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_equals_coherence_when_c3_dominates(self):
-        assert discord_bell((0.1, 0.1, 0.5)) == pytest.approx(
-            bell_relative_entropy((0.1, 0.1, 0.5)), abs=1e-9
+        assert bell_discord_values(0.1, 0.1, 0.5) == pytest.approx(
+            bell_relative_entropy_values(0.1, 0.1, 0.5), abs=1e-9
         )
 
     def test_nonnegative(self):
         rng = np.random.default_rng(61)
-        for row in sample_physical_bell(300, rng):
-            assert discord_bell(row) >= 0.0
+        assert (bell_discord_values(*sample_physical_bell(300, rng).T) >= 0.0).all()
 
     def test_rejects_unphysical(self):
         with pytest.raises(DomainError):
-            discord_bell((0.9, 0.9, 0))
+            require_physical_bell((0.9, 0.9, 0))
 
 
 class TestDiscordEqualsCoherence:
     def test_true_when_c3_dominates(self):
-        assert discord_equals_coherence((0.1, 0.1, 0.5)) is True
+        assert discord_equals_coherence_values(0.1, 0.1, 0.5)
 
     def test_true_at_origin(self):
-        assert discord_equals_coherence((0, 0, 0)) is True
+        assert discord_equals_coherence_values(0, 0, 0)
 
     def test_symmetric_in_c3_sign(self):
         # the equality region is mirrored below the c3 = 0 plane: both
         # quantities depend on c3 only through |c3|
         params = (-0.5, -0.5, -0.5)
-        assert abs(discord_bell(params) - bell_relative_entropy(params)) < 1e-12
-        assert discord_equals_coherence(params) is True
-        assert discord_equals_coherence((0.1, 0.1, -0.5)) is True
+        gap = bell_discord_values(*params) - bell_relative_entropy_values(*params)
+        assert abs(gap) < 1e-12
+        assert discord_equals_coherence_values(*params)
+        assert discord_equals_coherence_values(0.1, 0.1, -0.5)
 
     def test_false_when_transverse_dominates(self):
-        assert discord_equals_coherence((0.5, 0.1, 0.1)) is False
-        assert (
-            abs(discord_bell((0.5, 0.1, 0.1)) - bell_relative_entropy((0.5, 0.1, 0.1)))
-            > 1e-9
-        )
+        params = (0.5, 0.1, 0.1)
+        assert not discord_equals_coherence_values(*params)
+        gap = bell_discord_values(*params) - bell_relative_entropy_values(*params)
+        assert abs(gap) > 1e-9
 
     def test_matches_numerical_equality(self):
         rng = np.random.default_rng(67)
-        for row in sample_physical_bell(500, rng):
-            numeric = (
-                abs(discord_bell(row) - bell_relative_entropy(row)) <= measures.TOL_EQ
-            )
-            assert discord_equals_coherence(row) == numeric
+        c = sample_physical_bell(500, rng).T
+        numeric = (
+            np.abs(bell_discord_values(*c) - bell_relative_entropy_values(*c))
+            <= measures.TOL_EQ
+        )
+        assert np.array_equal(discord_equals_coherence_values(*c), numeric)
 
 
 class TestMeasureKind:

@@ -4,9 +4,9 @@ A triple is drawn as a random point of the state tetrahedron: four
 non-negative weights, normalized, are the state's eigenvalues, and the
 correlations follow from them.  The sampled-grid property draws X-state
 slices and channel pre-maps instead, the triangle-filter property builds
-meshes on random triples, and the symmetry properties draw a seed for
-verify's samplers of physical Bell-diagonal and X states.  The draws are
-derandomized, so the suite is deterministic.
+meshes on random triples, and the symmetry and partial-transpose properties
+draw a seed for verify's samplers of physical Bell-diagonal and X states.
+The draws are derandomized, so the suite is deterministic.
 """
 
 import itertools
@@ -21,7 +21,6 @@ from cohgeom import geometry
 from cohgeom.channels import ChannelKind, correlation_map_values, default_p_grid
 from cohgeom.geometry import (
     TriangleMesh,
-    _classify_arrays,
     filter_triangles,
     grid_axis,
     sample_field,
@@ -30,12 +29,18 @@ from cohgeom.measures import (
     TOL_EQ,
     bell_discord_values,
     bell_relative_entropy_values,
-    discord_equals_coherence,
     discord_equals_coherence_values,
     l1_values,
     x_relative_entropy_values,
 )
-from cohgeom.states import TOL_PSD, bell_eigenvalues, x_eigenvalues
+from cohgeom.states import (
+    TOL_PSD,
+    bell_eigenvalues,
+    entangled_values,
+    hermitian_spectrum,
+    x_density,
+    x_eigenvalues,
+)
 from cohgeom.verification import sample_physical_bell, sample_physical_x
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -67,7 +72,8 @@ def test_transverse_sign_flip_symmetry(params):
     assert abs(l1_values(c1, c2) - l1_values(-c1, -c2)) <= 1e-15
     for values in (bell_relative_entropy_values, bell_discord_values):
         assert abs(values(c1, c2, c3) - values(-c1, -c2, c3)) <= 1e-15
-    assert _classify_arrays(c1, c2, c3) == _classify_arrays(-c1, -c2, c3)
+    mirrored = entangled_values(0.0, 0.0, -c1, -c2, c3)
+    assert entangled_values(0.0, 0.0, c1, c2, c3) == mirrored
 
 
 @SETTINGS
@@ -89,7 +95,7 @@ def test_discord_bounded_by_coherence(params):
     coherence = bell_relative_entropy_values(*params)
     assert discord <= coherence + 1e-12
     # off the predicate the gap closes at its boundary, so no strict inequality
-    if discord_equals_coherence(params):
+    if discord_equals_coherence_values(*params):
         assert abs(discord - coherence) <= 1e-12
 
 
@@ -97,16 +103,18 @@ def test_discord_bounded_by_coherence(params):
 @given(bell_triples())
 @with_vertices
 def test_equality_kernel_matches_scalar_predicate(params):
+    # the kernel gives the rule's answer on scalars and on one-entry columns
     c1, c2, c3 = (float(v) for v in params)
     column = discord_equals_coherence_values(*(np.array([v]) for v in params))
     assert column.shape == (1,)
-    assert bool(column[0]) is discord_equals_coherence(params)
-    assert discord_equals_coherence(params) is (abs(c3) >= max(abs(c1), abs(c2)) - TOL_EQ)
+    scalar = discord_equals_coherence_values(c1, c2, c3)
+    assert bool(column[0]) is bool(scalar)
+    assert bool(scalar) is (abs(c3) >= max(abs(c1), abs(c2)) - TOL_EQ)
 
 
 def filter_per_centroid(mesh, keep):
     """filter_triangles as a Python loop over the centroids: the oracle."""
-    kept = np.array([bool(keep(c)) for c in mesh.centroids()], dtype=bool)
+    kept = np.array([bool(keep(*c)) for c in mesh.centroids()], dtype=bool)
     used, triangles = np.unique(mesh.triangles[kept].ravel(), return_inverse=True)
     return TriangleMesh(mesh.vertices[used], triangles)
 
@@ -121,11 +129,11 @@ def filter_per_centroid(mesh, keep):
 @example(points=[], corners=[])
 def test_filter_triangles_matches_per_centroid_loop(points, corners):
     # Bell vertices and the origin, then the drawn triples; centroids of
-    # physical triples are physical, as the scalar predicate requires
+    # physical triples are physical, as the predicate requires
     vertices = np.array(BELL_VERTICES + [(0.0, 0.0, 0.0)] + points)
     triangles = np.array(corners, dtype=int).reshape(-1, 3) % len(vertices)
     mesh = TriangleMesh(vertices, triangles)
-    expected = filter_per_centroid(mesh, discord_equals_coherence)
+    expected = filter_per_centroid(mesh, discord_equals_coherence_values)
     got = filter_triangles(mesh, discord_equals_coherence_values)
     assert np.array_equal(got.vertices, expected.vertices)
     assert np.array_equal(got.triangles, expected.triangles)
@@ -191,3 +199,22 @@ def test_x_relative_entropy_bloch_symmetries(seed):
     base = x_relative_entropy_values(r, s, *c)
     for moved in ((s, r), (-r, -s)):
         assert np.abs(x_relative_entropy_values(*moved, *c) - base).max() <= 1e-12
+
+
+def partial_transpose(rho):
+    """Transpose of the second qubit of a (..., 4, 4) stack, by index shuffle:
+    entry (ab, cd) goes to (ad, cb)."""
+    shape = rho.shape
+    return rho.reshape(shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(shape)
+
+
+@SETTINGS
+@given(seeds)
+def test_entangled_values_match_numeric_partial_transpose(seed):
+    # the oracle builds each density matrix, partially transposes it and
+    # takes its LAPACK spectrum: no closed form shared with the kernel
+    rows = sample_physical_x(2000, np.random.default_rng(seed))
+    lowest = hermitian_spectrum(partial_transpose(x_density(rows.T)))[:, -1]
+    entangled = entangled_values(*rows.T)
+    assert np.array_equal(entangled, lowest < -TOL_PSD)
+    assert entangled.any() and not entangled.all()

@@ -5,13 +5,13 @@ from numpy.testing import assert_allclose
 from cohgeom import measures, states
 from cohgeom.channels import apply_product_channel
 from cohgeom.states import (
-    BellParams,
     DomainError,
-    XParams,
     bell_density,
     bell_eigenvalues,
     correlations_of,
     hermitian_spectrum,
+    require_physical_bell,
+    require_physical_x,
     von_neumann_entropy,
     x_density,
     x_eigenvalues,
@@ -85,6 +85,58 @@ class TestXDensity:
         with pytest.raises(DomainError):
             x_density((0, -1.2, 0, 0, 0))
 
+    def test_columns_give_a_stack(self):
+        rows = sample_physical_x(7, np.random.default_rng(31))
+        stack = x_density(rows.T)
+        assert stack.shape == (7, 4, 4)
+        for row, rho in zip(rows, stack):
+            assert np.array_equal(rho, x_density(row))
+        # scalars broadcast against columns, and Bell columns match X columns
+        c = rows[:, 2:].T
+        assert np.array_equal(bell_density(c), x_density((0.0, 0.0, *c)))
+        assert x_density((0.1, 0.2, c[0], 0.0, 0.0)).shape == (7, 4, 4)
+
+    def test_out_of_range_column_entry_rejected(self):
+        with pytest.raises(DomainError, match=r"c3 must lie in \[-1, 1\], got 1.5"):
+            x_density((0.0, 0.0, 0.0, 0.0, np.array([0.5, 1.5, np.nan])))
+
+
+class TestInputGate:
+    @pytest.mark.parametrize(
+        "gate, params, fields",
+        [
+            (bell_density, (0.1, 0.2), "c1, c2, c3"),
+            (require_physical_bell, (0.1, 0.2, 0.3, 0.4), "c1, c2, c3"),
+            (x_density, (0.1, 0.2, 0.3), "r, s, c1, c2, c3"),
+            (require_physical_x, (), "r, s, c1, c2, c3"),
+        ],
+    )
+    def test_wrong_length_names_the_fields(self, gate, params, fields):
+        n = len(fields.split(", "))
+        expected = f"expected {n} values ({fields}), got {len(params)}"
+        with pytest.raises(DomainError) as info:
+            gate(params)
+        assert str(info.value) == expected
+
+    @pytest.mark.parametrize(
+        "gate, params, fields",
+        [
+            (require_physical_bell, (np.array([0.1, 0.2]), 0, 0), "c1, c2, c3"),
+            (require_physical_x, (0, 0, 0.1, 0, np.array([0.2])), "r, s, c1, c2, c3"),
+        ],
+    )
+    def test_physical_gates_refuse_columns(self, gate, params, fields):
+        with pytest.raises(DomainError, match=f"expected one number each for {fields}$"):
+            gate(params)
+
+    def test_physical_gates_return_plain_float_tuples(self):
+        for got in (
+            require_physical_bell((0.1, 0, np.float64(0.2))),
+            require_physical_x(np.array([0.1, 0.0, 0.2, 0.3, 0.4])),
+        ):
+            assert type(got) is tuple
+            assert all(type(v) is float for v in got)
+
 
 class TestBellSpectrum:
     def test_maximally_mixed(self):
@@ -111,7 +163,7 @@ class TestBellSpectrum:
         for row in sample_physical_bell(200, rng):
             base = np.sort(bell_sorted(row))
             for f in flips:
-                flipped = BellParams(*(v * s for v, s in zip(row, f)))
+                flipped = tuple(v * s for v, s in zip(row, f))
                 assert_allclose(np.sort(bell_sorted(flipped)), base, atol=1e-12)
 
     def test_sums_to_one(self):
@@ -131,7 +183,7 @@ class TestXSpectrum:
         assert_allclose(x_sorted((0.5, 0.5, 0, 0, 0)), [0.5, 0.25, 0.25, 0.0])
 
     def test_matches_numeric_oracle(self):
-        q = XParams(0.2, 0.1, 0.4, 0.3, 0.5)
+        q = (0.2, 0.1, 0.4, 0.3, 0.5)
         assert_allclose(x_sorted(q), hermitian_spectrum(x_density(q)), atol=1e-12)
         rng = np.random.default_rng(23)
         for row in sample_physical_x(500, rng):

@@ -129,8 +129,8 @@ class TestSuites:
         c1, c2, c3 = map(float, values)
         assert {c1, c2, c3} <= set(np.linspace(-1.0, 1.0, 41))
         assert abs(c3) == max(abs(c1), abs(c2))
-        assert measures.discord_bell((c1, c2, c3)) == pytest.approx(
-            measures.bell_relative_entropy((c1, c2, c3)), abs=measures.TOL_EQ
+        assert measures.bell_discord_values(c1, c2, c3) == pytest.approx(
+            measures.bell_relative_entropy_values(c1, c2, c3), abs=measures.TOL_EQ
         )
 
     def test_completeness(self):
