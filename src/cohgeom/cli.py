@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import channels, geometry, measures, states, verification
@@ -141,6 +142,8 @@ def _cmd_measure(args) -> int:
 def _cmd_surface(args) -> int:
     if not 0.0 < args.level <= 1.0:
         raise states.DomainError(f"--level must lie in (0, 1], got {args.level}")
+    if args.stats_out and os.path.realpath(args.stats_out) == os.path.realpath(args.out):
+        raise states.DomainError(f"--out and --stats-out name the same file {args.out!r}")
     slice_rs = None
     if args.r is not None or args.s is not None:
         slice_rs = (args.r or 0.0, args.s or 0.0)

@@ -66,21 +66,21 @@ def sample_field(
     Parameters
     ----------
     measure : MeasureKind or str
-        Field to sample.  Discord is only defined on the Bell-diagonal
-        family, so it cannot be combined with a slice.
+        Field to sample.  Discord needs the Bell-diagonal family, (r, s) =
+        (0, 0); trace equals l1 on every X state and is sampled as l1.
     resolution : int
         Nodes per axis, at least 8; nodes include the endpoints of [-1, 1].
         A resolution whose estimated surface-run peak, PEAK_PER_GRID_BYTE
         times the 8 n^3 grid bytes, exceeds the machine's physical memory
         is rejected before anything is allocated.
     slice : (r, s), optional
-        Sample X states at these fixed Bloch components instead of
-        Bell-diagonal states.  Restricted to the l1 and relative-entropy
-        measures.
+        Fixed Bloch components of the sampled X states; None means (0, 0).
+        The value decides the family: (0, 0) is the Bell-diagonal one, with
+        its own mask and kernels, so ``slice=(0, 0)`` equals no slice.
     channel, p : optional
         Pre-map every grid triple through this decoherence channel at
-        strength p, a scalar, before evaluating the measure (Bell-diagonal
-        only).  Give both or neither.
+        strength p, a scalar, before evaluating the measure.  Channels, like
+        discord, need (r, s) = (0, 0).  Give both or neither.
 
     Nodes whose state is unphysical are masked with NaN; with a channel
     pre-map the mask reflects the initial (unmapped) state.  The physical
@@ -102,17 +102,7 @@ def sample_field(
     n = int(resolution)
     if n < 8:
         raise DomainError("resolution must be at least 8")
-    if slice is not None:
-        if measure in (MeasureKind.DISCORD, MeasureKind.TRACE_NORM):
-            raise DomainError(
-                f"measure {measure.value!r} is not defined for an X-state slice"
-            )
-        if channel is not None:
-            raise DomainError(
-                "channel maps act on the Bell-diagonal family; they cannot be "
-                "combined with an X-state slice"
-            )
-        r, s = states._in_range(("r", "s"), slice)
+    r, s = (0.0, 0.0) if slice is None else states._in_range(("r", "s"), slice)
     if (channel is None) != (p is None):
         raise DomainError("a channel pre-map and its probability p must be given together")
     if channel is not None:
@@ -120,21 +110,24 @@ def sample_field(
         if np.ndim(p) != 0:
             raise DomainError(f"p must be a scalar, got shape {np.shape(p)}")
         p = channels._check_probability(p)
-    peak = PEAK_PER_GRID_BYTE * 8 * n**3
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if peak > memory:
+    if (r, s) == (0.0, 0.0):
+        eigenvalues, rising = bell_eigenvalues, (1, 2)
+        kernel = measures.bell_relative_entropy_values
+        if measure is MeasureKind.DISCORD:
+            kernel = measures.bell_discord_values
+    elif measure is MeasureKind.DISCORD or channel is not None:
         raise DomainError(
-            f"resolution {n} needs about {peak / 2**30:.3g} GiB, more than the "
-            f"{memory / 2**30:.3g} GiB of physical memory"
+            "discord and channel pre-maps are defined on the Bell-diagonal "
+            f"family only, (r, s) = (0, 0); got (r, s) = ({r}, {s})"
         )
+    else:
+        eigenvalues, rising = functools.partial(x_eigenvalues, r, s), (0, 1)
+        kernel = functools.partial(measures.x_relative_entropy_values, r, s)
+    states._require_memory(f"resolution {n}", PEAK_PER_GRID_BYTE * 8 * n**3)
 
     axis = grid_axis(n)
     values = np.empty((n, n, n))
     rows = max(1, SLAB_NODES // (n * n))
-    if slice is None:
-        eigenvalues, rising = bell_eigenvalues, (1, 2)
-    else:
-        eigenvalues, rising = functools.partial(x_eigenvalues, r, s), (0, 1)
     # per (c1, c2) row q = i n + j
     c1, c2 = np.repeat(axis, n), np.tile(axis, n)
     lo, hi = _physical_intervals(eigenvalues, rising, c1, c2, axis)
@@ -173,12 +166,7 @@ def sample_field(
                 field = np.repeat(measures.l1_values(c1[q], c2[q]), run)
             else:
                 e1, e2, e3 = np.repeat(c1[q], run), np.repeat(c2[q], run), ax3[k]
-                if measure is MeasureKind.RELATIVE_ENTROPY and slice is None:
-                    field = measures.bell_relative_entropy_values(e1, e2, e3)
-                elif measure is MeasureKind.RELATIVE_ENTROPY:
-                    field = measures.x_relative_entropy_values(r, s, e1, e2, e3)
-                else:
-                    field = measures.bell_discord_values(e1, e2, e3)
+                field = kernel(e1, e2, e3)
             slab[node] = field
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -9,6 +9,8 @@ share no code with the closed forms.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 # Numerical slack below zero allowed for eigenvalues when deciding whether a
@@ -63,6 +65,17 @@ def _member(kind, value, what: str):
     except ValueError:
         names = ", ".join(k.value for k in kind)
         raise DomainError(f"unknown {what} {value!r}; expected one of {names}") from None
+
+
+def _require_memory(what: str, peak: float) -> None:
+    """Raise unless an estimated ``peak`` of bytes fits in physical memory;
+    ``what`` names the input that sets it.  Called before allocating."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if peak > memory:
+        raise DomainError(
+            f"{what} needs about {peak / 2**30:.3g} GiB, more than the "
+            f"{memory / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def bell_density(params) -> np.ndarray:

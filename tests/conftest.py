@@ -2,6 +2,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
@@ -28,3 +30,12 @@ def cli_args(cpus: int) -> list:
         f"os.cpu_count = lambda: {cpus}; "
         "runpy.run_module('cohgeom.cli', run_name='__main__')",
     ]
+
+
+@pytest.fixture
+def small_memory(monkeypatch) -> int:
+    """Make ``os.sysconf`` report 1 MiB of physical memory; returns that size."""
+    sysconf = os.sysconf
+    fake = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: fake.get(name) or sysconf(name))
+    return 256 * 4096

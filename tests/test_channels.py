@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cohgeom.channels import (
+    PEAK_BYTES_PER_STEP,
     ChannelKind,
     apply_product_channel,
     correlation_map_values,
@@ -232,3 +233,9 @@ class TestDynamicsTrajectory:
         assert grid[0] == 0.0 and grid[-1] == 1.0
         with pytest.raises(DomainError):
             default_p_grid(1)
+
+    def test_steps_beyond_memory_rejected(self, small_memory):
+        fits = small_memory // PEAK_BYTES_PER_STEP
+        assert len(default_p_grid(fits)) == fits
+        with pytest.raises(DomainError, match=f"{fits + 1} steps needs .* physical memory"):
+            default_p_grid(fits + 1)

@@ -203,6 +203,50 @@ class TestSurface:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (("--measure", "discord", "--r", "0", "--s", "0"), ("--measure", "discord")),
+            (
+                ("--measure", "trace", "--r", "0.2", "--s", "0.1"),
+                ("--measure", "l1", "--r", "0.2", "--s", "0.1"),
+            ),
+        ],
+        ids=["discord-zero-slice", "trace-x-slice"],
+    )
+    def test_family_rule_meshes(self, tmp_path, capsys, argv, same_as):
+        # (r, s) = (0, 0) is the Bell-diagonal family, and trace is l1 on
+        # X states: the same v/f lines and stats, bar the header and r, s
+        runs = []
+        for args in (argv, same_as):
+            obj = tmp_path / "m.obj"
+            code = run_cli(
+                "surface", *args, "--level", "0.3", "--resolution", "24", "--out", str(obj)
+            )
+            assert code == 0
+            stats = json.loads(capsys.readouterr().out)
+            del stats["measure"], stats["r"], stats["s"]
+            lines = [line for line in obj.read_text().splitlines() if line[:2] in ("v ", "f ")]
+            runs.append((lines, stats))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["triangle_count"] > 0
+
+    def test_same_out_and_stats_out_exits_2(self, tmp_path, capsys):
+        # the stats file would replace the OBJ: refused before sampling
+        same = tmp_path / "same.txt"
+        same.write_bytes(b"OLD\n")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.txt").symlink_to(same)
+        for stats in (same, tmp_path / "sub" / ".." / "same.txt", tmp_path / "link.txt"):
+            code = run_cli(
+                "surface", "--measure", "l1", "--level", "0.5", "--resolution", "16",
+                "--out", str(same), "--stats-out", str(stats),
+            )
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
+        assert same.read_bytes() == b"OLD\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "same.txt", "sub"]
+
     def test_channel_requires_p(self, tmp_path, capsys):
         code = run_cli(
             "surface", "--measure", "l1", "--level", "0.5",
@@ -342,6 +386,28 @@ class TestAtomicWrites:
         assert [p.name for p in tmp_path.iterdir()] == ["keep.obj"]
 
 
+class TestMemoryGuard:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("surface", "--level", "0.5", "--resolution", "64", "--out", "x.obj"),
+            ("verify", "--samples", "10000"),
+            ("dynamics", "--c1", "0.1", "--c2", "0.1", "--c3", "0.1", "--steps", "10000"),
+        ],
+        ids=["surface", "verify", "dynamics"],
+    )
+    def test_input_beyond_memory_exits_2(
+        self, tmp_path, capsys, monkeypatch, small_memory, argv
+    ):
+        # each needs more than the 1 MiB the patched sysconf reports
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "physical memory" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDynamics:
     def test_all_channels_csv(self, capsys):
         code = run_cli(
@@ -424,8 +490,8 @@ class TestVerify:
         assert "FAIL: bell_closed_vs_jacobi" in out
 
     def test_unallocatable_samples_exits_2(self, capsys):
-        # the first sample buffer alone would take ~87 TiB, so allocation fails
-        # at once; exit 1 is reserved for a failed suite
+        # the memory guard estimates about 1.2 PiB and refuses it before
+        # anything is sampled; exit 1 is reserved for a failed suite
         assert run_cli("verify", "--samples", str(10**12)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

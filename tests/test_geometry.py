@@ -14,6 +14,7 @@ from cohgeom.channels import correlation_map_values
 from cohgeom._mc_tables import CORNER_OFFSETS, TRI_TABLE
 from cohgeom.geometry import (
     EDGE_CROSSED,
+    PEAK_PER_GRID_BYTE,
     export_obj,
     extract_isosurface,
     filter_triangles,
@@ -175,13 +176,35 @@ class TestSampleField:
         faults, grid_pages = map(int, proc.stdout.split())
         assert faults < 3 * grid_pages
 
+    # discord and channels need the Bell-diagonal family, (r, s) = (0, 0)
+    FAMILY = r"Bell-diagonal family only, \(r, s\) = \(0, 0\)"
+
     def test_discord_with_slice_rejected(self):
-        with pytest.raises(DomainError):
-            sample_field("discord", 16, slice=(0.1, 0.1))
+        for rs in ((0.1, 0.1), (0.1, 0.0)):
+            with pytest.raises(DomainError, match=self.FAMILY):
+                sample_field("discord", 16, slice=rs)
 
     def test_channel_with_slice_rejected(self):
-        with pytest.raises(DomainError):
-            sample_field("l1", 16, slice=(0.1, 0.1), channel="bf", p=0.5)
+        for rs in ((0.1, 0.1), (0.0, 0.1)):
+            with pytest.raises(DomainError, match=self.FAMILY):
+                sample_field("l1", 16, slice=rs, channel="bf", p=0.5)
+
+    @pytest.mark.parametrize("channel", [None, "bf", "pf", "bpf", "gad"])
+    @pytest.mark.parametrize("measure", ["l1", "trace", "rel-ent", "discord"])
+    def test_zero_slice_is_the_bell_family(self, measure, channel):
+        # the family is decided by the value of (r, s), not by whether a
+        # slice was given: (0, 0) samples with the Bell mask and kernels
+        kwargs = {} if channel is None else {"channel": channel, "p": 0.3}
+        bell = sample_field(measure, 20, **kwargs).tobytes()
+        for rs in ((0.0, 0.0), (0.0, -0.0)):
+            assert sample_field(measure, 20, slice=rs, **kwargs).tobytes() == bell
+
+    def test_trace_is_l1_on_a_slice(self):
+        # for X states the trace-norm coherence equals the l1 coherence
+        rs = (0.3, -0.2)
+        trace = sample_field("trace", 20, slice=rs)
+        assert trace.tobytes() == sample_field("l1", 20, slice=rs).tobytes()
+        assert np.isfinite(trace).any()
 
     def test_slice_of_wrong_length_rejected(self):
         with pytest.raises(DomainError, match=r"expected 2 values \(r, s\), got 1"):
@@ -218,6 +241,13 @@ class TestSampleField:
         with pytest.raises(DomainError, match="physical memory"):
             sample_field("l1", 100000)
 
+    def test_resolution_beyond_memory_rejected(self, small_memory):
+        # 3 grids of 8 n^3 bytes: n = 35 fits in 1 MiB, n = 36 does not
+        assert PEAK_PER_GRID_BYTE * 8 * 35**3 <= small_memory
+        assert sample_field("l1", 35).shape == (35,) * 3
+        with pytest.raises(DomainError, match="resolution 36 needs .* physical memory"):
+            sample_field("l1", 36)
+
     @pytest.mark.parametrize("threads", [1, 3, 16])
     @pytest.mark.parametrize(
         "measure, kwargs",
@@ -233,6 +263,8 @@ class TestSampleField:
             ("rel-ent", {"channel": "bpf", "p": 0.3}),
             ("rel-ent", {"channel": "gad", "p": 0.3}),
             ("l1", {"slice": (0.3, -0.2)}),
+            ("trace", {"slice": (0.3, -0.2)}),
+            ("discord", {"slice": (0.0, 0.0), "channel": "gad", "p": 0.3}),
         ],
     )
     def test_slabs_match_full_grid_reference(self, monkeypatch, measure, kwargs, threads):
@@ -242,10 +274,10 @@ class TestSampleField:
         monkeypatch.setattr(os, "cpu_count", lambda: threads)
         ax = grid_axis(20)
         c = np.meshgrid(ax, ax, ax, indexing="ij")
-        if "slice" in kwargs:
-            lam = x_eigenvalues(*kwargs["slice"], *c)
-        else:
-            lam = bell_eigenvalues(*c)
+        # (r, s) = (0, 0) is the Bell-diagonal family
+        rs = kwargs.get("slice", (0.0, 0.0))
+        bell = rs == (0.0, 0.0)
+        lam = bell_eigenvalues(*c) if bell else x_eigenvalues(*rs, *c)
         physical = np.minimum.reduce(lam) >= -TOL_PSD
         if "channel" in kwargs:
             c = correlation_map_values(kwargs["channel"], kwargs["p"], *c)
@@ -253,10 +285,10 @@ class TestSampleField:
             field = measures.l1_values(c[0], c[1])
         elif measure == "discord":
             field = measures.bell_discord_values(*c)
-        elif "slice" in kwargs:
-            field = measures.x_relative_entropy_values(*kwargs["slice"], *c)
-        else:
+        elif bell:
             field = measures.bell_relative_entropy_values(*c)
+        else:
+            field = measures.x_relative_entropy_values(*rs, *c)
         expected = np.where(physical, field, np.nan)
         got = sample_field(measure, 20, **kwargs)
         assert np.array_equal(got, expected, equal_nan=True)

@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and the
-package exports exactly the pinned public names.
+"""Every name a package module or a test file imports is used in that file,
+and the package exports exactly the pinned public names.
 
 ``__init__.py`` is skipped by the import scan, because it imports names to
 re-export them, and so are ``__future__`` imports.
@@ -12,6 +12,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cohgeom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,7 +37,7 @@ def test_scanner_finds_an_unused_import():
     assert unused_imports(source) == ["math", "z"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -149,11 +149,17 @@ def test_filter_triangles_matches_per_centroid_loop(points, corners):
 # rows, and whole slabs, without a physical node
 @example(rs=(0.9, 0.9), kind=ChannelKind.BIT_FLIP, p=0.5, n=20)
 @example(rs=(1.0, 0.0), kind=ChannelKind.AMPLITUDE_DAMPING, p=1.0, n=9)
+# the slice (0, 0) is the Bell-diagonal family, whatever the sign of zero
+@example(rs=(0.0, 0.0), kind=ChannelKind.PHASE_FLIP, p=0.3, n=20)
+@example(rs=(0.0, -0.0), kind=ChannelKind.BIT_FLIP, p=0.7, n=9)
 def test_sampled_grid_matches_per_node_mask(rs, kind, p, n):
     c = np.meshgrid(*[grid_axis(n)] * 3, indexing="ij")
-    x_physical = np.minimum.reduce(x_eigenvalues(*rs, *c)) >= -TOL_PSD
-    x_field = np.where(x_physical, x_relative_entropy_values(*rs, *c), np.nan)
     physical = np.minimum.reduce(bell_eigenvalues(*c)) >= -TOL_PSD
+    if rs == (0.0, 0.0):
+        x_field = np.where(physical, bell_relative_entropy_values(*c), np.nan)
+    else:
+        x_physical = np.minimum.reduce(x_eigenvalues(*rs, *c)) >= -TOL_PSD
+        x_field = np.where(x_physical, x_relative_entropy_values(*rs, *c), np.nan)
     mapped = correlation_map_values(kind, p, *c)
     field = np.where(physical, bell_relative_entropy_values(*mapped), np.nan)
     with pytest.MonkeyPatch.context() as patch:

@@ -11,6 +11,7 @@ from cohgeom.states import (
     x_eigenvalues,
 )
 from cohgeom.verification import (
+    PEAK_BYTES_PER_SAMPLE,
     SuiteResult,
     bell_closed_vs_jacobi,
     discord_predicate_consistency,
@@ -142,3 +143,9 @@ class TestSuites:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(DomainError):
             run_all(samples=0)
+
+    def test_samples_beyond_memory_rejected(self, small_memory):
+        fits = small_memory // PEAK_BYTES_PER_SAMPLE
+        assert len(run_all(fits)) == 8
+        with pytest.raises(DomainError, match=f"{fits + 1} samples needs .* physical memory"):
+            run_all(fits + 1)
