@@ -41,10 +41,12 @@ class ChannelKind(enum.Enum):
     AMPLITUDE_DAMPING = "gad"
 
 
-# Peak bytes of a `dynamics` run per p grid point, most of it the Python
-# objects of its CSV rows: measured at 36.5, 85.2, 181.1 and 516.5 MiB peak
-# RSS for 10^4, 10^5, 3 10^5 and 10^6 steps, about 508 bytes per step.
-PEAK_BYTES_PER_STEP = 520
+# Peak bytes of a `dynamics` run per p grid point, most of it the float
+# arrays of the trajectories, since the CSV is written in fixed row blocks:
+# measured at 35.3-35.6, 46.1, 66.0-66.1 and 136.0-136.1 MiB peak RSS for
+# 10^4, 10^5, 3 10^5 and 10^6 steps, to a file or stdout, about 107 bytes
+# per step.
+PEAK_BYTES_PER_STEP = 112
 
 # The power of (1 - p) by which each channel shrinks (c1, c2, c3).
 _SHRINK = {

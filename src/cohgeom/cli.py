@@ -101,12 +101,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, path: str | None) -> None:
+# Rows of dynamics CSV formatted and written at a time, so a run holds one
+# block of row strings instead of the whole file.
+_CSV_BLOCK_ROWS = 1 << 14
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at ``path``, written atomically, or stdout without one."""
     if path:
         with geometry.open_atomic(path) as handle:
-            handle.write(text)
+            yield handle
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
 def _cmd_measure(args) -> int:
@@ -135,7 +142,8 @@ def _cmd_measure(args) -> int:
             measures.discord_equals_coherence_values(c1, c2, c3)
         )
     doc["region"] = "entangled" if states.entangled_values(*params) else "separable"
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    with _output(args.out) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -191,10 +199,12 @@ def _cmd_dynamics(args) -> int:
     grid = channels.default_p_grid(args.steps)
     columns = list(_CSV_COLUMNS) if args.channel == "all" else [args.channel]
     curves = [channels.dynamics_trajectory(params, name, grid) for name in columns]
-    lines = ["p," + ",".join(f"C_{name}" for name in columns)]
-    for row in zip(grid.tolist(), *(c.tolist() for c in curves)):
-        lines.append(",".join(map(repr, row)))
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as out:
+        out.write("p," + ",".join(f"C_{name}" for name in columns) + "\n")
+        for start in range(0, len(grid), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            rows = zip(grid[start:stop].tolist(), *(c[start:stop].tolist() for c in curves))
+            out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     return 0
 
 

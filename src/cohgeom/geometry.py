@@ -26,22 +26,25 @@ from .states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
 # Triangles at or below this area are dropped as degenerate.
 DEGENERATE_AREA = 1e-14
 
-# Nodes per c1-slab of the sampling pass.  Each worker holds a few temporaries
-# of at most this size, and keeps them resident from one slab to the next:
-# rel-ent at n = 256 peaked at 167, 166-172, 229-237 and 367-370 MB RSS after
-# sampling with 1, 2, 8 and 16 workers, about 13 MB per worker.  2^20- and
-# 2^21-node slabs were measured no faster and used up to 2.5x the peak memory.
+# Grid nodes per c1-slab of both n^3 passes: the sampling slabs and the case
+# pass's chunks of cube layers.  Each worker holds a few temporaries of at most
+# this size, and keeps them resident from one slab to the next: rel-ent at
+# n = 256 peaked at 163, 167-170, 201-214 and 285-288 MiB RSS after sampling
+# with 1, 2, 8 and 16 workers, about 8 MiB per worker.  2^20- and 2^21-node
+# slabs were measured no faster and used up to 2.5x the peak memory; 2^17-node
+# slabs saved 1-4 MiB of sampling peak but made the case pass 0.07 -> 0.09 s.
 SLAB_NODES = 1 << 18
 
-# Estimated peak bytes of a surface run per grid byte: the float64 grid,
-# extract_isosurface's per-cube arrays and mesh, and the sampling slabs.
-# Measured at 1.4-2.6 over a bare import at n = 192 and 256 (rel-ent, discord
-# and l1 at levels 0.2 and 0.84, one and two workers); the larger meshes of
-# low levels set the top of that range.  The workers' temporaries do not grow
-# with the grid: with 16 workers, whose first slabs are the 16 largest, the
-# ratio reached 4.8 at n = 192 and 2.6 at n = 256, but near the memory limit
-# the grid is gigabytes and dominates.
-PEAK_PER_GRID_BYTE = 3
+# Estimated peak bytes of a surface run per grid byte: the float64 grid, the
+# slab temporaries of both passes, and the mesh with extract_isosurface's
+# per-vertex and per-triangle arrays, which grow with the surface, not the
+# grid.  Measured at 1.05-1.85 over a bare import at n = 192 and 256 (rel-ent,
+# discord and l1 at levels 0.2 and 0.84, one and two workers); the larger
+# meshes of low levels at n = 192 set the top of that range.  The workers'
+# temporaries do not grow with the grid: with 16 workers, whose first slabs
+# are the 16 largest, the ratio reached 2.7 at n = 192 and 2.0 at n = 256, but
+# near the memory limit the grid is gigabytes and dominates.
+PEAK_PER_GRID_BYTE = 2
 
 
 def grid_axis(resolution: int) -> np.ndarray:
@@ -160,14 +163,14 @@ def sample_field(
             q = np.s_[i0 * n : i0 * n + len(slab) // n]
             run = length[q]
             k = np.arange(run.sum()) + np.repeat(lo[q] - np.cumsum(run) + run, run)
-            # node k of the slab's row t is entry t n + k of the slab
-            node = k + np.repeat(np.arange(len(run)) * n, run)
             if measure in (MeasureKind.L1, MeasureKind.TRACE_NORM):
                 field = np.repeat(measures.l1_values(c1[q], c2[q]), run)
             else:
                 e1, e2, e3 = np.repeat(c1[q], run), np.repeat(c2[q], run), ax3[k]
                 field = kernel(e1, e2, e3)
-            slab[node] = field
+            # node k of the slab's row t is entry t n + k of the slab
+            k += np.repeat(np.arange(len(run)) * n, run)
+            slab[k] = field
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill, range(workers)))
@@ -225,7 +228,12 @@ class TriangleMesh:
         a = self.vertices[self.triangles[:, 0]]
         b = self.vertices[self.triangles[:, 1]]
         c = self.vertices[self.triangles[:, 2]]
-        return np.linalg.norm(np.cross(b - a, c - a), axis=1) / 2
+        # the edge vectors are formed in place and a is dropped, so the cross
+        # product runs beside two (T, 3) arrays, not five
+        b -= a
+        c -= a
+        del a
+        return np.linalg.norm(np.cross(b, c), axis=1) / 2
 
     def centroids(self) -> np.ndarray:
         return self.vertices[self.triangles].mean(axis=1)
@@ -233,14 +241,22 @@ class TriangleMesh:
 
 # The case tables as arrays.  An edge is crossed when its two corners lie on
 # opposite sides of the level; each edge starts at a lower grid node and runs
-# along one axis; triangle edge lists are padded with -1.
+# along one axis.
 _CORNER_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 _EDGE_A, _EDGE_B = np.array(EDGE_CORNERS).T
 EDGE_CROSSED = _CORNER_BITS[:, _EDGE_A] != _CORNER_BITS[:, _EDGE_B]
 _OFFSET_A, _OFFSET_B = np.array(CORNER_OFFSETS)[[_EDGE_A, _EDGE_B]]
 _EDGE_LOWER = np.minimum(_OFFSET_A, _OFFSET_B)
 _EDGE_AXIS = np.argmax(_OFFSET_A != _OFFSET_B, axis=1)
-TRI_EDGES = np.array([edges + (-1,) * (15 - len(edges)) for edges in TRI_TABLE])
+# Each case's triangle edge list, each edge given by its rank among the
+# case's crossed edges and padded with -1, and the list's length.
+_TRI_LENGTHS = np.array([len(edges) for edges in TRI_TABLE])
+_TRI_EDGES = np.array([edges + (-1,) * (15 - len(edges)) for edges in TRI_TABLE])
+_TRI_RANKS = np.where(
+    _TRI_EDGES >= 0,
+    np.take_along_axis(np.cumsum(EDGE_CROSSED, axis=1) - 1, _TRI_EDGES, axis=1),
+    -1,
+).astype(np.int8)
 # _cube_cases codes corner (di, dj, dk) as bit 4 di + 2 dj + dk; this maps a
 # code to the case index of the tables, whose bit i is corner CORNER_OFFSETS[i].
 _CODE_BITS = np.array(CORNER_OFFSETS) @ (4, 2, 1)
@@ -271,16 +287,18 @@ def _cube_cases(vals, level):
 
     A cube is active when no corner is NaN and the level separates its
     corners; a corner is below the level when its value is less than it.
-    The cube layers are split into ``os.cpu_count()`` contiguous runs of i,
-    one per thread, and the results joined in order.
+    The cube layers are taken in fixed chunks of about SLAB_NODES grid nodes,
+    spread over ``os.cpu_count()`` threads, and the results joined in order,
+    so the transient memory is a few chunk-sized byte arrays per thread.
     """
-    m = len(vals) - 1
+    n = len(vals)
+    m = n - 1
+    layers = max(1, SLAB_NODES // (n * n))
     workers = os.cpu_count() or 1
-    bounds = [m * w // workers for w in range(workers + 1)]
 
-    def cases(i0: int, i1: int):
-        # cube layers [i0, i1) read grid layers i0 ... i1
-        part = vals[i0 : i1 + 1]
+    def cases(i0: int):
+        # cube layers [i0, i0 + layers) read grid layers i0 ... i0 + layers
+        part = vals[i0 : i0 + layers + 1]
         active = _corner_codes(np.isnan, part) == 0
         code = _corner_codes(np.less, part, level)
         active &= code != 0
@@ -289,7 +307,7 @@ def _cube_cases(vals, level):
         return cubes + i0 * m * m, _CASE_OF_CODE[code.ravel()[cubes]]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        cubes, case = zip(*pool.map(cases, bounds[:-1], bounds[1:]))
+        cubes, case = zip(*pool.map(cases, range(0, m, layers)))
     return np.concatenate(cubes), np.concatenate(case)
 
 
@@ -307,8 +325,10 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     edges 0-11 in order; a grid edge shared by several cubes gives one
     vertex.  Triangles follow in the same cube order, each cube's in table
     order, minus those of area at most DEGENERATE_AREA.  The per-cube case
-    pass runs split across ``os.cpu_count()`` threads, one contiguous run of
-    c1 layers each; the mesh does not depend on that count.
+    pass runs on ``os.cpu_count()`` threads in fixed chunks of c1 layers,
+    about SLAB_NODES grid nodes each; the mesh depends on neither.  Crossed
+    edges are keyed by one flat integer, so the mesh build holds arrays the
+    size of the mesh, not of the grid.
     """
     vals = np.asarray(grid, dtype=float)
     if vals.ndim != 3 or len(set(vals.shape)) != 1:
@@ -319,41 +339,54 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     level = float(level)
     if not level > 0.0:
         raise DomainError(f"level must be positive, got {level}")
-    axis = grid_axis(n)
 
     cubes, cube_case = _cube_cases(vals, level)
-    origin = np.stack(np.unravel_index(cubes, (n - 1,) * 3), axis=1)
+    pair_vertex, vertex_key = _number_vertices(cubes, cube_case, n)
+    # a cube's crossed pairs are consecutive, so a triangle corner is its
+    # cube's first pair plus the rank of its edge among the case's crossed
+    count = EDGE_CROSSED.sum(axis=1)[cube_case]
+    ranks = _TRI_RANKS[cube_case]
+    tris = pair_vertex[
+        np.repeat(np.cumsum(count) - count, _TRI_LENGTHS[cube_case]) + ranks[ranks >= 0]
+    ]
+    mesh = TriangleMesh(_edge_points(vals, level, vertex_key), tris)
+    mesh.triangles = mesh.triangles[mesh.triangle_areas() > DEGENERATE_AREA]
+    return mesh
 
-    # Crossed (cube, edge) pairs in cube order, keyed by lower node and axis;
-    # ranking the distinct keys by first occurrence numbers the vertices.
-    crossed = EDGE_CROSSED[cube_case]
-    cube_of, edge_of = np.nonzero(crossed)
-    lower = origin[cube_of] + _EDGE_LOWER[edge_of]
-    key = np.ravel_multi_index(tuple(lower.T), vals.shape) * 3 + _EDGE_AXIS[edge_of]
+
+def _number_vertices(cubes, cube_case, n):
+    """The vertex of each crossed (cube, edge) pair, and each vertex's key.
+
+    Pairs come in cube order, then edge order, keyed by lower node and axis
+    as node * 3 + axis; the distinct keys are numbered by first occurrence,
+    and the keys come back in that order.
+    """
+    # cube i m^2 + j m + k, m = n - 1, has lowest node i n^2 + j n + k
+    row = cubes // (n - 1)
+    node = cubes + row + row // (n - 1) * n
+    cube_of, edge_of = np.nonzero(EDGE_CROSSED[cube_case])
+    key = node[cube_of] * 3
+    key += (_EDGE_LOWER @ (n * n, n, 1) * 3 + _EDGE_AXIS)[edge_of]
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    edge_vertex = np.full(crossed.shape, -1)
-    edge_vertex[crossed] = rank[inverse]
+    return rank[inverse], key[first[order]]
 
-    pair = first[order]
-    lo, ax = lower[pair], _EDGE_AXIS[edge_of[pair]]
+
+def _edge_points(vals, level, vertex_key):
+    """Where the level crosses each keyed grid edge, by linear interpolation."""
+    lo = np.stack(np.unravel_index(vertex_key // 3, vals.shape), axis=1)
+    ax = vertex_key % 3
     va = vals[tuple(lo.T)]
     vb = vals[tuple((lo + np.eye(3, dtype=int)[ax]).T)]
     t = (level - va) / (vb - va)
     rows = np.arange(len(lo))
     a = lo[rows, ax]
-    verts = axis[lo]
-    verts[rows, ax] = axis[a] + t * (axis[a + 1] - axis[a])
-
-    tri_edges = TRI_EDGES[cube_case]
-    cube_row, slot = np.nonzero(tri_edges >= 0)
-    tris = edge_vertex[cube_row, tri_edges[cube_row, slot]]
-
-    mesh = TriangleMesh(verts, tris)
-    mesh.triangles = mesh.triangles[mesh.triangle_areas() > DEGENERATE_AREA]
-    return mesh
+    axis = grid_axis(len(vals))
+    points = axis[lo]
+    points[rows, ax] = axis[a] + t * (axis[a + 1] - axis[a])
+    return points
 
 
 def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:

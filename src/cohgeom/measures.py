@@ -64,8 +64,8 @@ def bell_relative_entropy_values(c1, c2, c3):
     in the same term order as the eigenvalue entropy so that diagonal states
     (c1 = c2 = 0) come out exactly 0.
     """
-    lam = bell_eigenvalues(c1, c2, c3)
-    s_rho = -sum(_xlog2x(v) for v in lam)
+    # the eigenvalues are freed once summed, before the dephased terms exist
+    s_rho = -sum(_xlog2x(v) for v in bell_eigenvalues(c1, c2, c3))
     low = _xlog2x((1 - np.asarray(c3)) / 4)
     high = _xlog2x((1 + np.asarray(c3)) / 4)
     s_diag = -(low + high + high + low)
@@ -80,14 +80,14 @@ def x_relative_entropy_values(r, s, c1, c2, c3):
     assumed physical; stray negatives from rounding at the boundary are
     treated as zero by the entropy terms.
     """
-    lam = x_eigenvalues(r, s, c1, c2, c3)
+    # the eigenvalues are freed once summed, before the dephased terms exist
+    s_rho = -sum(_xlog2x(v) for v in x_eigenvalues(r, s, c1, c2, c3))
     diag = (
         (1 + np.asarray(r) + s + c3) / 4,
         (1 + np.asarray(r) - s - c3) / 4,
         (1 - np.asarray(r) + s - c3) / 4,
         (1 - np.asarray(r) - s + c3) / 4,
     )
-    s_rho = -sum(_xlog2x(v) for v in lam)
     s_diag = -sum(_xlog2x(v) for v in diag)
     return np.maximum(s_diag - s_rho, 0.0)
 
@@ -98,9 +98,9 @@ def bell_discord_values(c1, c2, c3):
     Uses the closed form built from the state's eigenvalues and
     c = max(|c1|, |c2|, |c3|); inputs are assumed physical.
     """
-    lam = bell_eigenvalues(c1, c2, c3)
+    # the eigenvalues are freed once summed, before c and its terms exist
+    spectral = sum(_xlog2x(v) for v in bell_eigenvalues(c1, c2, c3))
     c = np.maximum(np.maximum(np.abs(c1), np.abs(c2)), np.abs(c3))
-    spectral = sum(_xlog2x(v) for v in lam)
     # (1+c)/2 log2(1+c) + (1-c)/2 log2(1-c) rewritten through x log2 x (which
     # handles c = 1 by the 0 log 0 convention) equals both terms below plus 1.
     return np.maximum(

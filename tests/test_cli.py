@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cohgeom import geometry
+from cohgeom import cli, geometry
 from cohgeom.cli import main
 from cohgeom.verification import SuiteResult
 from conftest import cli_args, cli_env
@@ -469,6 +469,17 @@ class TestDynamics:
         assert run_cli("dynamics", "--c1", c1, "--c2", c2, "--c3", c3) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_row_blocks_give_the_same_csv(self, capsys, monkeypatch, tmp_path, to_file):
+        # 101 rows in blocks of 7 end in a 3-row block
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+        path = tmp_path / "dynamics.csv"
+        out = ["--out", str(path)] if to_file else []
+        assert run_cli("dynamics", "--c1", "-0.1", "--c2", "0.4", "--c3", "0.4", *out) == 0
+        text = path.read_text() if to_file else capsys.readouterr().out
+        digest = "8f7e6ef4a37baa5f1d6a640876178b201350ac2c6797b0570452b1a25036fe46"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestVerify:

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -242,11 +243,12 @@ class TestSampleField:
             sample_field("l1", 100000)
 
     def test_resolution_beyond_memory_rejected(self, small_memory):
-        # 3 grids of 8 n^3 bytes: n = 35 fits in 1 MiB, n = 36 does not
-        assert PEAK_PER_GRID_BYTE * 8 * 35**3 <= small_memory
-        assert sample_field("l1", 35).shape == (35,) * 3
-        with pytest.raises(DomainError, match="resolution 36 needs .* physical memory"):
-            sample_field("l1", 36)
+        # 2 grids of 8 n^3 bytes: n = 40 fits in 1 MiB, n = 41 does not
+        assert PEAK_PER_GRID_BYTE * 8 * 40**3 <= small_memory
+        assert PEAK_PER_GRID_BYTE * 8 * 41**3 > small_memory
+        assert sample_field("l1", 40).shape == (40,) * 3
+        with pytest.raises(DomainError, match="resolution 41 needs .* physical memory"):
+            sample_field("l1", 41)
 
     @pytest.mark.parametrize("threads", [1, 3, 16])
     @pytest.mark.parametrize(
@@ -395,7 +397,9 @@ class TestCubeCases:
 
     @pytest.mark.parametrize("n", [8, 9, 20])
     @pytest.mark.parametrize("nan_share", [0.0, 0.02, 0.3])
-    def test_matches_corner_loop(self, n, nan_share):
+    def test_matches_corner_loop(self, monkeypatch, n, nan_share):
+        # chunks of 3 cube layers: 7, 8 and 19 layers end in a short chunk
+        monkeypatch.setattr(geometry, "SLAB_NODES", 3 * n * n + 7)
         rng = np.random.default_rng(n)
         for vals in (
             rng.random((n, n, n)),
@@ -422,8 +426,10 @@ class TestCubeCases:
 
     @pytest.mark.parametrize("n", [8, 20])
     def test_split_case_pass_gives_the_same_mesh(self, monkeypatch, n):
-        # 7 cube layers at n = 8, so 16 workers leave some chunks empty
         grid = sample_field("rel-ent", n)
+        # chunks of 2 cube layers: 7 and 19 layers end in a 1-layer chunk, and
+        # 16 workers outnumber the 4 and 10 chunks
+        monkeypatch.setattr(geometry, "SLAB_NODES", 2 * n * n + 7)
         meshes = []
         for cpus in (1, 2, 3, 16):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -432,6 +438,20 @@ class TestCubeCases:
         for mesh in meshes[1:]:
             assert np.array_equal(mesh.vertices, meshes[0].vertices)
             assert np.array_equal(mesh.triangles, meshes[0].triangles)
+
+    @pytest.mark.parametrize("n", [128, 192])
+    def test_case_pass_memory_does_not_grow_with_the_grid(self, monkeypatch, n):
+        # traced allocations, not RSS, so the bound does not depend on how
+        # the host's malloc reuses pages
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        grid = sample_field("rel-ent", n)
+        tracemalloc.start()
+        try:
+            geometry._cube_cases(grid, 0.85)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * geometry.SLAB_NODES * 2
 
     def test_case_pool_takes_cpu_count(self, monkeypatch):
         # one worker when the count is unknown
