@@ -19,6 +19,7 @@ from .geometry import (
     extract_isosurface,
     filter_triangles,
     grid_axis,
+    level_surface,
     sample_field,
     surface_stats,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "hermitian_spectrum",
     "kraus_ops",
     "l1_coherence",
+    "level_surface",
     "relative_entropy_coherence",
     "sample_field",
     "surface_stats",

@@ -101,9 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Rows of dynamics CSV formatted and written at a time, so a run holds one
-# block of row strings instead of the whole file.
-_CSV_BLOCK_ROWS = 1 << 14
+_CSV_BLOCK_ROWS = geometry.BLOCK_ROWS
 
 
 @contextlib.contextmanager
@@ -156,9 +154,10 @@ def _cmd_surface(args) -> int:
     if args.r is not None or args.s is not None:
         slice_rs = (args.r or 0.0, args.s or 0.0)
 
-    grid = geometry.sample_field(
+    mesh = geometry.level_surface(
         args.measure,
         args.resolution,
+        args.level,
         slice=slice_rs,
         channel=args.channel,
         p=args.p,
@@ -169,7 +168,6 @@ def _cmd_surface(args) -> int:
             f"{2.0 / args.resolution:.4g}; consider a higher --resolution",
             file=sys.stderr,
         )
-    mesh = geometry.extract_isosurface(grid, args.level)
 
     metadata = {
         "measure": args.measure,

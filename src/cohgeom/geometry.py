@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,24 +27,35 @@ from .states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
 # Triangles at or below this area are dropped as degenerate.
 DEGENERATE_AREA = 1e-14
 
-# Grid nodes per c1-slab of both n^3 passes: the sampling slabs and the case
-# pass's chunks of cube layers.  Each worker holds a few temporaries of at most
-# this size, and keeps them resident from one slab to the next: rel-ent at
-# n = 256 peaked at 163, 167-170, 201-214 and 285-288 MiB RSS after sampling
-# with 1, 2, 8 and 16 workers, about 8 MiB per worker.  2^20- and 2^21-node
-# slabs were measured no faster and used up to 2.5x the peak memory; 2^17-node
-# slabs saved 1-4 MiB of sampling peak but made the case pass 0.07 -> 0.09 s.
+# Grid nodes per c1-slab of every n^3 pass: sample_field's slabs, the case
+# pass's chunks of cube layers, and level_surface's chunks, which are sampled
+# into a buffer of one more layer and marched at once.  Each worker holds a few
+# temporaries of at most this size, and keeps them resident from one slab to
+# the next: rel-ent at n = 256 peaked at 163, 167-170, 201-214 and 285-288 MiB
+# RSS after sampling with 1, 2, 8 and 16 workers, about 8 MiB per worker, and
+# level_surface at 23-64, 23-61 and 194-202 MiB over a bare import with 1, 2
+# and 16 workers, whatever the grid.  2^20- and 2^21-node slabs were measured
+# no faster and used up to 2.5x the peak memory; 2^17-node slabs saved 1-4 MiB
+# of sampling peak but made the case pass 0.07 -> 0.09 s.
 SLAB_NODES = 1 << 18
 
-# Estimated peak bytes of a surface run per grid byte: the float64 grid, the
-# slab temporaries of both passes, and the mesh with extract_isosurface's
-# per-vertex and per-triangle arrays, which grow with the surface, not the
-# grid.  Measured at 1.05-1.85 over a bare import at n = 192 and 256 (rel-ent,
-# discord and l1 at levels 0.2 and 0.84, one and two workers); the larger
-# meshes of low levels at n = 192 set the top of that range.  The workers'
-# temporaries do not grow with the grid: with 16 workers, whose first slabs
-# are the 16 largest, the ratio reached 2.7 at n = 192 and 2.0 at n = 256, but
-# near the memory limit the grid is gigabytes and dominates.
+# Rows of text, OBJ vertices or faces and dynamics CSV rows, formatted and
+# written at a time, so a run holds one block of text instead of the whole
+# file.
+BLOCK_ROWS = 1 << 14
+
+# Estimated peak bytes per grid byte of a surface run that holds the grid,
+# sample_field then extract_isosurface: the float64 grid, the slab
+# temporaries of both passes, and the mesh with its per-vertex and
+# per-triangle arrays, which grow with the surface, not the grid.  Measured at
+# 1.04-1.66 over a bare import at n = 192 and 256 (rel-ent, discord and l1 at
+# levels 0.2 and 0.84, one and two workers); the larger meshes of low levels
+# set the top of that range.  The workers' temporaries do not grow with the
+# grid: with 16 workers the ratio reached 3.6 at n = 192 and 2.1 at n = 256,
+# but near the memory limit the grid is gigabytes and dominates.
+# level_surface, which never holds the grid, read 0.15-0.79 with one and two
+# workers, yet keeps this estimate as its guard, so both paths accept the
+# same resolutions.
 PEAK_PER_GRID_BYTE = 2
 
 
@@ -96,10 +108,44 @@ def sample_field(
     os.cpu_count()`` threads; the output does not depend on that count.  The
     slabs are ordered by physical node count, largest first, and worker w
     fills the w-th, (w + workers)-th, ... of them in turn, which spreads the
-    uneven physical share along c1 evenly.  Each worker fills the NaN of its
-    own slabs and keeps its temporaries resident from one slab to the next
-    instead of paging them in again for every slab, so memory is the grid
-    plus a few temporaries of a slab's physical node count per worker.
+    uneven physical share along c1 evenly.  Each worker keeps its
+    temporaries resident from one slab to the next instead of paging them in
+    again for every slab, so memory is the grid plus a few temporaries of a
+    slab's physical node count per worker.  :func:`level_surface` fills the
+    same layers, a few at a time, without holding the grid.
+    """
+    fill, length = _layer_filler(measure, resolution, slice, channel, p)
+    n = int(resolution)
+    values = np.empty((n, n, n))
+    rows = max(1, SLAB_NODES // (n * n))
+    workers = os.cpu_count() or 1
+    # largest physical share first: each worker's temporaries then only
+    # shrink from slab to slab, so malloc can reuse their pages
+    starts = np.arange(0, n, rows)
+    physical = np.add.reduceat(length, starts * n)
+    starts = starts[np.argsort(-physical, kind="stable")]
+
+    def fill_slabs(worker: int) -> None:
+        # One loop per worker, not one call per slab: a slab's arrays stay
+        # referenced until the next slab's replace them (see _layer_filler)
+        for i0 in starts[worker::workers]:
+            held = fill(values[i0 : i0 + rows], i0)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill_slabs, range(workers)))
+    return values
+
+
+def _layer_filler(measure, resolution, slice, channel, p):
+    """Check a field's inputs once; return its layer filler and the per-row
+    physical node counts.
+
+    ``fill(out, i0)`` writes c1 layers ``[i0, i0 + len(out))`` of the field,
+    as :func:`sample_field` lays it out, into the C-contiguous ``(rows, n,
+    n)`` buffer ``out``, and returns its temporaries.  ``length[i n +
+    j]`` is the number of physical nodes of row (c1, c2) = (axis[i],
+    axis[j]).  Raises DomainError on bad input, and when the grid would not
+    fit in memory (see :func:`sample_field`), before anything is allocated.
     """
     measure = states._member(MeasureKind, measure, "measure")
     n = int(resolution)
@@ -129,8 +175,6 @@ def sample_field(
     states._require_memory(f"resolution {n}", PEAK_PER_GRID_BYTE * 8 * n**3)
 
     axis = grid_axis(n)
-    values = np.empty((n, n, n))
-    rows = max(1, SLAB_NODES // (n * n))
     # per (c1, c2) row q = i n + j
     c1, c2 = np.repeat(axis, n), np.tile(axis, n)
     lo, hi = _physical_intervals(eigenvalues, rising, c1, c2, axis)
@@ -141,40 +185,30 @@ def sample_field(
         # maps every node; the mask above stays that of the unmapped state
         ax1, ax2, ax3 = channels.correlation_map_values(channel, p, axis, axis, axis)
         c1, c2 = np.repeat(ax1, n), np.tile(ax2, n)
+    per_row = measure in (MeasureKind.L1, MeasureKind.TRACE_NORM)
 
-    workers = os.cpu_count() or 1
-    # largest physical share first: each worker's temporaries then only
-    # shrink from slab to slab, so malloc can reuse their pages
-    starts = np.arange(0, n, rows)
-    physical = np.add.reduceat(length, starts * n)
-    starts = starts[np.argsort(-physical, kind="stable")]
+    def fill(out, i0):
+        # The caller holds the returned arrays until the next call replaces
+        # them, so the heap never empties in bulk and malloc keeps the pages
+        # of freed temporaries instead of returning them to the OS.  The
+        # field is named for the same reason: written straight into the
+        # slab, it would leave the kernel's freed temporaries on top of the
+        # heap, and rel-ent at n = 256 took 2.7x the minor faults.
+        slab = out.reshape(-1)
+        slab.fill(np.nan)
+        q = np.s_[i0 * n : i0 * n + len(slab) // n]
+        run = length[q]
+        k = np.arange(run.sum()) + np.repeat(lo[q] - np.cumsum(run) + run, run)
+        if per_row:
+            field = np.repeat(measures.l1_values(c1[q], c2[q]), run)
+        else:
+            field = kernel(np.repeat(c1[q], run), np.repeat(c2[q], run), ax3[k])
+        # node k of the slab's row t is entry t n + k of the slab
+        k += np.repeat(np.arange(len(run)) * n, run)
+        slab[k] = field
+        return k, field
 
-    def fill(worker: int) -> None:
-        # One loop per worker, not one call per slab: a slab's arrays stay
-        # referenced until the next slab's replace them, so the heap never
-        # empties in bulk and malloc keeps the pages of freed temporaries
-        # instead of returning them to the OS.  The field is named for the
-        # same reason: written straight into the slab, it would leave the
-        # kernel's freed temporaries on top of the heap, and rel-ent at
-        # n = 256 took 2.7x the minor faults.
-        for i0 in starts[worker::workers]:
-            slab = values[i0 : i0 + rows].reshape(-1)
-            slab.fill(np.nan)
-            q = np.s_[i0 * n : i0 * n + len(slab) // n]
-            run = length[q]
-            k = np.arange(run.sum()) + np.repeat(lo[q] - np.cumsum(run) + run, run)
-            if measure in (MeasureKind.L1, MeasureKind.TRACE_NORM):
-                field = np.repeat(measures.l1_values(c1[q], c2[q]), run)
-            else:
-                e1, e2, e3 = np.repeat(c1[q], run), np.repeat(c2[q], run), ax3[k]
-                field = kernel(e1, e2, e3)
-            # node k of the slab's row t is entry t n + k of the slab
-            k += np.repeat(np.arange(len(run)) * n, run)
-            slab[k] = field
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, range(workers)))
-    return values
+    return fill, length
 
 
 def _physical_intervals(eigenvalues, rising, c1, c2, axis):
@@ -257,7 +291,7 @@ _TRI_RANKS = np.where(
     np.take_along_axis(np.cumsum(EDGE_CROSSED, axis=1) - 1, _TRI_EDGES, axis=1),
     -1,
 ).astype(np.int8)
-# _cube_cases codes corner (di, dj, dk) as bit 4 di + 2 dj + dk; this maps a
+# _corner_codes codes corner (di, dj, dk) as bit 4 di + 2 dj + dk; this maps a
 # code to the case index of the tables, whose bit i is corner CORNER_OFFSETS[i].
 _CODE_BITS = np.array(CORNER_OFFSETS) @ (4, 2, 1)
 _CASE_OF_CODE = (
@@ -282,33 +316,113 @@ def _corner_codes(flag, *args):
     return code
 
 
-def _cube_cases(vals, level):
-    """Flat indices of the active cubes in index order, and their case indices.
+def _chunk_cases(part, level, i0):
+    """The case pass over one chunk: grid layers ``[i0, i0 + L]`` as ``part``.
 
-    A cube is active when no corner is NaN and the level separates its
-    corners; a corner is below the level when its value is less than it.
-    The cube layers are taken in fixed chunks of about SLAB_NODES grid nodes,
-    spread over ``os.cpu_count()`` threads, and the results joined in order,
-    so the transient memory is a few chunk-sized byte arrays per thread.
+    Returns, for the chunk's L cube layers, the case index of each active
+    cube in index order; the key of each of their crossed edges, in cube
+    order and then edge order, as lower node * 3 + axis with the node's
+    flat index in the full grid; and each crossed edge's interpolation
+    parameter ``t = (level - va) / (vb - va)`` from its lower to its upper
+    node.  A cube is active when no corner is NaN and the level separates
+    its corners; a corner is below the level when its value is less than it.
     """
-    n = len(vals)
+    n = part.shape[1]
     m = n - 1
-    layers = max(1, SLAB_NODES // (n * n))
-    workers = os.cpu_count() or 1
+    active = _corner_codes(np.isnan, part) == 0
+    code = _corner_codes(np.less, part, level)
+    active &= code != 0
+    active &= code != 255
+    cubes = np.flatnonzero(active)
+    case = _CASE_OF_CODE[code.ravel()[cubes]]
+    # cube a m^2 + b m + c of the chunk has lowest node a n^2 + b n + c
+    row = cubes // m
+    node = cubes + row + row // m * n
+    cube_of, edge_of = np.nonzero(EDGE_CROSSED[case])
+    stride = np.array((n * n, n, 1))
+    lower = node[cube_of] + (_EDGE_LOWER @ stride)[edge_of]
+    axis = _EDGE_AXIS[edge_of]
+    flat = part.reshape(-1)
+    va = flat[lower]
+    t = (level - va) / (flat[lower + stride[axis]] - va)
+    lower += i0 * n * n
+    return case, lower * 3 + axis, t
 
-    def cases(i0: int):
-        # cube layers [i0, i0 + layers) read grid layers i0 ... i0 + layers
-        part = vals[i0 : i0 + layers + 1]
-        active = _corner_codes(np.isnan, part) == 0
-        code = _corner_codes(np.less, part, level)
-        active &= code != 0
-        active &= code != 255
-        cubes = np.flatnonzero(active)
-        return cubes + i0 * m * m, _CASE_OF_CODE[code.ravel()[cubes]]
+
+def _march(n, level, weight, chunks):
+    """Marching cubes over the n - 1 cube layers of a grid given in chunks.
+
+    ``os.cpu_count()`` workers each walk one contiguous run of cube layers,
+    cut so that the runs' total ``weight``, one entry per cube layer, is
+    about equal.  ``chunks(start, stop)`` yields ``(i0, part)`` for cube
+    layers ``[start, stop)`` in order, ``part`` holding grid layers ``[i0,
+    i0 + L]``.  A worker walks its whole run in one pool task, so what
+    ``chunks`` keeps from one chunk to the next, a buffer and the sampling
+    temporaries, stays resident instead of being paged in again for every
+    chunk.  The runs are joined in cube order, so the mesh depends neither
+    on the chunks nor on the workers.
+    """
+    workers = os.cpu_count() or 1
+    total = np.cumsum(weight)
+    cuts = np.searchsorted(total, total[-1] * np.arange(1, workers) / workers)
+    bounds = [0, *cuts, n - 1]
+
+    def walk(worker: int):
+        run = chunks(bounds[worker], bounds[worker + 1])
+        return [_chunk_cases(part, level, i0) for i0, part in run]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        cubes, case = zip(*pool.map(cases, range(0, m, layers)))
-    return np.concatenate(cubes), np.concatenate(case)
+        runs = list(pool.map(walk, range(workers)))
+    case, key, t = (np.concatenate(column) for column in zip(*itertools.chain(*runs)))
+    # each stage's inputs are dropped once used, so the triangle areas are
+    # computed beside the mesh alone, not beside the whole build
+    del runs
+    vertex, points = _number_vertices(n, key, t)
+    del key, t
+    mesh = TriangleMesh(points, vertex[_triangle_pairs(case)])
+    del case, vertex
+    mesh.triangles = mesh.triangles[mesh.triangle_areas() > DEGENERATE_AREA]
+    return mesh
+
+
+def _number_vertices(n, key, t):
+    """The vertex of each crossed pair, and each vertex's point.
+
+    Pairs are keyed by lower node and axis as node * 3 + axis, with their
+    interpolation parameters ``t``; the distinct keys are numbered by first
+    occurrence, and the points come in that order.
+    """
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    node, ax = np.divmod(key[first], 3)
+    lo = np.stack(np.unravel_index(node, (n, n, n)), axis=1)
+    rows = np.arange(len(lo))
+    a = lo[rows, ax]
+    axis = grid_axis(n)
+    points = axis[lo]
+    points[rows, ax] = axis[a] + t[first] * (axis[a + 1] - axis[a])
+    return rank[inverse], points
+
+
+def _triangle_pairs(case):
+    """Each triangle corner's crossed pair, given the active cubes' cases.
+
+    A cube's crossed pairs are consecutive, so a corner is its cube's first
+    pair plus the rank of its edge among the case's crossed edges.
+    """
+    count = EDGE_CROSSED.sum(axis=1)[case]
+    ranks = _TRI_RANKS[case]
+    return np.repeat(np.cumsum(count) - count, _TRI_LENGTHS[case]) + ranks[ranks >= 0]
+
+
+def _check_level(level) -> float:
+    level = float(level)
+    if not level > 0.0:
+        raise DomainError(f"level must be positive, got {level}")
+    return level
 
 
 def extract_isosurface(grid, level: float) -> TriangleMesh:
@@ -324,11 +438,11 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     encounter when cubes are visited in index order and, within a cube,
     edges 0-11 in order; a grid edge shared by several cubes gives one
     vertex.  Triangles follow in the same cube order, each cube's in table
-    order, minus those of area at most DEGENERATE_AREA.  The per-cube case
-    pass runs on ``os.cpu_count()`` threads in fixed chunks of c1 layers,
-    about SLAB_NODES grid nodes each; the mesh depends on neither.  Crossed
-    edges are keyed by one flat integer, so the mesh build holds arrays the
-    size of the mesh, not of the grid.
+    order, minus those of area at most DEGENERATE_AREA.  The case pass runs
+    on ``os.cpu_count()`` threads, each over one contiguous run of c1
+    layers of equal length, in chunks of about SLAB_NODES grid nodes; the
+    mesh depends on neither.  Crossed edges are keyed by one flat integer,
+    so the mesh build holds arrays the size of the mesh, not of the grid.
     """
     vals = np.asarray(grid, dtype=float)
     if vals.ndim != 3 or len(set(vals.shape)) != 1:
@@ -336,57 +450,59 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     n = vals.shape[0]
     if n < 8:
         raise DomainError("grid resolution must be at least 8 per axis")
-    level = float(level)
-    if not level > 0.0:
-        raise DomainError(f"level must be positive, got {level}")
+    level = _check_level(level)
+    layers = max(1, SLAB_NODES // (n * n))
 
-    cubes, cube_case = _cube_cases(vals, level)
-    pair_vertex, vertex_key = _number_vertices(cubes, cube_case, n)
-    # a cube's crossed pairs are consecutive, so a triangle corner is its
-    # cube's first pair plus the rank of its edge among the case's crossed
-    count = EDGE_CROSSED.sum(axis=1)[cube_case]
-    ranks = _TRI_RANKS[cube_case]
-    tris = pair_vertex[
-        np.repeat(np.cumsum(count) - count, _TRI_LENGTHS[cube_case]) + ranks[ranks >= 0]
-    ]
-    mesh = TriangleMesh(_edge_points(vals, level, vertex_key), tris)
-    mesh.triangles = mesh.triangles[mesh.triangle_areas() > DEGENERATE_AREA]
-    return mesh
+    def views(start, stop):
+        for i0 in range(start, stop, layers):
+            yield i0, vals[i0 : min(i0 + layers, stop) + 1]
+
+    return _march(n, level, np.ones(n - 1), views)
 
 
-def _number_vertices(cubes, cube_case, n):
-    """The vertex of each crossed (cube, edge) pair, and each vertex's key.
+def level_surface(
+    measure,
+    resolution: int,
+    level: float,
+    slice: tuple[float, float] | None = None,
+    channel=None,
+    p: float | None = None,
+) -> TriangleMesh:
+    """The level surface of a sampled field, without sampling the grid whole.
 
-    Pairs come in cube order, then edge order, keyed by lower node and axis
-    as node * 3 + axis; the distinct keys are numbered by first occurrence,
-    and the keys come back in that order.
+    Returns ``extract_isosurface(sample_field(measure, resolution, slice,
+    channel, p), level)`` bit for bit, and raises the same DomainError for
+    the same bad input, in the same order; that includes sample_field's
+    memory guard, which still estimates the peak as PEAK_PER_GRID_BYTE times
+    the 8 n^3 grid bytes.  The field is sampled and marched a chunk of c1
+    layers at a time, about SLAB_NODES grid nodes each, so the n^3 grid is
+    never held: memory is a few chunks per worker plus the mesh.  Each of
+    ``os.cpu_count()`` workers walks one contiguous run of cube layers, the
+    runs weighted by their physical node counts, and carries the last layer
+    of each chunk over as the first of the next, so every node is sampled
+    once, except the first layer of each run.
     """
-    # cube i m^2 + j m + k, m = n - 1, has lowest node i n^2 + j n + k
-    row = cubes // (n - 1)
-    node = cubes + row + row // (n - 1) * n
-    cube_of, edge_of = np.nonzero(EDGE_CROSSED[cube_case])
-    key = node[cube_of] * 3
-    key += (_EDGE_LOWER @ (n * n, n, 1) * 3 + _EDGE_AXIS)[edge_of]
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], key[first[order]]
+    fill, length = _layer_filler(measure, resolution, slice, channel, p)
+    level = _check_level(level)
+    n = int(resolution)
+    layers = max(1, SLAB_NODES // (n * n))
 
+    def sampled(start, stop):
+        if start == stop:
+            return
+        buffer = np.empty((layers + 1, n, n))
+        # held until the next fill replaces it, like sample_field's slabs
+        held = fill(buffer[:1], start)
+        for i0 in range(start, stop, layers):
+            rows = min(layers, stop - i0)
+            held = fill(buffer[1 : rows + 1], i0 + 1)
+            yield i0, buffer[: rows + 1]
+            buffer[0] = buffer[rows]
 
-def _edge_points(vals, level, vertex_key):
-    """Where the level crosses each keyed grid edge, by linear interpolation."""
-    lo = np.stack(np.unravel_index(vertex_key // 3, vals.shape), axis=1)
-    ax = vertex_key % 3
-    va = vals[tuple(lo.T)]
-    vb = vals[tuple((lo + np.eye(3, dtype=int)[ax]).T)]
-    t = (level - va) / (vb - va)
-    rows = np.arange(len(lo))
-    a = lo[rows, ax]
-    axis = grid_axis(len(vals))
-    points = axis[lo]
-    points[rows, ax] = axis[a] + t * (axis[a + 1] - axis[a])
-    return points
+    # sampling work per c1 layer: its physical nodes, and the NaN fill and
+    # case pass over all of its n^2 nodes
+    physical = np.add.reduceat(length, np.arange(0, n * n, n))
+    return _march(n, level, physical[1:] + n * n, sampled)
 
 
 def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:
@@ -442,7 +558,9 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
     1-indexed ``f`` line per triangle, preceded by comment lines recording
     the metadata (measure, level, resolution, slice, ...).  The file at the
     path ``destination`` is written atomically through :func:`open_atomic`.
-    Identical meshes and metadata produce byte-identical files.
+    Identical meshes and metadata produce byte-identical files.  Lines are
+    formatted and written BLOCK_ROWS at a time, so the text of the whole
+    mesh is never held.
     """
     with open_atomic(destination) as out:
         out.write("# constant-level surface mesh\n")
@@ -454,8 +572,12 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
             out.write(f"# {key}: {value}\n")
         out.write(f"# vertices: {len(mesh.vertices)}\n")
         out.write(f"# triangles: {len(mesh.triangles)}\n")
-        out.write("v %.9g %.9g %.9g\n" * len(mesh.vertices) % tuple(mesh.vertices.flat))
-        out.write("f %d %d %d\n" * len(mesh.triangles) % tuple((mesh.triangles + 1).flat))
+        for start in range(0, len(mesh.vertices), BLOCK_ROWS):
+            block = mesh.vertices[start : start + BLOCK_ROWS]
+            out.write("v %.9g %.9g %.9g\n" * len(block) % tuple(block.flat))
+        for start in range(0, len(mesh.triangles), BLOCK_ROWS):
+            block = mesh.triangles[start : start + BLOCK_ROWS] + 1
+            out.write("f %d %d %d\n" * len(block) % tuple(block.flat))
 
 
 @contextlib.contextmanager

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ from numpy.testing import assert_allclose
 
 from cohgeom import geometry, measures
 from cohgeom.channels import correlation_map_values
-from cohgeom._mc_tables import CORNER_OFFSETS, TRI_TABLE
+from cohgeom._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from cohgeom.geometry import (
     EDGE_CROSSED,
     PEAK_PER_GRID_BYTE,
@@ -20,6 +21,7 @@ from cohgeom.geometry import (
     extract_isosurface,
     filter_triangles,
     grid_axis,
+    level_surface,
     sample_field,
     surface_stats,
 )
@@ -383,7 +385,9 @@ class TestExtractIsosurface:
 class TestCubeCases:
     @staticmethod
     def corner_loop(vals, level):
-        # the 8-corner pass that _cube_cases replaced, kept as its reference
+        # the 8-corner pass that the chunked case pass replaced, kept as its
+        # reference: the active cubes' cases, then the key and interpolation
+        # parameter of each of their crossed edges
         m = vals.shape[0] - 1
         case = np.zeros((m, m, m), dtype=np.uint8)
         skip = np.zeros((m, m, m), dtype=bool)
@@ -393,13 +397,37 @@ class TestCubeCases:
             case |= (corner < level).astype(np.uint8) << bit
         skip |= (case == 0) | (case == 255)
         cubes = np.flatnonzero(~skip)
-        return cubes, case.ravel()[cubes]
+        case = case.ravel()[cubes]
+        cube_of, edge_of = np.nonzero(EDGE_CROSSED[case])
+        offset_a, offset_b = np.array(CORNER_OFFSETS)[np.array(EDGE_CORNERS)[edge_of].T]
+        lower = np.stack(np.unravel_index(cubes, (m, m, m)), axis=1)[cube_of]
+        lower += np.minimum(offset_a, offset_b)
+        axis = np.argmax(offset_a != offset_b, axis=1)
+        va = vals[tuple(lower.T)]
+        vb = vals[tuple((lower + np.eye(3, dtype=int)[axis]).T)]
+        key = np.ravel_multi_index(tuple(lower.T), vals.shape) * 3 + axis
+        return case, key, (level - va) / (vb - va)
+
+    @staticmethod
+    def chunked(vals, level, layers):
+        # the chunks of the given number of cube layers, joined in order
+        parts = [
+            geometry._chunk_cases(vals[i0 : i0 + layers + 1], level, i0)
+            for i0 in range(0, len(vals) - 1, layers)
+        ]
+        return [np.concatenate(column) for column in zip(*parts)]
+
+    def assert_matches_corner_loop(self, vals, level, layers):
+        got = self.chunked(vals, level, layers)
+        expected = self.corner_loop(vals, level)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+        assert got[0].dtype == np.uint8
 
     @pytest.mark.parametrize("n", [8, 9, 20])
     @pytest.mark.parametrize("nan_share", [0.0, 0.02, 0.3])
-    def test_matches_corner_loop(self, monkeypatch, n, nan_share):
+    def test_matches_corner_loop(self, n, nan_share):
         # chunks of 3 cube layers: 7, 8 and 19 layers end in a short chunk
-        monkeypatch.setattr(geometry, "SLAB_NODES", 3 * n * n + 7)
         rng = np.random.default_rng(n)
         for vals in (
             rng.random((n, n, n)),
@@ -407,22 +435,17 @@ class TestCubeCases:
             rng.choice([0.25, 0.5, 0.75], size=(n, n, n)),
         ):
             vals[rng.random(vals.shape) < nan_share] = np.nan
-            cubes, case = geometry._cube_cases(vals, 0.5)
-            expected_cubes, expected_case = self.corner_loop(vals, 0.5)
-            assert np.array_equal(cubes, expected_cubes)
-            assert np.array_equal(case, expected_case) and case.dtype == np.uint8
+            self.assert_matches_corner_loop(vals, 0.5, 3)
 
     @pytest.mark.parametrize("fill", [np.nan, 0.5, 0.2])
     def test_uniform_grids_have_no_active_cube(self, fill):
-        cubes, case = geometry._cube_cases(np.full((8, 8, 8), fill), 0.5)
-        assert len(cubes) == len(case) == 0
+        case, key, t = geometry._chunk_cases(np.full((8, 8, 8), fill), 0.5, 0)
+        assert len(case) == len(key) == len(t) == 0
 
     def test_sampled_field(self):
         vals = sample_field("discord", 24)
         for level in (0.05, 0.2, 0.5):
-            got, expected = geometry._cube_cases(vals, level), self.corner_loop(vals, level)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-
+            self.assert_matches_corner_loop(vals, level, 23)
 
     @pytest.mark.parametrize("n", [8, 20])
     def test_split_case_pass_gives_the_same_mesh(self, monkeypatch, n):
@@ -439,22 +462,36 @@ class TestCubeCases:
             assert np.array_equal(mesh.vertices, meshes[0].vertices)
             assert np.array_equal(mesh.triangles, meshes[0].triangles)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+    def test_every_cube_layer_is_marched(self, monkeypatch, cpus):
+        # a ramp along c1 crosses each level between two node layers in one
+        # plane, so the levels reach the first and the last cube layer and
+        # every chunk and run boundary; broadcast, the grid is not contiguous
+        n = 9
+        monkeypatch.setattr(geometry, "SLAB_NODES", 3 * n * n + 7)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        ramp = np.broadcast_to(np.arange(1.0, n + 1)[:, None, None], (n, n, n))
+        for layer in range(n - 1):
+            mesh = extract_isosurface(ramp, layer + 1.5)
+            assert len(mesh.triangles) == 2 * (n - 1) ** 2
+            assert_allclose(mesh.vertices[:, 0], grid_axis(n)[layer] + 1 / (n - 1))
+
     @pytest.mark.parametrize("n", [128, 192])
     def test_case_pass_memory_does_not_grow_with_the_grid(self, monkeypatch, n):
         # traced allocations, not RSS, so the bound does not depend on how
-        # the host's malloc reuses pages
+        # the host's malloc reuses pages; the mesh is small at this level
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         grid = sample_field("rel-ent", n)
         tracemalloc.start()
         try:
-            geometry._cube_cases(grid, 0.85)
+            extract_isosurface(grid, 0.85)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * geometry.SLAB_NODES * 2
 
     def test_case_pool_takes_cpu_count(self, monkeypatch):
-        # one worker when the count is unknown
+        # one worker when the count is unknown, for both entry points
         seen = []
 
         def pool(max_workers):
@@ -464,8 +501,94 @@ class TestCubeCases:
         monkeypatch.setattr(geometry, "ThreadPoolExecutor", pool)
         for cpus in (5, None):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            geometry._cube_cases(sphere_grid(8), 0.5)
-        assert seen == [5, 1]
+            extract_isosurface(sphere_grid(8), 0.5)
+            level_surface("l1", 8, 0.5)
+        assert seen == [5, 5, 1, 1]
+
+
+class TestLevelSurface:
+    FIELDS = [
+        ("l1", 0.3, {}),
+        ("trace", 0.3, {}),
+        ("rel-ent", 0.2, {}),
+        ("discord", 0.2, {}),
+        ("rel-ent", 0.2, {"channel": "bf", "p": 0.3}),
+        ("rel-ent", 0.1, {"channel": "pf", "p": 0.3}),
+        ("discord", 0.1, {"channel": "bpf", "p": 0.3}),
+        ("l1", 0.2, {"channel": "gad", "p": 0.3}),
+        ("rel-ent", 0.2, {"slice": (0.3, -0.2)}),
+        ("trace", 0.1, {"slice": (-0.3, 0.9)}),
+    ]
+
+    @pytest.mark.parametrize("n", [8, 9, 20, 97])
+    @pytest.mark.parametrize("measure, level, kwargs", FIELDS)
+    def test_equals_the_two_step_path(self, monkeypatch, measure, level, kwargs, n):
+        expected = extract_isosurface(sample_field(measure, n, **kwargs), level)
+        if n >= 20:
+            assert len(expected.triangles) > 0
+        # chunks of 3 cube layers: 7, 8, 19 and 96 layers end in a short
+        # chunk or none, and the workers' runs split them unevenly
+        monkeypatch.setattr(geometry, "SLAB_NODES", 3 * n * n + 7)
+        for cpus in (1, 2, 3, 16):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            mesh = level_surface(measure, n, level, **kwargs)
+            assert mesh.vertices.tobytes() == expected.vertices.tobytes()
+            assert np.array_equal(mesh.triangles, expected.triangles)
+
+    def test_level_above_field_range_gives_empty_mesh(self):
+        mesh = level_surface("rel-ent", 20, 1.5)
+        assert mesh.vertices.shape == (0, 3) and mesh.triangles.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            (("l1", 7, 0.5), {}),
+            (("l1", 16, 0.0), {}),
+            (("l1", 16, -0.5), {}),
+            (("l1", 7, 0.0), {}),
+            (("bogus", 16, 0.5), {}),
+            (("discord", 16, 0.5), {"slice": (0.1, 0.0)}),
+            (("l1", 16, 0.5), {"slice": (0.0, 0.1), "channel": "bf", "p": 0.5}),
+            (("l1", 16, 0.5), {"channel": "bf"}),
+            (("l1", 16, 0.5), {"p": 0.5}),
+        ],
+    )
+    def test_raises_what_the_two_step_path_raises(self, args, kwargs):
+        measure, n, level = args
+        with pytest.raises(DomainError) as expected:
+            extract_isosurface(sample_field(measure, n, **kwargs), level)
+        with pytest.raises(DomainError, match=re.escape(str(expected.value))):
+            level_surface(measure, n, level, **kwargs)
+
+    def test_keeps_the_memory_guard(self, small_memory):
+        assert len(level_surface("l1", 40, 0.5).triangles) > 0
+        with pytest.raises(DomainError, match="resolution 41 needs .* physical memory"):
+            level_surface("l1", 41, 0.5)
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults"
+    )
+    def test_workers_keep_their_pages(self):
+        # As in sample_field, each worker loops over its own run of chunks
+        # and keeps its buffer and temporaries from one chunk to the next:
+        # 1.1-1.2 grids' pages of minor faults at n = 192, where one pool
+        # task per chunk took 3.4.  Two workers, so the count does not
+        # depend on the host's cores.
+        child = (
+            "import os, resource\n"
+            "os.cpu_count = lambda: 2\n"
+            "from cohgeom.geometry import level_surface\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "level_surface('rel-ent', 192, 0.84)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(after - before, 8 * 192**3 // resource.getpagesize())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child], env=cli_env(), capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults, grid_pages = map(int, proc.stdout.split())
+        assert faults < 2 * grid_pages
 
 
 class TestMeshBytes:
@@ -490,6 +613,17 @@ class TestMeshBytes:
     def test_pinned_digest(self, tmp_path, measure, n, level, kwargs, digest):
         path = tmp_path / "mesh.obj"
         export_obj(extract_isosurface(sample_field(measure, n, **kwargs), level), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_row_blocks_give_the_same_obj(self, tmp_path, monkeypatch):
+        # 7-row blocks: the mesh's vertex and triangle counts end in partial
+        # blocks, and the bytes match the first pinned digest
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", 7)
+        mesh = extract_isosurface(sample_field("rel-ent", 24), 0.2)
+        assert len(mesh.vertices) % 7 and len(mesh.triangles) % 7
+        path = tmp_path / "mesh.obj"
+        export_obj(mesh, path)
+        digest = "55aad02184e5a2a3d3f9da12683ec49189e9535df9dba797c03108b0fcdacb76"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_triangle_table_uses_exactly_the_crossed_edges(self):

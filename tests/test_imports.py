@@ -67,6 +67,7 @@ PUBLIC_API = [
     "hermitian_spectrum",
     "kraus_ops",
     "l1_coherence",
+    "level_surface",
     "relative_entropy_coherence",
     "sample_field",
     "surface_stats",
@@ -80,4 +81,4 @@ def test_public_api_is_pinned():
     import cohgeom
 
     assert cohgeom.__all__ == PUBLIC_API
-    assert PUBLIC_API == sorted(PUBLIC_API) and len(PUBLIC_API) == 28
+    assert PUBLIC_API == sorted(PUBLIC_API) and len(PUBLIC_API) == 29
