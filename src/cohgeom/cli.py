@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CSV_BLOCK_ROWS = geometry.BLOCK_ROWS
-
-
 @contextlib.contextmanager
 def _output(path: str | None):
     """The file at ``path``, written atomically, or stdout without one."""
@@ -199,8 +196,8 @@ def _cmd_dynamics(args) -> int:
     curves = [channels.dynamics_trajectory(params, name, grid) for name in columns]
     with _output(args.out) as out:
         out.write("p," + ",".join(f"C_{name}" for name in columns) + "\n")
-        for start in range(0, len(grid), _CSV_BLOCK_ROWS):
-            stop = start + _CSV_BLOCK_ROWS
+        for start in range(0, len(grid), geometry.BLOCK_ROWS):
+            stop = start + geometry.BLOCK_ROWS
             rows = zip(grid[start:stop].tolist(), *(c[start:stop].tolist() for c in curves))
             out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     return 0

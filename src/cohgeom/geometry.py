@@ -27,16 +27,15 @@ from .states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
 # Triangles at or below this area are dropped as degenerate.
 DEGENERATE_AREA = 1e-14
 
-# Grid nodes per c1-slab of every n^3 pass: sample_field's slabs, the case
-# pass's chunks of cube layers, and level_surface's chunks, which are sampled
-# into a buffer of one more layer and marched at once.  Each worker holds a few
-# temporaries of at most this size, and keeps them resident from one slab to
-# the next: rel-ent at n = 256 peaked at 163, 167-170, 201-214 and 285-288 MiB
-# RSS after sampling with 1, 2, 8 and 16 workers, about 8 MiB per worker, and
-# level_surface at 23-64, 23-61 and 194-202 MiB over a bare import with 1, 2
-# and 16 workers, whatever the grid.  2^20- and 2^21-node slabs were measured
-# no faster and used up to 2.5x the peak memory; 2^17-node slabs saved 1-4 MiB
-# of sampling peak but made the case pass 0.07 -> 0.09 s.
+# Grid nodes per chunk of c1 layers in every n^3 pass (see _over_runs).  Each
+# worker holds a few temporaries of at most this size, and keeps them resident
+# from one chunk to the next: rel-ent at n = 256 peaked at 164, 172-177,
+# 219-223 and 300-314 MiB RSS after sampling with 1, 2, 8 and 16 workers,
+# about 9 MiB per worker, and level_surface at 23-64, 23-61 and 194-202 MiB
+# over a bare import with 1, 2 and 16 workers, whatever the grid.  2^20- and
+# 2^21-node chunks were measured no faster and used up to 2.5x the peak
+# memory; 2^17-node chunks saved 1-10 MiB of peak but made the case pass
+# 0.07 -> 0.09 s.
 SLAB_NODES = 1 << 18
 
 # Rows of text, OBJ vertices or faces and dynamics CSV rows, formatted and
@@ -45,15 +44,15 @@ SLAB_NODES = 1 << 18
 BLOCK_ROWS = 1 << 14
 
 # Estimated peak bytes per grid byte of a surface run that holds the grid,
-# sample_field then extract_isosurface: the float64 grid, the slab
+# sample_field then extract_isosurface: the float64 grid, the chunk
 # temporaries of both passes, and the mesh with its per-vertex and
 # per-triangle arrays, which grow with the surface, not the grid.  Measured at
-# 1.04-1.66 over a bare import at n = 192 and 256 (rel-ent, discord and l1 at
+# 1.05-1.80 over a bare import at n = 192 and 256 (rel-ent, discord and l1 at
 # levels 0.2 and 0.84, one and two workers); the larger meshes of low levels
 # set the top of that range.  The workers' temporaries do not grow with the
-# grid: with 16 workers the ratio reached 3.6 at n = 192 and 2.1 at n = 256,
+# grid: with 16 workers the ratio reached 3.2 at n = 192 and 2.2 at n = 256,
 # but near the memory limit the grid is gigabytes and dominates.
-# level_surface, which never holds the grid, read 0.15-0.79 with one and two
+# level_surface, which never holds the grid, read 0.15-0.70 with one and two
 # workers, yet keeps this estimate as its guard, so both paths accept the
 # same resolutions.
 PEAK_PER_GRID_BYTE = 2
@@ -103,49 +102,34 @@ def sample_field(
     once per grid, by bisection over all n^2 rows at once.  Every channel
     scales each component on its own, so the channel map is applied to the
     axis once, and the l1 field, free of c3, is evaluated once per row; the
-    other measures are evaluated on the physical nodes only.  The grid is
-    filled in fixed c1-slabs of about SLAB_NODES nodes by ``workers =
-    os.cpu_count()`` threads; the output does not depend on that count.  The
-    slabs are ordered by physical node count, largest first, and worker w
-    fills the w-th, (w + workers)-th, ... of them in turn, which spreads the
-    uneven physical share along c1 evenly.  Each worker keeps its
-    temporaries resident from one slab to the next instead of paging them in
-    again for every slab, so memory is the grid plus a few temporaries of a
-    slab's physical node count per worker.  :func:`level_surface` fills the
-    same layers, a few at a time, without holding the grid.
+    other measures are evaluated on the physical nodes only.  The c1 layers
+    are filled on the workers of :func:`_over_runs`, so memory is the grid
+    plus a few temporaries of a chunk's physical node count per worker, and
+    the grid does not depend on the worker count.
     """
-    fill, length = _layer_filler(measure, resolution, slice, channel, p)
+    fill, physical = _layer_filler(measure, resolution, slice, channel, p)
     n = int(resolution)
     values = np.empty((n, n, n))
-    rows = max(1, SLAB_NODES // (n * n))
-    workers = os.cpu_count() or 1
-    # largest physical share first: each worker's temporaries then only
-    # shrink from slab to slab, so malloc can reuse their pages
-    starts = np.arange(0, n, rows)
-    physical = np.add.reduceat(length, starts * n)
-    starts = starts[np.argsort(-physical, kind="stable")]
 
-    def fill_slabs(worker: int) -> None:
-        # One loop per worker, not one call per slab: a slab's arrays stay
-        # referenced until the next slab's replace them (see _layer_filler)
-        for i0 in starts[worker::workers]:
-            held = fill(values[i0 : i0 + rows], i0)
+    def fill_run(chunks):
+        for i0, i1 in chunks:
+            # held until the next fill replaces it (see _layer_filler)
+            held = fill(values[i0:i1], i0)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill_slabs, range(workers)))
+    # work per c1 layer: its physical nodes, and the NaN fill of all its n^2
+    _over_runs(n, physical + n * n, fill_run)
     return values
 
 
 def _layer_filler(measure, resolution, slice, channel, p):
-    """Check a field's inputs once; return its layer filler and the per-row
-    physical node counts.
+    """Check a field's inputs once; return its layer filler and the number of
+    physical nodes in each c1 layer.
 
     ``fill(out, i0)`` writes c1 layers ``[i0, i0 + len(out))`` of the field,
     as :func:`sample_field` lays it out, into the C-contiguous ``(rows, n,
-    n)`` buffer ``out``, and returns its temporaries.  ``length[i n +
-    j]`` is the number of physical nodes of row (c1, c2) = (axis[i],
-    axis[j]).  Raises DomainError on bad input, and when the grid would not
-    fit in memory (see :func:`sample_field`), before anything is allocated.
+    n)`` buffer ``out``, and returns its temporaries.  Raises DomainError on
+    bad input, and when the grid would not fit in memory (see
+    :func:`sample_field`), before anything is allocated.
     """
     measure = states._member(MeasureKind, measure, "measure")
     n = int(resolution)
@@ -208,7 +192,7 @@ def _layer_filler(measure, resolution, slice, channel, p):
         slab[k] = field
         return k, field
 
-    return fill, length
+    return fill, length.reshape(n, n).sum(axis=1)
 
 
 def _physical_intervals(eigenvalues, rising, c1, c2, axis):
@@ -349,30 +333,43 @@ def _chunk_cases(part, level, i0):
     return case, lower * 3 + axis, t
 
 
-def _march(n, level, weight, chunks):
-    """Marching cubes over the n - 1 cube layers of a grid given in chunks.
+def _over_runs(n, weight, work):
+    """The worker schedule of every n^3 pass over c1 layers.
 
-    ``os.cpu_count()`` workers each walk one contiguous run of cube layers,
-    cut so that the runs' total ``weight``, one entry per cube layer, is
-    about equal.  ``chunks(start, stop)`` yields ``(i0, part)`` for cube
-    layers ``[start, stop)`` in order, ``part`` holding grid layers ``[i0,
-    i0 + L]``.  A worker walks its whole run in one pool task, so what
-    ``chunks`` keeps from one chunk to the next, a buffer and the sampling
+    ``os.cpu_count()`` workers each take one contiguous run of the layers,
+    cut so that the runs' total ``weight``, one entry per layer, is about
+    equal.  A run is split into chunks of about SLAB_NODES grid nodes, and
+    ``work(chunks)`` gets the run's layer ranges ``[(i0, i1), ...]`` in
+    order, in one pool task per worker with a nonempty run.  So what
+    ``work`` keeps from one chunk to the next, a buffer and the sampling
     temporaries, stays resident instead of being paged in again for every
-    chunk.  The runs are joined in cube order, so the mesh depends neither
-    on the chunks nor on the workers.
+    chunk.  Returns the results in run order.  Every node is computed on its
+    own and the runs are joined in order, so no output depends on the
+    chunks or on the workers.
     """
     workers = os.cpu_count() or 1
     total = np.cumsum(weight)
     cuts = np.searchsorted(total, total[-1] * np.arange(1, workers) / workers)
-    bounds = [0, *cuts, n - 1]
-
-    def walk(worker: int):
-        run = chunks(bounds[worker], bounds[worker + 1])
-        return [_chunk_cases(part, level, i0) for i0, part in run]
-
+    bounds = [0, *cuts.tolist(), len(weight)]
+    layers = max(1, SLAB_NODES // (n * n))
+    runs = [
+        [(i0, min(i0 + layers, stop)) for i0 in range(start, stop, layers)]
+        for start, stop in zip(bounds, bounds[1:])
+    ]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        runs = list(pool.map(walk, range(workers)))
+        return list(pool.map(work, filter(None, runs)))
+
+
+def _march(n, level, weight, parts):
+    """Marching cubes over the n - 1 cube layers of a grid given in chunks.
+
+    The cube layers are scheduled by :func:`_over_runs` with ``weight``;
+    ``parts(chunks)`` yields ``(i0, part)`` per cube-layer chunk ``(i0,
+    i1)``, ``part`` holding grid layers ``[i0, i1]``.
+    """
+    runs = _over_runs(
+        n, weight, lambda chunks: [_chunk_cases(part, level, i0) for i0, part in parts(chunks)]
+    )
     case, key, t = (np.concatenate(column) for column in zip(*itertools.chain(*runs)))
     # each stage's inputs are dropped once used, so the triangle areas are
     # computed beside the mesh alone, not beside the whole build
@@ -439,10 +436,9 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     edges 0-11 in order; a grid edge shared by several cubes gives one
     vertex.  Triangles follow in the same cube order, each cube's in table
     order, minus those of area at most DEGENERATE_AREA.  The case pass runs
-    on ``os.cpu_count()`` threads, each over one contiguous run of c1
-    layers of equal length, in chunks of about SLAB_NODES grid nodes; the
-    mesh depends on neither.  Crossed edges are keyed by one flat integer,
-    so the mesh build holds arrays the size of the mesh, not of the grid.
+    on the workers of :func:`_over_runs`, its cube layers weighted equally.
+    Crossed edges are keyed by one flat integer, so the mesh build holds
+    arrays the size of the mesh, not of the grid.
     """
     vals = np.asarray(grid, dtype=float)
     if vals.ndim != 3 or len(set(vals.shape)) != 1:
@@ -451,13 +447,9 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     if n < 8:
         raise DomainError("grid resolution must be at least 8 per axis")
     level = _check_level(level)
-    layers = max(1, SLAB_NODES // (n * n))
-
-    def views(start, stop):
-        for i0 in range(start, stop, layers):
-            yield i0, vals[i0 : min(i0 + layers, stop) + 1]
-
-    return _march(n, level, np.ones(n - 1), views)
+    return _march(
+        n, level, np.ones(n - 1), lambda chunks: ((i0, vals[i0 : i1 + 1]) for i0, i1 in chunks)
+    )
 
 
 def level_surface(
@@ -474,34 +466,30 @@ def level_surface(
     channel, p), level)`` bit for bit, and raises the same DomainError for
     the same bad input, in the same order; that includes sample_field's
     memory guard, which still estimates the peak as PEAK_PER_GRID_BYTE times
-    the 8 n^3 grid bytes.  The field is sampled and marched a chunk of c1
-    layers at a time, about SLAB_NODES grid nodes each, so the n^3 grid is
-    never held: memory is a few chunks per worker plus the mesh.  Each of
-    ``os.cpu_count()`` workers walks one contiguous run of cube layers, the
-    runs weighted by their physical node counts, and carries the last layer
-    of each chunk over as the first of the next, so every node is sampled
-    once, except the first layer of each run.
+    the 8 n^3 grid bytes.  The field is sampled and marched one chunk of
+    cube layers at a time on the workers of :func:`_over_runs`, so the n^3
+    grid is never held: memory is a few chunks per worker plus the mesh.
+    Each worker carries the last layer of each chunk over as the first of
+    the next, so every node is sampled once, except the first layer of each
+    run.
     """
-    fill, length = _layer_filler(measure, resolution, slice, channel, p)
+    fill, physical = _layer_filler(measure, resolution, slice, channel, p)
     level = _check_level(level)
     n = int(resolution)
-    layers = max(1, SLAB_NODES // (n * n))
 
-    def sampled(start, stop):
-        if start == stop:
-            return
-        buffer = np.empty((layers + 1, n, n))
-        # held until the next fill replaces it, like sample_field's slabs
+    def sampled(chunks):
+        (start, stop), *_ = chunks
+        buffer = np.empty((stop - start + 1, n, n))
+        # held until the next fill replaces it, as in sample_field
         held = fill(buffer[:1], start)
-        for i0 in range(start, stop, layers):
-            rows = min(layers, stop - i0)
+        for i0, i1 in chunks:
+            rows = i1 - i0
             held = fill(buffer[1 : rows + 1], i0 + 1)
             yield i0, buffer[: rows + 1]
             buffer[0] = buffer[rows]
 
-    # sampling work per c1 layer: its physical nodes, and the NaN fill and
-    # case pass over all of its n^2 nodes
-    physical = np.add.reduceat(length, np.arange(0, n * n, n))
+    # cube layer i samples grid layer i + 1 (see sample_field's weight) and
+    # runs the case pass over its n^2 nodes
     return _march(n, level, physical[1:] + n * n, sampled)
 
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cohgeom import cli, geometry
+from cohgeom import geometry
 from cohgeom.cli import main
 from cohgeom.verification import SuiteResult
 from conftest import cli_args, cli_env
@@ -487,7 +487,7 @@ class TestDynamics:
     @pytest.mark.parametrize("to_file", [False, True])
     def test_row_blocks_give_the_same_csv(self, capsys, monkeypatch, tmp_path, to_file):
         # 101 rows in blocks of 7 end in a 3-row block
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(geometry, "BLOCK_ROWS", 7)
         path = tmp_path / "dynamics.csv"
         out = ["--out", str(path)] if to_file else []
         assert run_cli("dynamics", "--c1", "-0.1", "--c2", "0.4", "--c3", "0.4", *out) == 0

@@ -159,8 +159,8 @@ class TestSampleField:
         platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults"
     )
     def test_workers_keep_their_pages(self):
-        # A worker's slab temporaries stay resident from one slab to the next:
-        # returned to the OS after every slab and faulted in again, they took
+        # A worker's temporaries stay resident from one chunk to the next:
+        # returned to the OS after every chunk and faulted in again, they took
         # about 5 grids' worth of minor faults at n = 192.  Two workers, so the
         # count does not depend on the host's cores.
         child = (
@@ -272,8 +272,8 @@ class TestSampleField:
         ],
     )
     def test_slabs_match_full_grid_reference(self, monkeypatch, measure, kwargs, threads):
-        # 3-row slabs: n = 20 splits into six full slabs and a 2-row one, so
-        # 16 workers leave nine of them with no slab
+        # 3-layer chunks: one worker's run of 20 layers ends in a 2-layer
+        # chunk, and 16 workers' runs are one or two layers long
         monkeypatch.setattr(geometry, "SLAB_NODES", 3 * 20 * 20 + 7)
         monkeypatch.setattr(os, "cpu_count", lambda: threads)
         ax = grid_axis(20)
@@ -294,6 +294,11 @@ class TestSampleField:
         else:
             field = measures.x_relative_entropy_values(*rs, *c)
         expected = np.where(physical, field, np.nan)
+        # np.empty's stale heap bytes can repeat an earlier grid, so a layer
+        # that no chunk fills could still match; poisoned with 7, beyond every
+        # field, it cannot
+        full = np.full
+        monkeypatch.setattr(np, "empty", lambda shape: full(shape, 7.0))
         got = sample_field(measure, 20, **kwargs)
         assert np.array_equal(got, expected, equal_nan=True)
 
@@ -491,7 +496,8 @@ class TestCubeCases:
         assert peak < 8 * geometry.SLAB_NODES * 2
 
     def test_case_pool_takes_cpu_count(self, monkeypatch):
-        # one worker when the count is unknown, for both entry points
+        # one pool per case pass, sharing the sampling pool's rule: one
+        # worker when the count is unknown, for both entry points
         seen = []
 
         def pool(max_workers):

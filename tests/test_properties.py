@@ -163,7 +163,7 @@ def test_sampled_grid_matches_per_node_mask(rs, kind, p, n):
     mapped = correlation_map_values(kind, p, *c)
     field = np.where(physical, bell_relative_entropy_values(*mapped), np.nan)
     with pytest.MonkeyPatch.context() as patch:
-        # 3-row slabs, the last one partial unless 3 divides n
+        # 3-layer chunks, a run's last one partial unless 3 divides its length
         patch.setattr(geometry, "SLAB_NODES", 3 * n * n)
         # one sampling worker, then two
         patch.setattr(os, "cpu_count", lambda: 1)
