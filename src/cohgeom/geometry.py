@@ -31,12 +31,27 @@ DEGENERATE_AREA = 1e-14
 # worker holds a few temporaries of at most this size, and keeps them resident
 # from one chunk to the next: rel-ent at n = 256 peaked at 164, 172-177,
 # 219-223 and 300-314 MiB RSS after sampling with 1, 2, 8 and 16 workers,
-# about 9 MiB per worker, and level_surface at 23-64, 23-61 and 194-202 MiB
-# over a bare import with 1, 2 and 16 workers, whatever the grid.  2^20- and
+# about 9 MiB per worker.  level_surface, which samples only the blocks the
+# level may cross, peaked at 5-66, 5-64 and 4-199 MiB over a bare import with
+# 1, 2 and 16 workers (rel-ent, discord and l1 at levels 0.2 and 0.84, n = 192
+# and 256), the top set by the mesh of a low level.  2^20- and
 # 2^21-node chunks were measured no faster and used up to 2.5x the peak
 # memory; 2^17-node chunks saved 1-10 MiB of peak but made the case pass
 # 0.07 -> 0.09 s.
 SLAB_NODES = 1 << 18
+
+# Cubes per axis of the blocks that level_surface certifies before it
+# samples anything (see level_surface).  With two workers at n = 256 (best of
+# 5, two runs), 8 took rel-ent at 0.8953 to 0.078-0.090 s and discord at 0.2
+# to 0.39-0.41 s; 6 took 0.11 and 0.39-0.43 s, 12 and 16 took 0.08-0.09 and
+# 0.44-0.47 s, and 4 took 0.19 and 0.48-0.49 s.  Smaller blocks bound the
+# field more tightly but sample more shared nodes: a block's closure has
+# (b + 1)^3 nodes for its b^3 cubes.
+BLOCK_CUBES = 8
+
+# A block is certified only when its bounds clear the level by this much, far
+# above the kernels' rounding of about 1e-13.
+BOUND_MARGIN = 1e-9
 
 # Rows of text, OBJ vertices or faces and dynamics CSV rows, formatted and
 # written at a time, so a run holds one block of text instead of the whole
@@ -52,9 +67,10 @@ BLOCK_ROWS = 1 << 14
 # set the top of that range.  The workers' temporaries do not grow with the
 # grid: with 16 workers the ratio reached 3.2 at n = 192 and 2.2 at n = 256,
 # but near the memory limit the grid is gigabytes and dominates.
-# level_surface, which never holds the grid, read 0.15-0.70 with one and two
-# workers, yet keeps this estimate as its guard, so both paths accept the
-# same resolutions.
+# level_surface, which never holds the grid and samples only the blocks the
+# level may cross, read 0.05-0.79 with one and two workers (same fields,
+# levels and sizes) and at most 2.4 with 16, yet keeps this estimate as its
+# guard, so both paths accept the same resolutions.
 PEAK_PER_GRID_BYTE = 2
 
 
@@ -107,29 +123,37 @@ def sample_field(
     plus a few temporaries of a chunk's physical node count per worker, and
     the grid does not depend on the worker count.
     """
-    fill, physical = _layer_filler(measure, resolution, slice, channel, p)
+    fill, physical, _, _ = _checked_field(measure, resolution, slice, channel, p)
     n = int(resolution)
     values = np.empty((n, n, n))
 
     def fill_run(chunks):
         for i0, i1 in chunks:
-            # held until the next fill replaces it (see _layer_filler)
+            # held until the next fill replaces it (see _checked_field)
             held = fill(values[i0:i1], i0)
 
     # work per c1 layer: its physical nodes, and the NaN fill of all its n^2
-    _over_runs(n, physical + n * n, fill_run)
+    _over_runs(physical + n * n, np.full(n, n * n), fill_run)
     return values
 
 
-def _layer_filler(measure, resolution, slice, channel, p):
-    """Check a field's inputs once; return its layer filler and the number of
-    physical nodes in each c1 layer.
+def _checked_field(measure, resolution, slice, channel, p):
+    """Check a field's inputs once; return ``(fill, physical, at, bounds)``.
 
     ``fill(out, i0)`` writes c1 layers ``[i0, i0 + len(out))`` of the field,
     as :func:`sample_field` lays it out, into the C-contiguous ``(rows, n,
-    n)`` buffer ``out``, and returns its temporaries.  Raises DomainError on
-    bad input, and when the grid would not fit in memory (see
-    :func:`sample_field`), before anything is allocated.
+    n)`` buffer ``out``, and returns its temporaries; ``physical`` is the
+    number of physical nodes in each c1 layer.  ``at(out, i, j, k)`` writes
+    into ``out`` the field at the nodes of broadcastable index arrays of its
+    shape, NaN where a node is unphysical or beyond the last node of its
+    axis, each value computed by the same elementwise kernel as ``fill``'s,
+    and returns its temporaries.  ``bounds(start, end)`` gives, per box of
+    nodes from index triple ``start[..., :]`` to ``end[..., :]``, a range
+    that holds the field at every physical node of the box up to the
+    kernels' rounding; a box with no physical node gets the empty range
+    (inf, -inf).  Raises DomainError on bad input, and when the grid would
+    not fit in memory (see :func:`sample_field`), before anything is
+    allocated.
     """
     measure = states._member(MeasureKind, measure, "measure")
     n = int(resolution)
@@ -163,13 +187,20 @@ def _layer_filler(measure, resolution, slice, channel, p):
     c1, c2 = np.repeat(axis, n), np.tile(axis, n)
     lo, hi = _physical_intervals(eigenvalues, rising, c1, c2, axis)
     length = np.maximum(hi - lo, 0)
-    ax3 = axis
+    axes = (axis, axis, axis)
     if channel is not None:
         # every channel scales each component on its own, so mapping the axis
         # maps every node; the mask above stays that of the unmapped state
-        ax1, ax2, ax3 = channels.correlation_map_values(channel, p, axis, axis, axis)
-        c1, c2 = np.repeat(ax1, n), np.tile(ax2, n)
+        axes = channels.correlation_map_values(channel, p, axis, axis, axis)
+        c1, c2 = np.repeat(axes[0], n), np.tile(axes[1], n)
+    ax1, ax2, ax3 = axes
     per_row = measure in (MeasureKind.L1, MeasureKind.TRACE_NORM)
+    if per_row:
+        field_range = measures._l1_range
+    elif measure is MeasureKind.DISCORD:
+        field_range = measures._discord_range
+    else:
+        field_range = functools.partial(measures._relative_entropy_range, r, s)
 
     def fill(out, i0):
         # The caller holds the returned arrays until the next call replaces
@@ -192,7 +223,37 @@ def _layer_filler(measure, resolution, slice, channel, p):
         slab[k] = field
         return k, field
 
-    return fill, length.reshape(n, n).sum(axis=1)
+    def at(out, i, j, k):
+        # rows beyond the grid are empty, and hi <= n keeps k inside it
+        inside = (i < n) & (j < n)
+        q = np.where(inside, i * n + j, 0)
+        physical = inside & (lo[q] <= k) & (k < hi[q])
+        out.fill(np.nan)
+        c1, c2, c3 = (
+            np.broadcast_to(ax[np.minimum(x, n - 1)], out.shape)[physical]
+            for ax, x in zip((ax1, ax2, ax3), (i, j, k))
+        )
+        field = measures.l1_values(c1, c2) if per_row else kernel(c1, c2, c3)
+        out[physical] = field
+        return field
+
+    def bounds(start, end):
+        def box(along):
+            return [tuple(ax[x[..., d]] for d, ax in enumerate(along)) for x in (start, end)]
+
+        low, high = field_range(*box(axes))
+        # a physical node has every eigenvalue at least -TOL_PSD, and the
+        # mask is that of the unmapped state
+        empty = functools.reduce(
+            np.logical_or,
+            (
+                top < -TOL_PSD - BOUND_MARGIN
+                for _, top in measures._eigenvalue_ranges(r, s, *box((axis,) * 3))
+            ),
+        )
+        return np.where(empty, np.inf, low), np.where(empty, -np.inf, high)
+
+    return fill, length.reshape(n, n).sum(axis=1), at, bounds
 
 
 def _physical_intervals(eigenvalues, rising, c1, c2, axis):
@@ -284,92 +345,104 @@ _CASE_OF_CODE = (
 
 
 def _corner_codes(flag, *args):
-    """Per-cube 8-bit codes of the per-node booleans ``flag(*args)``: bit
-    4 di + 2 dj + dk is the flag at corner (di, dj, dk).
+    """Per-cube 8-bit codes of the per-node booleans ``flag(*args)`` over
+    the last three axes: bit 4 di + 2 dj + dk is the flag at corner (di, dj,
+    dk).
 
     The flags are combined along k, then j, then i, each pass over an array
     one node shorter along its axis; each stage is freed once the next exists,
-    so the peak is about two grid-sized byte arrays.
+    so the peak is about two byte arrays of the nodes' size.
     """
     code = flag(*args).view(np.uint8)
-    for axis, shift in ((2, 1), (1, 2), (0, 4)):
-        head = (np.s_[:],) * axis
-        upper = np.left_shift(code[head + (np.s_[1:],)], shift)
-        upper |= code[head + (np.s_[:-1],)]
+    for back, shift in ((0, 1), (1, 2), (2, 4)):
+        tail = (np.s_[:],) * back
+        upper = np.left_shift(code[(..., np.s_[1:], *tail)], shift)
+        upper |= code[(..., np.s_[:-1], *tail)]
         code = upper
     return code
 
 
-def _chunk_cases(part, level, i0):
-    """The case pass over one chunk: grid layers ``[i0, i0 + L]`` as ``part``.
+def _box_cases(boxes, origins, level, n):
+    """The case pass over a batch of boxes of grid nodes.
 
-    Returns, for the chunk's L cube layers, the case index of each active
-    cube in index order; the key of each of their crossed edges, in cube
-    order and then edge order, as lower node * 3 + axis with the node's
-    flat index in the full grid; and each crossed edge's interpolation
-    parameter ``t = (level - va) / (vb - va)`` from its lower to its upper
-    node.  A cube is active when no corner is NaN and the level separates
-    its corners; a corner is below the level when its value is less than it.
+    ``boxes`` is ``(N, A + 1, B + 1, C + 1)``: box b holds the nodes of the
+    grid of n nodes per axis from node ``origins[b]`` on, NaN where a node
+    is masked or beyond the grid, and no two boxes share a cube.  Returns,
+    for the boxes' active cubes in cube (index) order of the grid, the case
+    index of each; the key of each of their crossed edges, in cube order and
+    then edge order, as lower node * 3 + axis with the node's flat index in
+    the grid; and each crossed edge's interpolation parameter ``t = (level -
+    va) / (vb - va)`` from its lower to its upper node.  A cube is active
+    when no corner is NaN and the level separates its corners; a corner is
+    below the level when its value is less than it.
     """
-    n = part.shape[1]
-    m = n - 1
-    active = _corner_codes(np.isnan, part) == 0
-    code = _corner_codes(np.less, part, level)
+    active = _corner_codes(np.isnan, boxes) == 0
+    code = _corner_codes(np.less, boxes, level)
     active &= code != 0
     active &= code != 255
     cubes = np.flatnonzero(active)
-    case = _CASE_OF_CODE[code.ravel()[cubes]]
-    # cube a m^2 + b m + c of the chunk has lowest node a n^2 + b n + c
-    row = cubes // m
-    node = cubes + row + row // m * n
+    index = np.unravel_index(cubes, active.shape)
+    box, *offset = index
+    origin = np.asarray(origins)[box].T
+    # each active cube's lowest node, flat in the grid, sets the cube order
+    node = ((origin[0] + offset[0]) * n + origin[1] + offset[1]) * n + origin[2] + offset[2]
+    order = np.argsort(node, kind="stable")
+    case = _CASE_OF_CODE[code.reshape(-1)[cubes[order]]]
     cube_of, edge_of = np.nonzero(EDGE_CROSSED[case])
-    stride = np.array((n * n, n, 1))
-    lower = node[cube_of] + (_EDGE_LOWER @ stride)[edge_of]
+    cube_of = order[cube_of]
     axis = _EDGE_AXIS[edge_of]
-    flat = part.reshape(-1)
+    _, rows, cols = boxes.shape[1:]
+    stride = np.array((rows * cols, cols, 1))
+    lower = np.ravel_multi_index(index, boxes.shape)[cube_of] + (_EDGE_LOWER @ stride)[edge_of]
+    flat = boxes.reshape(-1)
     va = flat[lower]
     t = (level - va) / (flat[lower + stride[axis]] - va)
-    lower += i0 * n * n
-    return case, lower * 3 + axis, t
+    key = node[cube_of] + (_EDGE_LOWER @ (n * n, n, 1))[edge_of]
+    return case, key * 3 + axis, t
 
 
-def _over_runs(n, weight, work):
-    """The worker schedule of every n^3 pass over c1 layers.
+def _over_runs(weight, size, work):
+    """The worker schedule of every n^3 pass, over layers along c1: node
+    layers, cube layers or layers of blocks.
 
     ``os.cpu_count()`` workers each take one contiguous run of the layers,
     cut so that the runs' total ``weight``, one entry per layer, is about
-    equal.  A run is split into chunks of about SLAB_NODES grid nodes, and
-    ``work(chunks)`` gets the run's layer ranges ``[(i0, i1), ...]`` in
-    order, in one pool task per worker with a nonempty run.  So what
-    ``work`` keeps from one chunk to the next, a buffer and the sampling
-    temporaries, stays resident instead of being paged in again for every
-    chunk.  Returns the results in run order.  Every node is computed on its
-    own and the runs are joined in order, so no output depends on the
-    chunks or on the workers.
+    equal.  A run is split into chunks of whole layers of about SLAB_NODES
+    grid nodes, ``size`` per layer: a chunk takes layers while it holds at
+    most SLAB_NODES, and at least one.  ``work(chunks)`` gets the run's
+    layer ranges ``[(i0, i1), ...]`` in order, in one pool task per worker
+    with a nonempty run.  So what ``work`` keeps from one chunk to the next,
+    a buffer and the sampling temporaries, stays resident instead of being
+    paged in again for every chunk.  Returns the results in run order.
+    Every node is computed on its own and the runs are joined in order, so
+    no output depends on the chunks or on the workers.
     """
     workers = os.cpu_count() or 1
     total = np.cumsum(weight)
     cuts = np.searchsorted(total, total[-1] * np.arange(1, workers) / workers)
     bounds = [0, *cuts.tolist(), len(weight)]
-    layers = max(1, SLAB_NODES // (n * n))
-    runs = [
-        [(i0, min(i0 + layers, stop)) for i0 in range(start, stop, layers)]
-        for start, stop in zip(bounds, bounds[1:])
-    ]
+    runs = []
+    for start, stop in zip(bounds, bounds[1:]):
+        heads, nodes = [], 0
+        for i in range(start, stop):
+            if not heads or nodes + size[i] > SLAB_NODES:
+                heads.append(i)
+                nodes = 0
+            nodes += size[i]
+        runs.append(list(zip(heads, heads[1:] + [stop])))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, filter(None, runs)))
 
 
-def _march(n, level, weight, parts):
-    """Marching cubes over the n - 1 cube layers of a grid given in chunks.
+def _march(n, weight, size, cases):
+    """Marching cubes over a grid of n nodes per axis, given in layers.
 
-    The cube layers are scheduled by :func:`_over_runs` with ``weight``;
-    ``parts(chunks)`` yields ``(i0, part)`` per cube-layer chunk ``(i0,
-    i1)``, ``part`` holding grid layers ``[i0, i1]``.
+    The layers are scheduled by :func:`_over_runs` with ``weight`` and
+    ``size``; ``cases(chunks)`` gives a run's :func:`_box_cases` output per
+    chunk ``(i0, i1)``, for the cubes of layers ``[i0, i1)``, which come
+    before those of later layers in cube order.
     """
-    runs = _over_runs(
-        n, weight, lambda chunks: [_chunk_cases(part, level, i0) for i0, part in parts(chunks)]
-    )
+    runs = _over_runs(weight, size, cases)
     case, key, t = (np.concatenate(column) for column in zip(*itertools.chain(*runs)))
     # each stage's inputs are dropped once used, so the triangle areas are
     # computed beside the mesh alone, not beside the whole build
@@ -435,8 +508,9 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     encounter when cubes are visited in index order and, within a cube,
     edges 0-11 in order; a grid edge shared by several cubes gives one
     vertex.  Triangles follow in the same cube order, each cube's in table
-    order, minus those of area at most DEGENERATE_AREA.  The case pass runs
-    on the workers of :func:`_over_runs`, its cube layers weighted equally.
+    order, minus those of area at most DEGENERATE_AREA.  The case pass
+    (:func:`_box_cases`) runs on the workers of :func:`_over_runs` over
+    chunks of whole cube layers, weighted equally, each chunk one box.
     Crossed edges are keyed by one flat integer, so the mesh build holds
     arrays the size of the mesh, not of the grid.
     """
@@ -447,9 +521,11 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     if n < 8:
         raise DomainError("grid resolution must be at least 8 per axis")
     level = _check_level(level)
-    return _march(
-        n, level, np.ones(n - 1), lambda chunks: ((i0, vals[i0 : i1 + 1]) for i0, i1 in chunks)
-    )
+
+    def cases(chunks):
+        return [_box_cases(vals[None, i0 : i1 + 1], [(i0, 0, 0)], level, n) for i0, i1 in chunks]
+
+    return _march(n, np.ones(n - 1), np.full(n - 1, n * n), cases)
 
 
 def level_surface(
@@ -460,37 +536,79 @@ def level_surface(
     channel=None,
     p: float | None = None,
 ) -> TriangleMesh:
-    """The level surface of a sampled field, without sampling the grid whole.
+    """The level surface of a sampled field, sampling only where it can lie.
 
     Returns ``extract_isosurface(sample_field(measure, resolution, slice,
     channel, p), level)`` bit for bit, and raises the same DomainError for
     the same bad input, in the same order; that includes sample_field's
     memory guard, which still estimates the peak as PEAK_PER_GRID_BYTE times
-    the 8 n^3 grid bytes.  The field is sampled and marched one chunk of
-    cube layers at a time on the workers of :func:`_over_runs`, so the n^3
-    grid is never held: memory is a few chunks per worker plus the mesh.
-    Each worker carries the last layer of each chunk over as the first of
-    the next, so every node is sampled once, except the first layer of each
-    run.
+    the 8 n^3 grid bytes.
+
+    The cubes are split into blocks of BLOCK_CUBES per axis.  Interval
+    bounds on the closed forms, taken from a box's end coordinates, certify
+    a box whose physical nodes all lie below the level, or all at or above
+    it, with BOUND_MARGIN to spare, or that holds no physical node.  A block
+    is certified whole or by its eighths, whose bounds are tighter, and the
+    field is never sampled there (min/max culling: Wilhelms and Van Gelder,
+    ACM TOG 11(3), 1992).  The other blocks are sampled on their closure
+    nodes and marched on the workers of :func:`_over_runs`, in chunks of
+    whole block layers weighted by their uncertified blocks, so the n^3 grid
+    is never held.
+
+    Why the bytes cannot change: a certified block holds no active cube,
+    since each of its cubes lies in a certified box, the block or one of its
+    eighths, whose nodes all lie on one side of the level or are NaN.  Every
+    cube lies in one block, and all 8 of its corners are in that block's
+    closure, computed by the same elementwise kernel as sample_field's.  So
+    every active cube gets the same case, keys and ``t``; within a chunk the
+    cubes are sorted into cube order, and chunks follow it too, so the
+    vertex and triangle order are those of the two-step path.
     """
-    fill, physical = _layer_filler(measure, resolution, slice, channel, p)
+    _, _, at, bounds = _checked_field(measure, resolution, slice, channel, p)
     level = _check_level(level)
     n = int(resolution)
 
-    def sampled(chunks):
-        (start, stop), *_ = chunks
-        buffer = np.empty((stop - start + 1, n, n))
-        # held until the next fill replaces it, as in sample_field
-        held = fill(buffer[:1], start)
-        for i0, i1 in chunks:
-            rows = i1 - i0
-            held = fill(buffer[1 : rows + 1], i0 + 1)
-            yield i0, buffer[: rows + 1]
-            buffer[0] = buffer[rows]
+    def crossed(origins):
+        # each block whole, then the blocks left by eighths, whose bounds are
+        # tighter; a block stays when any of its parts may hold the level
+        for size in (BLOCK_CUBES, BLOCK_CUBES // 2):
+            parts = size * np.indices((BLOCK_CUBES // size,) * 3).reshape(3, -1).T
+            corner = origins[:, None] + parts
+            low, high = bounds(np.minimum(corner, n - 1), np.minimum(corner + size, n - 1))
+            certified = (high + BOUND_MARGIN < level) | (low - BOUND_MARGIN >= level)
+            origins = origins[~certified.all(axis=1)]
+        return origins
 
-    # cube layer i samples grid layer i + 1 (see sample_field's weight) and
-    # runs the case pass over its n^2 nodes
-    return _march(n, level, physical[1:] + n * n, sampled)
+    starts = np.arange(0, n - 1, BLOCK_CUBES)
+    blocks = np.stack(np.meshgrid(starts, starts, starts, indexing="ij"), axis=-1).reshape(-1, 3)
+    # the bounds hold a few dozen temporaries per box, and eight boxes per
+    # block once refined, so they take SLAB_NODES / 64 blocks at a time
+    step = SLAB_NODES // 64
+    origins = np.concatenate([crossed(blocks[b : b + step]) for b in range(0, len(blocks), step)])
+    per_layer = np.bincount(origins[:, 0] // BLOCK_CUBES, minlength=len(starts))
+    first = np.concatenate(([0], np.cumsum(per_layer)))
+    closure = np.arange(BLOCK_CUBES + 1)
+    slots = len(closure) ** 3
+    # a layer of blocks can hold several chunks' nodes, so it is sampled
+    # about SLAB_NODES at a time
+    group = max(1, SLAB_NODES // slots)
+
+    def cases(chunks):
+        out = []
+        for b0, b1 in chunks:
+            origin = origins[first[b0] : first[b1]]
+            boxes = np.empty((len(origin),) + (len(closure),) * 3)
+            for g in range(0, len(origin), group):
+                corner = origin[g : g + group, :, None, None, None]
+                i = corner[:, 0] + closure[:, None, None]
+                j = corner[:, 1] + closure[:, None]
+                k = corner[:, 2] + closure
+                # held until the next group replaces it, as in sample_field
+                held = at(boxes[g : g + group], i, j, k)
+            out.append(_box_cases(boxes, origin, level, n))
+        return out
+
+    return _march(n, per_layer, per_layer * slots, cases)
 
 
 def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:

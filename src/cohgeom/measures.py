@@ -10,6 +10,7 @@ two paths are cross-checked by the verification suites.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -105,6 +106,92 @@ def bell_discord_values(c1, c2, c3):
     # handles c = 1 by the 0 log 0 convention) equals both terms below plus 1.
     return np.maximum(
         spectral + 1.0 - _xlog2x((1 + c) / 2) - _xlog2x((1 - c) / 2), 0.0
+    )
+
+
+# Interval bounds of the closed forms over boxes lo <= (c1, c2, c3) <= hi,
+# elementwise over broadcastable box ends: each returns (low, high) with every
+# value of the kernel on the box in [low, high], up to rounding.  Each term is
+# bounded on its own, so the bounds are sound but not tight.
+
+
+def _abs_range(lo, hi):
+    """Range of |x| over [lo, hi]."""
+    return np.maximum(np.maximum(lo, -hi), 0.0), np.maximum(-lo, hi)
+
+
+def _xlog2x_range(lo, hi):
+    """Range of :func:`_xlog2x` over [lo, hi]: 0 up to v = 0, then convex
+    with its minimum -log2(e)/e at v = 1/e."""
+    a, b = _xlog2x(lo), _xlog2x(hi)
+    inside = (lo < 1 / np.e) & (1 / np.e < hi)
+    return np.where(inside, -np.log2(np.e) / np.e, np.minimum(a, b)), np.maximum(a, b)
+
+
+def _entropy_range(ranges):
+    """Range of -sum(v log2 v) over the value ranges ``ranges``."""
+    terms = [_xlog2x_range(*v) for v in ranges]
+    return -sum(high for _, high in terms), -sum(low for low, _ in terms)
+
+
+def _eigenvalue_ranges(r, s, lo, hi):
+    """Ranges of the closed-form eigenvalues of the X states (r, s, c1, c2,
+    c3), in the order of :func:`x_eigenvalues`; with r = s = 0 they are the
+    Bell-diagonal ones of :func:`bell_eigenvalues` in another order.
+
+    Each is (1 + z +- sqrt(a^2 + d^2))/4 with z = c3 and d = c1 - c2, or
+    z = -c3 and d = c1 + c2, so it is monotone in z and in |d|.
+    """
+    (l1, l2, l3), (h1, h2, h3) = lo, hi
+    ranges = []
+    for a, z, d in (
+        (r + s, (l3, h3), (l1 - h2, h1 - l2)),
+        (r - s, (-h3, -l3), (l1 + l2, h1 + h2)),
+    ):
+        root_lo, root_hi = (np.sqrt(a * a + x * x) for x in _abs_range(*d))
+        ranges += [
+            ((1 + z[0] + root_lo) / 4, (1 + z[1] + root_hi) / 4),
+            ((1 + z[0] - root_hi) / 4, (1 + z[1] - root_lo) / 4),
+        ]
+    return ranges
+
+
+def _max_abs_range(lo, hi):
+    """Range of the largest magnitude of the coordinates with ranges
+    ``zip(lo, hi)``."""
+    low, high = zip(*map(_abs_range, lo, hi))
+    return functools.reduce(np.maximum, low), functools.reduce(np.maximum, high)
+
+
+def _l1_range(lo, hi):
+    """Range of :func:`l1_values`, which is max(|c1|, |c2|)."""
+    return _max_abs_range(lo[:2], hi[:2])
+
+
+def _relative_entropy_range(r, s, lo, hi):
+    """Range of :func:`x_relative_entropy_values` on the slice (r, s), and of
+    :func:`bell_relative_entropy_values` with r = s = 0."""
+    l3, h3 = lo[2], hi[2]
+    diag = [
+        ((1 + r + s + l3) / 4, (1 + r + s + h3) / 4),
+        ((1 + r - s - h3) / 4, (1 + r - s - l3) / 4),
+        ((1 - r + s - h3) / 4, (1 - r + s - l3) / 4),
+        ((1 - r - s + l3) / 4, (1 - r - s + h3) / 4),
+    ]
+    s_diag = _entropy_range(diag)
+    s_rho = _entropy_range(_eigenvalue_ranges(r, s, lo, hi))
+    return np.maximum(s_diag[0] - s_rho[1], 0.0), np.maximum(s_diag[1] - s_rho[0], 0.0)
+
+
+def _discord_range(lo, hi):
+    """Range of :func:`bell_discord_values`."""
+    entropy = _entropy_range(_eigenvalue_ranges(0.0, 0.0, lo, hi))
+    c_lo, c_hi = _max_abs_range(lo, hi)
+    g = _entropy_range([((1 + c_lo) / 2, (1 + c_hi) / 2), ((1 - c_hi) / 2, (1 - c_lo) / 2)])
+    # discord is 1 - S(rho) + S(g) with S(g) = -sum over (1 +- c)/2
+    return (
+        np.maximum(1.0 - entropy[1] + g[0], 0.0),
+        np.maximum(1.0 - entropy[0] + g[1], 0.0),
     )
 
 

@@ -416,18 +416,34 @@ class TestCubeCases:
     @staticmethod
     def chunked(vals, level, layers):
         # the chunks of the given number of cube layers, joined in order
+        n = len(vals)
         parts = [
-            geometry._chunk_cases(vals[i0 : i0 + layers + 1], level, i0)
-            for i0 in range(0, len(vals) - 1, layers)
+            geometry._box_cases(vals[None, i0 : i0 + layers + 1], [(i0, 0, 0)], level, n)
+            for i0 in range(0, n - 1, layers)
         ]
         return [np.concatenate(column) for column in zip(*parts)]
 
+    @staticmethod
+    def blocked(vals, level, size):
+        # each layer of blocks of size^3 cubes as one batch of their closures,
+        # NaN beyond the grid, with the blocks of each layer in reverse order
+        n = len(vals)
+        padded = np.full((n + size,) * 3, np.nan)
+        padded[:n, :n, :n] = vals
+        parts = []
+        starts = range(0, n - 1, size)
+        for i0 in starts:
+            origins = [(i0, j0, k0) for j0 in starts for k0 in starts][::-1]
+            boxes = [padded[i:, j:, k:][: size + 1, : size + 1, : size + 1] for i, j, k in origins]
+            parts.append(geometry._box_cases(np.stack(boxes), origins, level, n))
+        return [np.concatenate(column) for column in zip(*parts)]
+
     def assert_matches_corner_loop(self, vals, level, layers):
-        got = self.chunked(vals, level, layers)
         expected = self.corner_loop(vals, level)
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
-        assert got[0].dtype == np.uint8
+        for got in (self.chunked(vals, level, layers), self.blocked(vals, level, layers)):
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+            assert got[0].dtype == np.uint8
 
     @pytest.mark.parametrize("n", [8, 9, 20])
     @pytest.mark.parametrize("nan_share", [0.0, 0.02, 0.3])
@@ -444,7 +460,7 @@ class TestCubeCases:
 
     @pytest.mark.parametrize("fill", [np.nan, 0.5, 0.2])
     def test_uniform_grids_have_no_active_cube(self, fill):
-        case, key, t = geometry._chunk_cases(np.full((8, 8, 8), fill), 0.5, 0)
+        case, key, t = geometry._box_cases(np.full((1, 8, 8, 8), fill), [(0, 0, 0)], 0.5, 8)
         assert len(case) == len(key) == len(t) == 0
 
     def test_sampled_field(self):
@@ -524,16 +540,28 @@ class TestLevelSurface:
         ("l1", 0.2, {"channel": "gad", "p": 0.3}),
         ("rel-ent", 0.2, {"slice": (0.3, -0.2)}),
         ("trace", 0.1, {"slice": (-0.3, 0.9)}),
+        # levels like the benchmark's, where most blocks are certified
+        ("rel-ent", 0.8953, {}),
+        ("discord", 0.6521, {}),
+        ("rel-ent", 0.8234, {"channel": "pf", "p": 0.0093}),
+        ("rel-ent", 0.8858, {"slice": (-0.0131, 0.0634)}),
+        ("l1", 0.5, {}),
+        # every block certified: empty meshes
+        ("rel-ent", 1.0, {}),
+        ("discord", 1.5, {}),
     ]
 
-    @pytest.mark.parametrize("n", [8, 9, 20, 97])
+    @pytest.mark.parametrize("n", [8, 9, 20, 97, 130])
     @pytest.mark.parametrize("measure, level, kwargs", FIELDS)
     def test_equals_the_two_step_path(self, monkeypatch, measure, level, kwargs, n):
         expected = extract_isosurface(sample_field(measure, n, **kwargs), level)
-        if n >= 20:
+        # the thin sheets above 0.8 need the finer grids
+        if n >= 20 and level < 0.8 or n >= 97 and level < 1.0:
             assert len(expected.triangles) > 0
-        # chunks of 3 cube layers: 7, 8, 19 and 96 layers end in a short
-        # chunk or none, and the workers' runs split them unevenly
+        # chunks of 3 cube layers, or of about 3 n^2 nodes of blocks: the
+        # cube layers of 7, 8 and 19 layers, and the blocks of 96 and 129,
+        # where BLOCK_CUBES does not divide them, end in short chunks, and the
+        # workers' runs split them unevenly
         monkeypatch.setattr(geometry, "SLAB_NODES", 3 * n * n + 7)
         for cpus in (1, 2, 3, 16):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -544,6 +572,20 @@ class TestLevelSurface:
     def test_level_above_field_range_gives_empty_mesh(self):
         mesh = level_surface("rel-ent", 20, 1.5)
         assert mesh.vertices.shape == (0, 3) and mesh.triangles.shape == (0, 3)
+
+    def test_kernel_sees_only_uncertified_blocks(self, monkeypatch):
+        # a thin sheet: the blocks whose bounds clear the level are never
+        # sampled, so the kernel sees under a quarter of the physical nodes
+        physical = np.isfinite(sample_field("rel-ent", 128)).sum()
+        seen = []
+        kernel = measures.bell_relative_entropy_values
+        monkeypatch.setattr(
+            measures,
+            "bell_relative_entropy_values",
+            lambda *c: seen.append(np.broadcast(*c).size) or kernel(*c),
+        )
+        assert len(level_surface("rel-ent", 128, 0.8953).triangles) > 0
+        assert 0 < sum(seen) < physical / 4
 
     @pytest.mark.parametrize(
         "args, kwargs",

@@ -4,7 +4,8 @@ A triple is drawn as a random point of the state tetrahedron: four
 non-negative weights, normalized, are the state's eigenvalues, and the
 correlations follow from them.  The sampled-grid property draws X-state
 slices and channel pre-maps instead, the triangle-filter property builds
-meshes on random triples, and the symmetry and partial-transpose properties
+meshes on random triples, the block-bound property draws boxes of grid
+nodes, and the symmetry, partial-transpose and discord-oracle properties
 draw a seed for verify's samplers of physical Bell-diagonal and X states.
 The draws are derandomized, so the suite is deterministic.
 """
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cohgeom import geometry
+from cohgeom import geometry, measures
 from cohgeom.channels import ChannelKind, correlation_map_values, default_p_grid
 from cohgeom.geometry import (
+    BOUND_MARGIN,
     TriangleMesh,
     filter_triangles,
     grid_axis,
@@ -34,6 +36,7 @@ from cohgeom.measures import (
     x_relative_entropy_values,
 )
 from cohgeom.states import (
+    PAULIS,
     TOL_PSD,
     bell_eigenvalues,
     entangled_values,
@@ -224,3 +227,121 @@ def test_entangled_values_match_numeric_partial_transpose(seed):
     entangled = entangled_values(*rows.T)
     assert np.array_equal(entangled, lowest < -TOL_PSD)
     assert entangled.any() and not entangled.all()
+
+
+# A field of every measure: on the Bell-diagonal family with and without a
+# channel pre-map, or on one of two X slices, one near the benchmark's.
+fields = st.one_of(
+    st.tuples(
+        st.sampled_from(["l1", "trace", "rel-ent", "discord"]),
+        st.none(),
+        st.sampled_from([None, *ChannelKind]),
+        st.floats(0.0, 1.0),
+    ),
+    st.tuples(
+        st.sampled_from(["l1", "trace", "rel-ent"]),
+        st.sampled_from([(0.3, -0.2), (-0.0131, 0.0634)]),
+        st.none(),
+        st.none(),
+    ),
+)
+
+
+@SETTINGS
+@given(
+    field=fields,
+    n=st.integers(8, 200),
+    box=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=3, max_size=3),
+    seed=seeds,
+)
+# a box around the vertex (1, 1, 1), which holds no physical state
+@example(field=("rel-ent", None, None, None), n=40, box=[(0.9, 1.0)] * 3, seed=0)
+# a box over the whole tetrahedron, where each eigenvalue passes 1/e
+@example(field=("discord", None, None, None), n=40, box=[(0.0, 1.0)] * 3, seed=0)
+def test_block_bounds_hold_the_field(field, n, box, seed):
+    # the bounds that level_surface certifies blocks with, against the field
+    # at random nodes and the corners of a box of nodes of random size
+    measure, rs, kind, p = field
+    if kind is None:
+        p = None
+    _, _, at, bounds = geometry._checked_field(measure, n, rs, kind, p)
+    starts = np.array([int(u * (n - 1)) for u, _ in box])
+    ends = starts + [int(v * (n - 1 - s)) for (_, v), s in zip(box, starts)]
+    low, high = bounds(starts, ends)
+    rng = np.random.default_rng(seed)
+    corners = np.array(list(itertools.product(*zip(starts, ends))))
+    nodes = [
+        np.concatenate((rng.integers(s, e + 1, 500), corner))
+        for s, e, corner in zip(starts, ends, corners.T)
+    ]
+    values = np.empty(len(nodes[0]))
+    at(values, *nodes)
+    physical = np.isfinite(values)
+    if low > high:
+        # certified to hold no physical node
+        assert (low, high) == (np.inf, -np.inf)
+        assert not physical.any()
+    assert (low - BOUND_MARGIN <= values[physical]).all()
+    assert (values[physical] <= high + BOUND_MARGIN).all()
+    # the terms the bounds are built from, at every node of the box: each
+    # eigenvalue of the unmapped state, and its x log2 x
+    axis = grid_axis(n)
+    ranges = measures._eigenvalue_ranges(*(rs or (0.0, 0.0)), axis[starts], axis[ends])
+    lam = x_eigenvalues(*(rs or (0.0, 0.0)), *(axis[x] for x in nodes))
+    for v, (v_lo, v_hi) in zip(lam, ranges):
+        assert (v_lo - BOUND_MARGIN <= v).all() and (v <= v_hi + BOUND_MARGIN).all()
+        f_lo, f_hi = measures._xlog2x_range(v_lo, v_hi)
+        f = measures._xlog2x(v)
+        assert (f_lo - BOUND_MARGIN <= f).all() and (f <= f_hi + BOUND_MARGIN).all()
+
+
+def entropy(spectra):
+    """Entropy in bits of each spectrum along the last axis, 0 log 0 = 0."""
+    lam = np.clip(spectra, 0.0, None)
+    return -np.sum(lam * np.log2(np.where(lam > 0.0, lam, 1.0)), axis=-1)
+
+
+def measurement_directions(count):
+    """``count`` Fibonacci points on the upper unit hemisphere plus the three
+    axes; a direction and its opposite give the same measurement."""
+    height = (np.arange(count) + 0.5) / count
+    angle = np.pi * (3 - np.sqrt(5)) * np.arange(count)
+    ring = np.sqrt(1 - height**2)
+    points = np.stack([ring * np.cos(angle), ring * np.sin(angle), height], axis=1)
+    return np.concatenate([np.eye(3), points])
+
+
+def discord_by_definition(c, directions):
+    """Discord of the Bell-diagonal states with correlation rows ``c`` after
+    a projective measurement of qubit B along each direction: the mutual
+    information minus the classical correlation it reveals, S(B) - S(AB) +
+    sum over outcomes of p S(A | outcome) (Ollivier and Zurek, PRL 88,
+    017901; Henderson and Vedral, J. Phys. A 34, 6899).  Density matrices,
+    partial traces and LAPACK spectra only, as an ``(N, M)`` array."""
+    eye = np.eye(2)
+    rho = (np.eye(4) + np.einsum("ni,iab->nab", c, [np.kron(s, s) for s in PAULIS])) / 4
+    joint = rho.reshape(-1, 2, 2, 2, 2)
+    rho_b = np.einsum("nabac->nbc", joint)
+    base = entropy(np.linalg.eigvalsh(rho_b)) - entropy(np.linalg.eigvalsh(rho))
+    sigma_n = np.einsum("mi,iab->mab", directions, PAULIS)
+    total = base[:, None]
+    for sign in (1, -1):
+        projector = np.kron(eye, (eye + sign * sigma_n) / 2)
+        after = np.einsum("mab,nbc,mcd->nmad", projector, rho, projector)
+        rho_a = np.einsum("nmabcb->nmac", after.reshape(after.shape[:2] + (2, 2, 2, 2)))
+        weight = np.trace(rho_a, axis1=-2, axis2=-1).real
+        safe = np.where(weight > 0.0, weight, 1.0)[..., None, None]
+        total = total + weight * entropy(np.linalg.eigvalsh(rho_a / safe))
+    return total
+
+
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(seeds)
+def test_closed_form_discord_matches_its_definition(seed):
+    # the minimum over measurement directions is the discord: no direction
+    # gives less than the closed form, and the best one attains it
+    c = sample_physical_bell(100, np.random.default_rng(seed))
+    numeric = discord_by_definition(c, measurement_directions(100))
+    closed = bell_discord_values(*c.T)
+    assert (numeric >= closed[:, None] - 1e-12).all()
+    assert np.abs(numeric.min(axis=1) - closed).max() <= 1e-12
