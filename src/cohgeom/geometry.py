@@ -117,20 +117,21 @@ def sample_field(
     nodes of each (c1, c2) row form one interval of c3, whose ends are found
     once per grid, by bisection over all n^2 rows at once.  Every channel
     scales each component on its own, so the channel map is applied to the
-    axis once, and the l1 field, free of c3, is evaluated once per row; the
-    other measures are evaluated on the physical nodes only.  The c1 layers
+    axis once, and every measure is evaluated on the physical nodes only,
+    through the same sampler as :func:`level_surface`'s.  The c1 layers
     are filled on the workers of :func:`_over_runs`, so memory is the grid
-    plus a few temporaries of a chunk's physical node count per worker, and
-    the grid does not depend on the worker count.
+    plus a few temporaries of a chunk's size per worker, and the grid does
+    not depend on the worker count.
     """
-    fill, physical, _, _ = _checked_field(measure, resolution, slice, channel, p)
+    physical, at, _ = _checked_field(measure, resolution, slice, channel, p)
     n = int(resolution)
     values = np.empty((n, n, n))
+    nodes = np.arange(n)
 
     def fill_run(chunks):
         for i0, i1 in chunks:
-            # held until the next fill replaces it (see _checked_field)
-            held = fill(values[i0:i1], i0)
+            # held until the next chunk replaces it (see _checked_field)
+            held = at(values[i0:i1], nodes[i0:i1, None, None], nodes[:, None], nodes)
 
     # work per c1 layer: its physical nodes, and the NaN fill of all its n^2
     _over_runs(physical + n * n, np.full(n, n * n), fill_run)
@@ -138,22 +139,20 @@ def sample_field(
 
 
 def _checked_field(measure, resolution, slice, channel, p):
-    """Check a field's inputs once; return ``(fill, physical, at, bounds)``.
+    """Check a field's inputs once; return ``(physical, at, bounds)``.
 
-    ``fill(out, i0)`` writes c1 layers ``[i0, i0 + len(out))`` of the field,
-    as :func:`sample_field` lays it out, into the C-contiguous ``(rows, n,
-    n)`` buffer ``out``, and returns its temporaries; ``physical`` is the
-    number of physical nodes in each c1 layer.  ``at(out, i, j, k)`` writes
-    into ``out`` the field at the nodes of broadcastable index arrays of its
-    shape, NaN where a node is unphysical or beyond the last node of its
-    axis, each value computed by the same elementwise kernel as ``fill``'s,
-    and returns its temporaries.  ``bounds(start, end)`` gives, per box of
-    nodes from index triple ``start[..., :]`` to ``end[..., :]``, a range
-    that holds the field at every physical node of the box up to the
-    kernels' rounding; a box with no physical node gets the empty range
-    (inf, -inf).  Raises DomainError on bad input, and when the grid would
-    not fit in memory (see :func:`sample_field`), before anything is
-    allocated.
+    ``physical`` is the number of physical nodes in each c1 layer.  ``at(out,
+    i, j, k)`` writes into ``out`` the field at the nodes of broadcastable
+    index arrays of its shape, NaN where a node is unphysical or beyond the
+    last node of its axis, and returns the kernel's output.  The caller holds
+    that array until the next call replaces it, so the heap never empties in
+    bulk and malloc keeps the pages of freed temporaries instead of returning
+    them to the OS.  ``bounds(start, end)`` gives, per box of nodes from index
+    triple ``start[..., :]`` to ``end[..., :]``, a range that holds the field
+    at every physical node of the box up to the kernels' rounding; a box with
+    no physical node gets the empty range (inf, -inf).  Raises DomainError on
+    bad input, and when the grid would not fit in memory (see
+    :func:`sample_field`), before anything is allocated.
     """
     measure = states._member(MeasureKind, measure, "measure")
     n = int(resolution)
@@ -192,36 +191,14 @@ def _checked_field(measure, resolution, slice, channel, p):
         # every channel scales each component on its own, so mapping the axis
         # maps every node; the mask above stays that of the unmapped state
         axes = channels.correlation_map_values(channel, p, axis, axis, axis)
-        c1, c2 = np.repeat(axes[0], n), np.tile(axes[1], n)
-    ax1, ax2, ax3 = axes
-    per_row = measure in (MeasureKind.L1, MeasureKind.TRACE_NORM)
-    if per_row:
-        field_range = measures._l1_range
+    # the l1 field is free of c3
+    coords = 3
+    if measure in (MeasureKind.L1, MeasureKind.TRACE_NORM):
+        kernel, field_range, coords = measures.l1_values, measures._l1_range, 2
     elif measure is MeasureKind.DISCORD:
         field_range = measures._discord_range
     else:
         field_range = functools.partial(measures._relative_entropy_range, r, s)
-
-    def fill(out, i0):
-        # The caller holds the returned arrays until the next call replaces
-        # them, so the heap never empties in bulk and malloc keeps the pages
-        # of freed temporaries instead of returning them to the OS.  The
-        # field is named for the same reason: written straight into the
-        # slab, it would leave the kernel's freed temporaries on top of the
-        # heap, and rel-ent at n = 256 took 2.7x the minor faults.
-        slab = out.reshape(-1)
-        slab.fill(np.nan)
-        q = np.s_[i0 * n : i0 * n + len(slab) // n]
-        run = length[q]
-        k = np.arange(run.sum()) + np.repeat(lo[q] - np.cumsum(run) + run, run)
-        if per_row:
-            field = np.repeat(measures.l1_values(c1[q], c2[q]), run)
-        else:
-            field = kernel(np.repeat(c1[q], run), np.repeat(c2[q], run), ax3[k])
-        # node k of the slab's row t is entry t n + k of the slab
-        k += np.repeat(np.arange(len(run)) * n, run)
-        slab[k] = field
-        return k, field
 
     def at(out, i, j, k):
         # rows beyond the grid are empty, and hi <= n keeps k inside it
@@ -229,11 +206,12 @@ def _checked_field(measure, resolution, slice, channel, p):
         q = np.where(inside, i * n + j, 0)
         physical = inside & (lo[q] <= k) & (k < hi[q])
         out.fill(np.nan)
-        c1, c2, c3 = (
-            np.broadcast_to(ax[np.minimum(x, n - 1)], out.shape)[physical]
-            for ax, x in zip((ax1, ax2, ax3), (i, j, k))
+        field = kernel(
+            *(
+                np.broadcast_to(ax[np.minimum(x, n - 1)], out.shape)[physical]
+                for ax, x in zip(axes[:coords], (i, j, k))
+            )
         )
-        field = measures.l1_values(c1, c2) if per_row else kernel(c1, c2, c3)
         out[physical] = field
         return field
 
@@ -253,7 +231,7 @@ def _checked_field(measure, resolution, slice, channel, p):
         )
         return np.where(empty, np.inf, low), np.where(empty, -np.inf, high)
 
-    return fill, length.reshape(n, n).sum(axis=1), at, bounds
+    return length.reshape(n, n).sum(axis=1), at, bounds
 
 
 def _physical_intervals(eigenvalues, rising, c1, c2, axis):
@@ -381,19 +359,21 @@ def _box_cases(boxes, origins, level, n):
     active &= code != 0
     active &= code != 255
     cubes = np.flatnonzero(active)
-    index = np.unravel_index(cubes, active.shape)
-    box, *offset = index
+    box, i, j, k = np.unravel_index(cubes, active.shape)
     origin = np.asarray(origins)[box].T
-    # each active cube's lowest node, flat in the grid, sets the cube order
-    node = ((origin[0] + offset[0]) * n + origin[1] + offset[1]) * n + origin[2] + offset[2]
-    order = np.argsort(node, kind="stable")
-    case = _CASE_OF_CODE[code.reshape(-1)[cubes[order]]]
+    # each active cube's lowest node, flat in the boxes and flat in the grid
+    local = np.ravel_multi_index((box, i, j, k), boxes.shape)
+    node = ((origin[0] + i) * n + origin[1] + j) * n + origin[2] + k
+    if len(boxes) > 1:
+        # the cubes come box by box, and the grid's cube order interleaves them
+        order = np.argsort(node, kind="stable")
+        cubes, local, node = cubes[order], local[order], node[order]
+    case = _CASE_OF_CODE[code.reshape(-1)[cubes]]
     cube_of, edge_of = np.nonzero(EDGE_CROSSED[case])
-    cube_of = order[cube_of]
     axis = _EDGE_AXIS[edge_of]
     _, rows, cols = boxes.shape[1:]
     stride = np.array((rows * cols, cols, 1))
-    lower = np.ravel_multi_index(index, boxes.shape)[cube_of] + (_EDGE_LOWER @ stride)[edge_of]
+    lower = local[cube_of] + (_EDGE_LOWER @ stride)[edge_of]
     flat = boxes.reshape(-1)
     va = flat[lower]
     t = (level - va) / (flat[lower + stride[axis]] - va)
@@ -559,12 +539,12 @@ def level_surface(
     since each of its cubes lies in a certified box, the block or one of its
     eighths, whose nodes all lie on one side of the level or are NaN.  Every
     cube lies in one block, and all 8 of its corners are in that block's
-    closure, computed by the same elementwise kernel as sample_field's.  So
+    closure, sampled as sample_field samples them, by elementwise kernels.  So
     every active cube gets the same case, keys and ``t``; within a chunk the
     cubes are sorted into cube order, and chunks follow it too, so the
     vertex and triangle order are those of the two-step path.
     """
-    _, _, at, bounds = _checked_field(measure, resolution, slice, channel, p)
+    _, at, bounds = _checked_field(measure, resolution, slice, channel, p)
     level = _check_level(level)
     n = int(resolution)
 
