@@ -27,6 +27,7 @@ from .states import (
     bell_eigenvalues,
     require_physical_bell,
     _member,
+    _require_count,
     _require_density,
     _require_memory,
 )
@@ -149,9 +150,9 @@ def dynamics_trajectory(params, kind, p_grid) -> np.ndarray:
 
 
 def default_p_grid(steps: int) -> np.ndarray:
-    """Uniform grid of decoherence probabilities covering [0, 1].  Refuses
-    a count whose PEAK_BYTES_PER_STEP estimate exceeds physical memory."""
-    if steps < 2:
-        raise DomainError("p grid needs at least two points")
+    """Uniform grid of ``steps`` decoherence probabilities covering [0, 1];
+    ``steps`` is an integer of at least 2.  Refuses a count whose
+    PEAK_BYTES_PER_STEP estimate exceeds physical memory."""
+    steps = _require_count("steps", steps, 2, "p grid needs at least two points")
     _require_memory(f"{steps} steps", PEAK_BYTES_PER_STEP * steps)
     return np.arange(steps) / (steps - 1)

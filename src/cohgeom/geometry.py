@@ -75,8 +75,9 @@ PEAK_PER_GRID_BYTE = 2
 
 
 def grid_axis(resolution: int) -> np.ndarray:
-    """Node coordinates covering [-1, 1] inclusive, exactly sign-symmetric."""
-    n = int(resolution)
+    """Node coordinates covering [-1, 1] inclusive, exactly sign-symmetric.
+    ``resolution``, the number of nodes, is an integer of at least 2."""
+    n = states._require_count("resolution", resolution, 2, "resolution must be at least 2")
     return (2.0 * np.arange(n) - (n - 1)) / (n - 1)
 
 
@@ -99,7 +100,8 @@ def sample_field(
         Field to sample.  Discord needs the Bell-diagonal family, (r, s) =
         (0, 0); trace equals l1 on every X state and is sampled as l1.
     resolution : int
-        Nodes per axis, at least 8; nodes include the endpoints of [-1, 1].
+        Nodes per axis, an integer of at least 8; nodes include the
+        endpoints of [-1, 1].
         A resolution whose estimated surface-run peak, PEAK_PER_GRID_BYTE
         times the 8 n^3 grid bytes, exceeds the machine's physical memory
         is rejected before anything is allocated.
@@ -155,9 +157,7 @@ def _checked_field(measure, resolution, slice, channel, p):
     :func:`sample_field`), before anything is allocated.
     """
     measure = states._member(MeasureKind, measure, "measure")
-    n = int(resolution)
-    if n < 8:
-        raise DomainError("resolution must be at least 8")
+    n = states._require_count("resolution", resolution, 8, "resolution must be at least 8")
     r, s = (0.0, 0.0) if slice is None else states._in_range(("r", "s"), slice)
     if (channel is None) != (p is None):
         raise DomainError("a channel pre-map and its probability p must be given together")
@@ -168,9 +168,7 @@ def _checked_field(measure, resolution, slice, channel, p):
         p = channels._check_probability(p)
     if (r, s) == (0.0, 0.0):
         eigenvalues, rising = bell_eigenvalues, (1, 2)
-        kernel = measures.bell_relative_entropy_values
-        if measure is MeasureKind.DISCORD:
-            kernel = measures.bell_discord_values
+        rel_ent = measures.bell_relative_entropy_values
     elif measure is MeasureKind.DISCORD or channel is not None:
         raise DomainError(
             "discord and channel pre-maps are defined on the Bell-diagonal "
@@ -178,8 +176,18 @@ def _checked_field(measure, resolution, slice, channel, p):
         )
     else:
         eigenvalues, rising = functools.partial(x_eigenvalues, r, s), (0, 1)
-        kernel = functools.partial(measures.x_relative_entropy_values, r, s)
+        rel_ent = functools.partial(measures.x_relative_entropy_values, r, s)
     states._require_memory(f"resolution {n}", PEAK_PER_GRID_BYTE * 8 * n**3)
+    # per field: its kernel, its range over a box, and the coordinates it reads
+    l1 = measures.l1_values, measures._l1_range, 2
+    kernel, field_range, coords = {
+        MeasureKind.L1: l1,
+        MeasureKind.TRACE_NORM: l1,
+        MeasureKind.RELATIVE_ENTROPY: (
+            rel_ent, functools.partial(measures._relative_entropy_range, r, s), 3
+        ),
+        MeasureKind.DISCORD: (measures.bell_discord_values, measures._discord_range, 3),
+    }[measure]
 
     axis = grid_axis(n)
     # per (c1, c2) row q = i n + j
@@ -191,14 +199,6 @@ def _checked_field(measure, resolution, slice, channel, p):
         # every channel scales each component on its own, so mapping the axis
         # maps every node; the mask above stays that of the unmapped state
         axes = channels.correlation_map_values(channel, p, axis, axis, axis)
-    # the l1 field is free of c3
-    coords = 3
-    if measure in (MeasureKind.L1, MeasureKind.TRACE_NORM):
-        kernel, field_range, coords = measures.l1_values, measures._l1_range, 2
-    elif measure is MeasureKind.DISCORD:
-        field_range = measures._discord_range
-    else:
-        field_range = functools.partial(measures._relative_entropy_range, r, s)
 
     def at(out, i, j, k):
         # rows beyond the grid are empty, and hi <= n keeps k inside it
@@ -217,18 +217,16 @@ def _checked_field(measure, resolution, slice, channel, p):
 
     def bounds(start, end):
         def box(along):
-            return [tuple(ax[x[..., d]] for d, ax in enumerate(along)) for x in (start, end)]
+            ends = [tuple(ax[x[..., d]] for d, ax in enumerate(along)) for x in (start, end)]
+            return ends, measures._eigenvalue_ranges(r, s, *ends)
 
-        low, high = field_range(*box(axes))
+        ends, eigen = box((axis,) * 3)
         # a physical node has every eigenvalue at least -TOL_PSD, and the
         # mask is that of the unmapped state
-        empty = functools.reduce(
-            np.logical_or,
-            (
-                top < -TOL_PSD - BOUND_MARGIN
-                for _, top in measures._eigenvalue_ranges(r, s, *box((axis,) * 3))
-            ),
-        )
+        empty = functools.reduce(np.logical_or, (top < -TOL_PSD - BOUND_MARGIN for _, top in eigen))
+        if channel is not None:
+            ends, eigen = box(axes)
+        low, high = field_range(*ends, eigen)
         return np.where(empty, np.inf, low), np.where(empty, -np.inf, high)
 
     return length.reshape(n, n).sum(axis=1), at, bounds

@@ -18,6 +18,7 @@ from .states import (
     DomainError,
     bell_eigenvalues,
     von_neumann_entropy,
+    x_diagonal,
     x_eigenvalues,
     _check_stack,
     _require_density,
@@ -83,13 +84,7 @@ def x_relative_entropy_values(r, s, c1, c2, c3):
     """
     # the eigenvalues are freed once summed, before the dephased terms exist
     s_rho = -sum(_xlog2x(v) for v in x_eigenvalues(r, s, c1, c2, c3))
-    diag = (
-        (1 + np.asarray(r) + s + c3) / 4,
-        (1 + np.asarray(r) - s - c3) / 4,
-        (1 - np.asarray(r) + s - c3) / 4,
-        (1 - np.asarray(r) - s + c3) / 4,
-    )
-    s_diag = -sum(_xlog2x(v) for v in diag)
+    s_diag = -sum(_xlog2x(v) for v in x_diagonal(r, s, c3))
     return np.maximum(s_diag - s_rho, 0.0)
 
 
@@ -163,29 +158,26 @@ def _max_abs_range(lo, hi):
     return functools.reduce(np.maximum, low), functools.reduce(np.maximum, high)
 
 
-def _l1_range(lo, hi):
+def _l1_range(lo, hi, _):
     """Range of :func:`l1_values`, which is max(|c1|, |c2|)."""
     return _max_abs_range(lo[:2], hi[:2])
 
 
-def _relative_entropy_range(r, s, lo, hi):
+def _relative_entropy_range(r, s, lo, hi, eigen):
     """Range of :func:`x_relative_entropy_values` on the slice (r, s), and of
-    :func:`bell_relative_entropy_values` with r = s = 0."""
-    l3, h3 = lo[2], hi[2]
-    diag = [
-        ((1 + r + s + l3) / 4, (1 + r + s + h3) / 4),
-        ((1 + r - s - h3) / 4, (1 + r - s - l3) / 4),
-        ((1 - r + s - h3) / 4, (1 - r + s - l3) / 4),
-        ((1 - r - s + l3) / 4, (1 - r - s + h3) / 4),
-    ]
-    s_diag = _entropy_range(diag)
-    s_rho = _entropy_range(_eigenvalue_ranges(r, s, lo, hi))
+    :func:`bell_relative_entropy_values` with r = s = 0, given the box's
+    eigenvalue ranges ``eigen`` from :func:`_eigenvalue_ranges`."""
+    # each diagonal entry is monotone in c3, so its values at the box's two
+    # c3 ends span its range
+    ends = zip(x_diagonal(r, s, lo[2]), x_diagonal(r, s, hi[2]))
+    s_diag = _entropy_range([(np.minimum(a, b), np.maximum(a, b)) for a, b in ends])
+    s_rho = _entropy_range(eigen)
     return np.maximum(s_diag[0] - s_rho[1], 0.0), np.maximum(s_diag[1] - s_rho[0], 0.0)
 
 
-def _discord_range(lo, hi):
-    """Range of :func:`bell_discord_values`."""
-    entropy = _entropy_range(_eigenvalue_ranges(0.0, 0.0, lo, hi))
+def _discord_range(lo, hi, eigen):
+    """Range of :func:`bell_discord_values`, given the box's ``eigen``."""
+    entropy = _entropy_range(eigen)
     c_lo, c_hi = _max_abs_range(lo, hi)
     g = _entropy_range([((1 + c_lo) / 2, (1 + c_hi) / 2), ((1 - c_hi) / 2, (1 - c_lo) / 2)])
     # discord is 1 - S(rho) + S(g) with S(g) = -sum over (1 +- c)/2

@@ -78,6 +78,17 @@ def _require_memory(what: str, peak: float) -> None:
         )
 
 
+def _require_count(what: str, value, minimum: int, too_small: str) -> int:
+    """``value``, a count such as a resolution, as an int.  Raises DomainError
+    unless it is an int or numpy integer, not a bool, and at least
+    ``minimum``; ``too_small`` is the message for a smaller one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(too_small)
+    return int(value)
+
+
 def bell_density(params) -> np.ndarray:
     """Density matrix of the Bell-diagonal state with correlations (c1, c2, c3).
 
@@ -99,10 +110,7 @@ def x_density(params) -> np.ndarray:
     """
     r, s, c1, c2, c3 = np.broadcast_arrays(*_in_range(X_FIELDS, params, columns=True))
     rho = np.zeros(r.shape + (4, 4), dtype=complex)
-    rho[..., 0, 0] = (1 + r + s + c3) / 4
-    rho[..., 1, 1] = (1 + r - s - c3) / 4
-    rho[..., 2, 2] = (1 - r + s - c3) / 4
-    rho[..., 3, 3] = (1 - r - s + c3) / 4
+    rho[..., range(4), range(4)] = np.stack(x_diagonal(r, s, c3), axis=-1)
     rho[..., 0, 3] = rho[..., 3, 0] = (c1 - c2) / 4
     rho[..., 1, 2] = rho[..., 2, 1] = (c1 + c2) / 4
     return rho
@@ -119,6 +127,16 @@ def bell_eigenvalues(c1, c2, c3):
         (1 - c1 + c2 + c3) / 4,
         (1 + c1 - c2 + c3) / 4,
         (1 + c1 + c2 - c3) / 4,
+    )
+
+
+def x_diagonal(r, s, c3):
+    """Closed-form diagonal of an X state, over scalars or broadcastable arrays."""
+    return (
+        (1 + r + s + c3) / 4,
+        (1 + r - s - c3) / 4,
+        (1 - r + s - c3) / 4,
+        (1 - r - s + c3) / 4,
     )
 
 

@@ -210,10 +210,9 @@ def trajectory_monotonicity(state_count: int, rng: np.random.Generator) -> Suite
 
 def run_all(samples: int) -> list[SuiteResult]:
     """Run every suite, sampling from DEFAULT_SEED; returns results in order.
-    Refuses a count whose PEAK_BYTES_PER_SAMPLE estimate exceeds physical
-    memory before sampling."""
-    if samples < 1:
-        raise states.DomainError("samples must be positive")
+    ``samples`` is a positive integer.  Refuses a count whose
+    PEAK_BYTES_PER_SAMPLE estimate exceeds physical memory before sampling."""
+    samples = states._require_count("samples", samples, 1, "samples must be positive")
     states._require_memory(f"{samples} samples", PEAK_BYTES_PER_SAMPLE * samples)
     rng = np.random.default_rng(DEFAULT_SEED)
     return [

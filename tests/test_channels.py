@@ -234,6 +234,15 @@ class TestDynamicsTrajectory:
         with pytest.raises(DomainError):
             default_p_grid(1)
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "3", True, None])
+    def test_steps_must_be_an_integer(self, steps):
+        # int() made 2.5 the grid [0, 0.667, 1.333], past p = 1
+        with pytest.raises(DomainError, match="steps must be an integer"):
+            default_p_grid(steps)
+
+    def test_takes_numpy_integers(self):
+        assert np.array_equal(default_p_grid(np.int64(11)), default_p_grid(11))
+
     def test_steps_beyond_memory_rejected(self, small_memory):
         fits = small_memory // PEAK_BYTES_PER_STEP
         assert len(default_p_grid(fits)) == fits

@@ -93,6 +93,17 @@ class TestGridAxis:
     def test_odd_resolution_hits_origin(self):
         assert grid_axis(17)[8] == 0.0
 
+    @pytest.mark.parametrize("resolution", [64.9, 16.0, "16", True, None])
+    def test_resolution_must_be_an_integer(self, resolution):
+        # int() made 64.9 a grid of 64 nodes
+        with pytest.raises(DomainError, match="resolution must be an integer"):
+            grid_axis(resolution)
+
+    def test_takes_numpy_integers_and_needs_two_nodes(self):
+        assert np.array_equal(grid_axis(np.int32(17)), grid_axis(17))
+        with pytest.raises(DomainError, match="resolution must be at least 2"):
+            grid_axis(1)
+
 
 class TestSampleField:
     def test_l1_zero_on_axis_node(self):
@@ -126,6 +137,16 @@ class TestSampleField:
         c1, c2, c3 = np.meshgrid(ax, ax, ax, indexing="ij")
         physical = np.minimum.reduce(bell_eigenvalues(c1, c2, c3)) >= -TOL_PSD
         assert np.array_equal(np.isfinite(grid), physical)
+
+    @pytest.mark.parametrize("resolution", [8.7, 16.0, "9", True, None])
+    def test_resolution_must_be_an_integer(self, resolution):
+        # int() ran 8.7 at n = 8 and "9" at n = 9
+        with pytest.raises(DomainError, match="resolution must be an integer"):
+            sample_field("l1", resolution)
+
+    def test_takes_numpy_integers(self):
+        grid = sample_field("l1", np.int64(9))
+        assert np.array_equal(grid, sample_field("l1", 9), equal_nan=True)
 
     def test_channel_premap_changes_field(self):
         plain = sample_field("rel-ent", 16)
@@ -587,6 +608,21 @@ class TestLevelSurface:
         assert len(level_surface("rel-ent", 128, 0.8953).triangles) > 0
         assert 0 < sum(seen) < physical / 4
 
+    def test_empty_boxes_are_those_of_the_unmapped_state(self, monkeypatch):
+        # the mask is that of the unmapped state, so a box is certified empty
+        # by its unmapped corners; the mapped box, which the channel shrinks
+        # toward the tetrahedron's centre, holds physical states far more often
+        # and would leave 2,299 of the 4,096 blocks uncertified, not 790
+        sampled = []
+        box_cases = geometry._box_cases
+        monkeypatch.setattr(
+            geometry,
+            "_box_cases",
+            lambda boxes, *args: sampled.append(len(boxes)) or box_cases(boxes, *args),
+        )
+        level_surface("rel-ent", 128, 0.1, channel="pf", p=0.5)
+        assert 0 < sum(sampled) < 1200
+
     @pytest.mark.parametrize(
         "args, kwargs",
         [
@@ -599,6 +635,8 @@ class TestLevelSurface:
             (("l1", 16, 0.5), {"slice": (0.0, 0.1), "channel": "bf", "p": 0.5}),
             (("l1", 16, 0.5), {"channel": "bf"}),
             (("l1", 16, 0.5), {"p": 0.5}),
+            (("l1", 8.7, 0.5), {}),
+            (("l1", "9", 0.5), {}),
         ],
     )
     def test_raises_what_the_two_step_path_raises(self, args, kwargs):

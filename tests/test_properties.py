@@ -12,6 +12,7 @@ The draws are derandomized, so the suite is deterministic.
 
 import itertools
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from cohgeom.states import (
     entangled_values,
     hermitian_spectrum,
     x_density,
+    x_diagonal,
     x_eigenvalues,
 )
 from cohgeom.verification import sample_physical_bell, sample_physical_x
@@ -284,11 +286,17 @@ def test_block_bounds_hold_the_field(field, n, box, seed):
     assert (low - BOUND_MARGIN <= values[physical]).all()
     assert (values[physical] <= high + BOUND_MARGIN).all()
     # the terms the bounds are built from, at every node of the box: each
-    # eigenvalue of the unmapped state, and its x log2 x
+    # eigenvalue and each diagonal entry of the unmapped state, and its
+    # x log2 x; the diagonal's ranges are the first that
+    # _relative_entropy_range hands to _entropy_range
+    rs = rs or (0.0, 0.0)
     axis = grid_axis(n)
-    ranges = measures._eigenvalue_ranges(*(rs or (0.0, 0.0)), axis[starts], axis[ends])
-    lam = x_eigenvalues(*(rs or (0.0, 0.0)), *(axis[x] for x in nodes))
-    for v, (v_lo, v_hi) in zip(lam, ranges):
+    ranges = measures._eigenvalue_ranges(*rs, axis[starts], axis[ends])
+    with mock.patch.object(measures, "_entropy_range", wraps=measures._entropy_range) as built:
+        measures._relative_entropy_range(*rs, axis[starts], axis[ends], ranges)
+    ranges += built.call_args_list[0].args[0]
+    lam = x_eigenvalues(*rs, *(axis[x] for x in nodes)) + x_diagonal(*rs, axis[nodes[2]])
+    for v, (v_lo, v_hi) in zip(lam, ranges, strict=True):
         assert (v_lo - BOUND_MARGIN <= v).all() and (v <= v_hi + BOUND_MARGIN).all()
         f_lo, f_hi = measures._xlog2x_range(v_lo, v_hi)
         f = measures._xlog2x(v)

@@ -144,6 +144,12 @@ class TestSuites:
         with pytest.raises(DomainError):
             run_all(samples=0)
 
+    @pytest.mark.parametrize("samples", [2.5, 300.0, "300", True, None])
+    def test_samples_must_be_an_integer(self, samples):
+        # 2.5 used to fail with a TypeError deep in the samplers
+        with pytest.raises(DomainError, match="samples must be an integer"):
+            run_all(samples)
+
     def test_samples_beyond_memory_rejected(self, small_memory):
         fits = small_memory // PEAK_BYTES_PER_SAMPLE
         assert len(run_all(fits)) == 8
