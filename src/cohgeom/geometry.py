@@ -29,15 +29,15 @@ DEGENERATE_AREA = 1e-14
 
 # Grid nodes per chunk of c1 layers in every n^3 pass (see _over_runs).  Each
 # worker holds a few temporaries of at most this size, and keeps them resident
-# from one chunk to the next: rel-ent at n = 256 peaked at 164, 172-177,
-# 219-223 and 300-314 MiB RSS after sampling with 1, 2, 8 and 16 workers,
-# about 9 MiB per worker.  level_surface, which samples only the blocks the
-# level may cross, peaked at 5-66, 5-64 and 4-199 MiB over a bare import with
-# 1, 2 and 16 workers (rel-ent, discord and l1 at levels 0.2 and 0.84, n = 192
-# and 256), the top set by the mesh of a low level.  2^20- and
-# 2^21-node chunks were measured no faster and used up to 2.5x the peak
-# memory; 2^17-node chunks saved 1-10 MiB of peak but made the case pass
-# 0.07 -> 0.09 s.
+# from one chunk to the next; both samplers take a quarter of it per call:
+# rel-ent at n = 256 peaked at 162, 162-166, 184 and 214-221 MiB RSS after
+# sampling with 1, 2, 8 and 16 workers, about 4 MiB per worker.
+# level_surface, which samples only the blocks the level may cross, peaked at
+# 5-60, 4-64 and 5-116 MiB over a bare import with 1, 2 and 16 workers
+# (rel-ent, discord and l1 at levels 0.2 and 0.84, n = 192 and 256), the top
+# set by the mesh of a low level.  2^20- and 2^21-node chunks were measured
+# no faster and used up to 2.5x the peak memory; 2^17-node chunks saved 1-10
+# MiB of peak but made the case pass 0.07 -> 0.09 s.
 SLAB_NODES = 1 << 18
 
 # Cubes per axis of the blocks that level_surface certifies before it
@@ -62,14 +62,14 @@ BLOCK_ROWS = 1 << 14
 # sample_field then extract_isosurface: the float64 grid, the chunk
 # temporaries of both passes, and the mesh with its per-vertex and
 # per-triangle arrays, which grow with the surface, not the grid.  Measured at
-# 1.05-1.80 over a bare import at n = 192 and 256 (rel-ent, discord and l1 at
+# 1.03-1.61 over a bare import at n = 192 and 256 (rel-ent, discord and l1 at
 # levels 0.2 and 0.84, one and two workers); the larger meshes of low levels
 # set the top of that range.  The workers' temporaries do not grow with the
-# grid: with 16 workers the ratio reached 3.2 at n = 192 and 2.2 at n = 256,
+# grid: with 16 workers the ratio reached 1.7 at n = 192 and 1.5 at n = 256,
 # but near the memory limit the grid is gigabytes and dominates.
 # level_surface, which never holds the grid and samples only the blocks the
-# level may cross, read 0.05-0.79 with one and two workers (same fields,
-# levels and sizes) and at most 2.4 with 16, yet keeps this estimate as its
+# level may cross, read 0.05-0.68 with one and two workers (same fields,
+# levels and sizes) and at most 1.8 with 16, yet keeps this estimate as its
 # guard, so both paths accept the same resolutions.
 PEAK_PER_GRID_BYTE = 2
 
@@ -115,44 +115,49 @@ def sample_field(
         discord, need (r, s) = (0, 0).  Give both or neither.
 
     Nodes whose state is unphysical are masked with NaN; with a channel
-    pre-map the mask reflects the initial (unmapped) state.  The physical
-    nodes of each (c1, c2) row form one interval of c3, whose ends are found
-    once per grid, by bisection over all n^2 rows at once.  Every channel
-    scales each component on its own, so the channel map is applied to the
-    axis once, and every measure is evaluated on the physical nodes only,
-    through the same sampler as :func:`level_surface`'s.  The c1 layers
-    are filled on the workers of :func:`_over_runs`, so memory is the grid
-    plus a few temporaries of a chunk's size per worker, and the grid does
-    not depend on the worker count.
+    pre-map the mask reflects the initial (unmapped) state.  A node is
+    physical when every closed-form eigenvalue of its state is at least
+    -TOL_PSD, tested at each node as it is sampled.  Every channel scales each
+    component on its own, so the channel map is applied to the axis once, and
+    every measure is evaluated on the physical nodes only, through the same
+    sampler as :func:`level_surface`'s.  The c1 layers are filled on the
+    workers of :func:`_over_runs`, about SLAB_NODES / 4 nodes at a time, so
+    memory is the grid plus a few temporaries of that size per worker, and
+    the grid does not depend on the worker count.
     """
-    physical, at, _ = _checked_field(measure, resolution, slice, channel, p)
+    at, _ = _checked_field(measure, resolution, slice, channel, p)
     n = int(resolution)
     values = np.empty((n, n, n))
     nodes = np.arange(n)
 
+    # layers of about SLAB_NODES / 4 nodes per call, as in level_surface
+    step = max(1, SLAB_NODES // 4 // (n * n))
+
     def fill_run(chunks):
         for i0, i1 in chunks:
-            # held until the next chunk replaces it (see _checked_field)
-            held = at(values[i0:i1], nodes[i0:i1, None, None], nodes[:, None], nodes)
+            for a in range(i0, i1, step):
+                b = min(a + step, i1)
+                # held until the next call replaces it (see _checked_field)
+                held = at(values[a:b], nodes[a:b, None, None], nodes[:, None], nodes)
 
-    # work per c1 layer: its physical nodes, and the NaN fill of all its n^2
-    _over_runs(physical + n * n, np.full(n, n * n), fill_run)
+    _over_runs(np.full(n, n * n), fill_run)
     return values
 
 
 def _checked_field(measure, resolution, slice, channel, p):
-    """Check a field's inputs once; return ``(physical, at, bounds)``.
+    """Check a field's inputs once; return ``(at, bounds)``.
 
-    ``physical`` is the number of physical nodes in each c1 layer.  ``at(out,
-    i, j, k)`` writes into ``out`` the field at the nodes of broadcastable
-    index arrays of its shape, NaN where a node is unphysical or beyond the
-    last node of its axis, and returns the kernel's output.  The caller holds
-    that array until the next call replaces it, so the heap never empties in
-    bulk and malloc keeps the pages of freed temporaries instead of returning
-    them to the OS.  ``bounds(start, end)`` gives, per box of nodes from index
-    triple ``start[..., :]`` to ``end[..., :]``, a range that holds the field
-    at every physical node of the box up to the kernels' rounding; a box with
-    no physical node gets the empty range (inf, -inf).  Raises DomainError on
+    ``at(out, i, j, k)`` writes into ``out`` the field at the nodes of
+    broadcastable index arrays of its shape, NaN where a node is unphysical
+    or beyond the last node of its axis, and returns the kernel's output.  A
+    node is physical when every closed-form eigenvalue of its unmapped state
+    is at least -TOL_PSD.  The caller holds the returned array until the next
+    call replaces it, so the heap never empties in bulk and malloc keeps the
+    pages of freed temporaries instead of returning them to the OS.
+    ``bounds(start, end)`` gives, per box of nodes from index triple
+    ``start[..., :]`` to ``end[..., :]``, a range that holds the field at
+    every physical node of the box up to the kernels' rounding; a box with no
+    physical node gets the empty range (inf, -inf).  Raises DomainError on
     bad input, and when the grid would not fit in memory (see
     :func:`sample_field`), before anything is allocated.
     """
@@ -167,7 +172,7 @@ def _checked_field(measure, resolution, slice, channel, p):
             raise DomainError(f"p must be a scalar, got shape {np.shape(p)}")
         p = channels._check_probability(p)
     if (r, s) == (0.0, 0.0):
-        eigenvalues, rising = bell_eigenvalues, (1, 2)
+        eigenvalues = bell_eigenvalues
         rel_ent = measures.bell_relative_entropy_values
     elif measure is MeasureKind.DISCORD or channel is not None:
         raise DomainError(
@@ -175,7 +180,7 @@ def _checked_field(measure, resolution, slice, channel, p):
             f"family only, (r, s) = (0, 0); got (r, s) = ({r}, {s})"
         )
     else:
-        eigenvalues, rising = functools.partial(x_eigenvalues, r, s), (0, 1)
+        eigenvalues = functools.partial(x_eigenvalues, r, s)
         rel_ent = functools.partial(measures.x_relative_entropy_values, r, s)
     states._require_memory(f"resolution {n}", PEAK_PER_GRID_BYTE * 8 * n**3)
     # per field: its kernel, its range over a box, and the coordinates it reads
@@ -190,27 +195,24 @@ def _checked_field(measure, resolution, slice, channel, p):
     }[measure]
 
     axis = grid_axis(n)
-    # per (c1, c2) row q = i n + j
-    c1, c2 = np.repeat(axis, n), np.tile(axis, n)
-    lo, hi = _physical_intervals(eigenvalues, rising, c1, c2, axis)
-    length = np.maximum(hi - lo, 0)
     axes = (axis, axis, axis)
     if channel is not None:
         # every channel scales each component on its own, so mapping the axis
-        # maps every node; the mask above stays that of the unmapped state
+        # maps every node; the mask stays that of the unmapped state
         axes = channels.correlation_map_values(channel, p, axis, axis, axis)
+    # one NaN node past each axis's last: a node beyond the grid reads it and
+    # fails the test, as NaN fails every comparison
+    unmapped, *axes = (np.append(ax, np.nan) for ax in (axis, *axes))
 
     def at(out, i, j, k):
-        # rows beyond the grid are empty, and hi <= n keeps k inside it
-        inside = (i < n) & (j < n)
-        q = np.where(inside, i * n + j, 0)
-        physical = inside & (lo[q] <= k) & (k < hi[q])
+        index = [np.minimum(x, n) for x in (i, j, k)]
+        # the eigenvalues live until the kernel is done, so its arrays lie
+        # above theirs in the heap and the held output keeps all their pages
+        lam = eigenvalues(*(unmapped[x] for x in index))
+        physical = np.broadcast_to(functools.reduce(np.minimum, lam) >= -TOL_PSD, out.shape)
         out.fill(np.nan)
         field = kernel(
-            *(
-                np.broadcast_to(ax[np.minimum(x, n - 1)], out.shape)[physical]
-                for ax, x in zip(axes[:coords], (i, j, k))
-            )
+            *(np.broadcast_to(ax[x], out.shape)[physical] for ax, x in zip(axes[:coords], index))
         )
         out[physical] = field
         return field
@@ -229,39 +231,7 @@ def _checked_field(measure, resolution, slice, channel, p):
         low, high = field_range(*ends, eigen)
         return np.where(empty, np.inf, low), np.where(empty, -np.inf, high)
 
-    return length.reshape(n, n).sum(axis=1), at, bounds
-
-
-def _physical_intervals(eigenvalues, rising, c1, c2, axis):
-    """Per (c1, c2) row, the c3 node indices [lo, hi) whose state is physical.
-
-    ``eigenvalues(c1, c2, c3)`` gives the four closed-form eigenvalues; the
-    two indexed by ``rising`` can only grow with c3 and the other two can
-    only shrink.  That holds in floating point too, because c3 enters each
-    expression once, added to or subtracted from an operand free of c3, and
-    rounding is monotone.  So the nodes where every eigenvalue is at least
-    -TOL_PSD form one interval per row (empty where hi <= lo), the same nodes
-    as the per-node test.  Its ends are found by bisection over all rows at
-    once, about log2(n) evaluations per row.
-    """
-    falling = [i for i in range(4) if i not in rising]
-    n = len(axis)
-
-    def leading(holds):
-        # per row, how many leading nodes satisfy holds, true on a prefix
-        count = np.zeros(len(c1), dtype=np.intp)
-        step = 1 << (n.bit_length() - 1)
-        while step:
-            ahead = count + step
-            lam = eigenvalues(c1, c2, axis[np.minimum(ahead, n) - 1])
-            advance = (ahead <= n) & holds(lam)
-            count[advance] = ahead[advance]
-            step >>= 1
-        return count
-
-    lo = leading(lambda lam: ~(np.minimum(*(lam[i] for i in rising)) >= -TOL_PSD))
-    hi = leading(lambda lam: np.minimum(*(lam[i] for i in falling)) >= -TOL_PSD)
-    return lo, hi
+    return at, bounds
 
 
 @dataclass
@@ -379,14 +349,15 @@ def _box_cases(boxes, origins, level, n):
     return case, key * 3 + axis, t
 
 
-def _over_runs(weight, size, work):
+def _over_runs(size, work):
     """The worker schedule of every n^3 pass, over layers along c1: node
     layers, cube layers or layers of blocks.
 
-    ``os.cpu_count()`` workers each take one contiguous run of the layers,
-    cut so that the runs' total ``weight``, one entry per layer, is about
-    equal.  A run is split into chunks of whole layers of about SLAB_NODES
-    grid nodes, ``size`` per layer: a chunk takes layers while it holds at
+    ``size`` holds each layer's grid nodes, the sampled or marched ones, and
+    the work on a layer is taken to grow with them.  ``os.cpu_count()``
+    workers each take one contiguous run of the layers, cut so that the
+    runs' total size is about equal.  A run is split into chunks of whole
+    layers of about SLAB_NODES nodes: a chunk takes layers while it holds at
     most SLAB_NODES, and at least one.  ``work(chunks)`` gets the run's
     layer ranges ``[(i0, i1), ...]`` in order, in one pool task per worker
     with a nonempty run.  So what ``work`` keeps from one chunk to the next,
@@ -396,9 +367,9 @@ def _over_runs(weight, size, work):
     no output depends on the chunks or on the workers.
     """
     workers = os.cpu_count() or 1
-    total = np.cumsum(weight)
+    total = np.cumsum(size)
     cuts = np.searchsorted(total, total[-1] * np.arange(1, workers) / workers)
-    bounds = [0, *cuts.tolist(), len(weight)]
+    bounds = [0, *cuts.tolist(), len(size)]
     runs = []
     for start, stop in zip(bounds, bounds[1:]):
         heads, nodes = [], 0
@@ -412,15 +383,15 @@ def _over_runs(weight, size, work):
         return list(pool.map(work, filter(None, runs)))
 
 
-def _march(n, weight, size, cases):
+def _march(n, size, cases):
     """Marching cubes over a grid of n nodes per axis, given in layers.
 
-    The layers are scheduled by :func:`_over_runs` with ``weight`` and
-    ``size``; ``cases(chunks)`` gives a run's :func:`_box_cases` output per
-    chunk ``(i0, i1)``, for the cubes of layers ``[i0, i1)``, which come
-    before those of later layers in cube order.
+    The layers, of ``size`` nodes each, are scheduled by :func:`_over_runs`;
+    ``cases(chunks)`` gives a run's :func:`_box_cases` output per chunk
+    ``(i0, i1)``, for the cubes of layers ``[i0, i1)``, which come before
+    those of later layers in cube order.
     """
-    runs = _over_runs(weight, size, cases)
+    runs = _over_runs(size, cases)
     case, key, t = (np.concatenate(column) for column in zip(*itertools.chain(*runs)))
     # each stage's inputs are dropped once used, so the triangle areas are
     # computed beside the mesh alone, not beside the whole build
@@ -488,7 +459,7 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     vertex.  Triangles follow in the same cube order, each cube's in table
     order, minus those of area at most DEGENERATE_AREA.  The case pass
     (:func:`_box_cases`) runs on the workers of :func:`_over_runs` over
-    chunks of whole cube layers, weighted equally, each chunk one box.
+    chunks of whole cube layers, n^2 nodes each, each chunk one box.
     Crossed edges are keyed by one flat integer, so the mesh build holds
     arrays the size of the mesh, not of the grid.
     """
@@ -503,7 +474,7 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     def cases(chunks):
         return [_box_cases(vals[None, i0 : i1 + 1], [(i0, 0, 0)], level, n) for i0, i1 in chunks]
 
-    return _march(n, np.ones(n - 1), np.full(n - 1, n * n), cases)
+    return _march(n, np.full(n - 1, n * n), cases)
 
 
 def level_surface(
@@ -530,8 +501,8 @@ def level_surface(
     field is never sampled there (min/max culling: Wilhelms and Van Gelder,
     ACM TOG 11(3), 1992).  The other blocks are sampled on their closure
     nodes and marched on the workers of :func:`_over_runs`, in chunks of
-    whole block layers weighted by their uncertified blocks, so the n^3 grid
-    is never held.
+    whole block layers sized by their uncertified blocks' nodes, so the n^3
+    grid is never held.
 
     Why the bytes cannot change: a certified block holds no active cube,
     since each of its cubes lies in a certified box, the block or one of its
@@ -542,7 +513,7 @@ def level_surface(
     cubes are sorted into cube order, and chunks follow it too, so the
     vertex and triangle order are those of the two-step path.
     """
-    _, at, bounds = _checked_field(measure, resolution, slice, channel, p)
+    at, bounds = _checked_field(measure, resolution, slice, channel, p)
     level = _check_level(level)
     n = int(resolution)
 
@@ -568,8 +539,9 @@ def level_surface(
     closure = np.arange(BLOCK_CUBES + 1)
     slots = len(closure) ** 3
     # a layer of blocks can hold several chunks' nodes, so it is sampled
-    # about SLAB_NODES at a time
-    group = max(1, SLAB_NODES // slots)
+    # about SLAB_NODES / 4 nodes at a time: the physicality test's four
+    # eigenvalue arrays then take no more than one chunk
+    group = max(1, SLAB_NODES // 4 // slots)
 
     def cases(chunks):
         out = []
@@ -586,7 +558,7 @@ def level_surface(
             out.append(_box_cases(boxes, origin, level, n))
         return out
 
-    return _march(n, per_layer, per_layer * slots, cases)
+    return _march(n, per_layer * slots, cases)
 
 
 def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:

@@ -21,7 +21,10 @@ def peak_rss(*argv):
     """Peak RSS in bytes of a child process run with ``cli_env()``."""
     proc = subprocess.Popen(argv, env=cli_env())
     _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
+    # reaped here, so the Popen object must be told, or it warns that the
+    # child is still running
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
     return usage.ru_maxrss * 1024
 
 

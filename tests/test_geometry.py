@@ -290,6 +290,11 @@ class TestSampleField:
             ("l1", {"slice": (0.3, -0.2)}),
             ("trace", {"slice": (0.3, -0.2)}),
             ("discord", {"slice": (0.0, 0.0), "channel": "gad", "p": 0.3}),
+            # extreme X slices: no physical node at n = 20, and a thin sliver
+            ("rel-ent", {"slice": (1.0, 0.0)}),
+            ("l1", {"slice": (1.0, 0.0)}),
+            ("rel-ent", {"slice": (0.9, 0.9)}),
+            ("l1", {"slice": (0.9, 0.9)}),
         ],
     )
     def test_slabs_match_full_grid_reference(self, monkeypatch, measure, kwargs, threads):
@@ -325,14 +330,32 @@ class TestSampleField:
 
     def test_kernel_sees_only_physical_nodes(self, monkeypatch):
         seen = []
-        kernel = measures.bell_relative_entropy_values
-        monkeypatch.setattr(
-            measures,
-            "bell_relative_entropy_values",
-            lambda *c: seen.append(np.broadcast(*c).size) or kernel(*c),
-        )
+        for name in ("bell_relative_entropy_values", "x_relative_entropy_values"):
+            kernel = getattr(measures, name)
+            monkeypatch.setattr(
+                measures, name, lambda *c, kernel=kernel: seen.append(c[-3:]) or kernel(*c)
+            )
         grid = sample_field("rel-ent", 24)
-        assert sum(seen) == np.isfinite(grid).sum()
+        assert sum(np.broadcast(*c).size for c in seen) == np.isfinite(grid).sum()
+        # level_surface's blocks at n = 130 reach past the last node; every
+        # coordinate the kernel gets is finite and passes the per-node test
+        for rs in ((0.0, 0.0), (0.9, 0.9)):
+            seen.clear()
+            assert len(level_surface("rel-ent", 130, 0.05, slice=rs).triangles) > 0
+            c = np.concatenate([np.broadcast_arrays(*part) for part in seen], axis=1)
+            assert np.isfinite(c).all()
+            lam = bell_eigenvalues(*c) if rs == (0.0, 0.0) else x_eigenvalues(*rs, *c)
+            assert (np.minimum.reduce(lam) >= -TOL_PSD).all()
+
+    def test_nodes_past_the_grid_are_unphysical(self):
+        # level_surface's last blocks reach past node n - 1; (1, 0, 0) is a
+        # physical state on the grid's last c1 layer, and the nodes beyond it
+        # must not repeat it
+        at, _ = geometry._checked_field("l1", 9, None, None, None)
+        out = np.empty(3)
+        at(out, np.array([8, 9, 12]), np.array(4), np.array(4))
+        assert np.isfinite(out[0])
+        assert np.isnan(out[1:]).all()
 
 
 class TestExtractIsosurface:
@@ -550,6 +573,7 @@ class TestCubeCases:
 
 
 class TestLevelSurface:
+    EXTREME = [(1.0, 0.0), (0.9, 0.9)]
     FIELDS = [
         ("l1", 0.3, {}),
         ("trace", 0.3, {}),
@@ -570,14 +594,22 @@ class TestLevelSurface:
         # every block certified: empty meshes
         ("rel-ent", 1.0, {}),
         ("discord", 1.5, {}),
+        # extreme X slices, whose physical set is at most one node or a
+        # thin sliver
+        ("rel-ent", 0.05, {"slice": (1.0, 0.0)}),
+        ("l1", 0.2, {"slice": (1.0, 0.0)}),
+        ("rel-ent", 0.05, {"slice": (0.9, 0.9)}),
+        ("l1", 0.2, {"slice": (0.9, 0.9)}),
     ]
 
     @pytest.mark.parametrize("n", [8, 9, 20, 97, 130])
     @pytest.mark.parametrize("measure, level, kwargs", FIELDS)
     def test_equals_the_two_step_path(self, monkeypatch, measure, level, kwargs, n):
         expected = extract_isosurface(sample_field(measure, n, **kwargs), level)
-        # the thin sheets above 0.8 need the finer grids
-        if n >= 20 and level < 0.8 or n >= 97 and level < 1.0:
+        # the thin sheets above 0.8 need the finer grids; the extreme slices
+        # have a surface at n >= 97 at most
+        sliver = kwargs.get("slice") in self.EXTREME
+        if not sliver and (n >= 20 and level < 0.8 or n >= 97 and level < 1.0):
             assert len(expected.triangles) > 0
         # chunks of 3 cube layers, or of about 3 n^2 nodes of blocks: the
         # cube layers of 7, 8 and 19 layers, and the blocks of 96 and 129,

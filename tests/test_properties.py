@@ -266,7 +266,7 @@ def test_block_bounds_hold_the_field(field, n, box, seed):
     measure, rs, kind, p = field
     if kind is None:
         p = None
-    _, at, bounds = geometry._checked_field(measure, n, rs, kind, p)
+    at, bounds = geometry._checked_field(measure, n, rs, kind, p)
     starts = np.array([int(u * (n - 1)) for u, _ in box])
     ends = starts + [int(v * (n - 1 - s)) for (_, v), s in zip(box, starts)]
     low, high = bounds(starts, ends)
