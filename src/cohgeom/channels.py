@@ -26,6 +26,7 @@ from .states import (
     TOL_PSD,
     bell_eigenvalues,
     require_physical_bell,
+    _in_range,
     _member,
     _require_count,
     _require_density,
@@ -58,18 +59,6 @@ _SHRINK = {
 }
 
 
-def _check_probability(p):
-    """Range-check a probability or an array of them.  A scalar comes back as a
-    Python float, an array as a float array."""
-    parr = np.asarray(p, dtype=float)
-    bad = ~((parr >= 0.0) & (parr <= 1.0))
-    if bad.any():
-        raise DomainError(
-            f"channel probability must lie in [0, 1], got {float(parr[bad][0])}"
-        )
-    return float(parr) if parr.ndim == 0 else parr
-
-
 def kraus_ops(kind, p) -> np.ndarray:
     """Kraus operators of a single-qubit channel at decoherence probability p.
 
@@ -79,7 +68,7 @@ def kraus_ops(kind, p) -> np.ndarray:
     The completeness relation sum(E^dag E) = I holds for every p in [0, 1].
     """
     kind = _member(ChannelKind, kind, "channel")
-    p = np.asarray(_check_probability(p))
+    p = np.asarray(_in_range(("channel probability",), (p,), columns=True, low=0)[0])
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         half = math.sqrt(0.5)
         ops = np.zeros(p.shape + (4, 2, 2), dtype=complex)
@@ -125,7 +114,7 @@ def correlation_map_values(kind, p, c1, c2, c3):
     amplitude damping shrinks c1 and c2 by (1-p) and c3 by (1-p)^2.
     """
     powers = _SHRINK[_member(ChannelKind, kind, "channel")]
-    p = _check_probability(p)
+    (p,) = _in_range(("channel probability",), (p,), columns=True, low=0)
     return tuple(
         c if e == 0 else c * (1.0 - p) ** e for c, e in zip((c1, c2, c3), powers)
     )
@@ -140,7 +129,7 @@ def dynamics_trajectory(params, kind, p_grid) -> np.ndarray:
     coherence per grid point, in grid order.
     """
     initial = require_physical_bell(params)
-    grid = _check_probability(p_grid)
+    (grid,) = _in_range(("channel probability",), (p_grid,), columns=True, low=0)
     if (np.diff(grid) <= 0.0).any():
         raise DomainError("p grid must be strictly increasing")
     mapped = correlation_map_values(kind, grid, *initial)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,9 +28,10 @@ from .states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
 # Triangles at or below this area are dropped as degenerate.
 DEGENERATE_AREA = 1e-14
 
-# Grid nodes per chunk of c1 layers in every n^3 pass (see _over_runs).  Each
-# worker holds a few temporaries of at most this size, and keeps them resident
-# from one chunk to the next; both samplers take a quarter of it per call:
+# Grid nodes per chunk of c1 layers in every n^3 pass (see _over_runs); the
+# sampler of _checked_field evaluates a quarter of it per kernel call.  Each
+# worker holds a few temporaries of at most this size and keeps their pages
+# from one chunk to the next:
 # rel-ent at n = 256 peaked at 162, 162-166, 184 and 214-221 MiB RSS after
 # sampling with 1, 2, 8 and 16 workers, about 4 MiB per worker.
 # level_surface, which samples only the blocks the level may cross, peaked at
@@ -120,27 +122,20 @@ def sample_field(
     -TOL_PSD, tested at each node as it is sampled.  Every channel scales each
     component on its own, so the channel map is applied to the axis once, and
     every measure is evaluated on the physical nodes only, through the same
-    sampler as :func:`level_surface`'s.  The c1 layers are filled on the
-    workers of :func:`_over_runs`, about SLAB_NODES / 4 nodes at a time, so
-    memory is the grid plus a few temporaries of that size per worker, and
-    the grid does not depend on the worker count.
+    sampler as :func:`level_surface`'s.  The c1 layers are filled chunk by
+    chunk on the workers of :func:`_over_runs`, and the sampler evaluates
+    about SLAB_NODES / 4 nodes per kernel call, so memory is the grid plus a
+    few temporaries of that size per worker, and the grid does not depend on
+    the worker count.
     """
     at, _ = _checked_field(measure, resolution, slice, channel, p)
     n = int(resolution)
     values = np.empty((n, n, n))
     nodes = np.arange(n)
-
-    # layers of about SLAB_NODES / 4 nodes per call, as in level_surface
-    step = max(1, SLAB_NODES // 4 // (n * n))
-
-    def fill_run(chunks):
-        for i0, i1 in chunks:
-            for a in range(i0, i1, step):
-                b = min(a + step, i1)
-                # held until the next call replaces it (see _checked_field)
-                held = at(values[a:b], nodes[a:b, None, None], nodes[:, None], nodes)
-
-    _over_runs(np.full(n, n * n), fill_run)
+    _over_runs(
+        np.full(n, n * n),
+        lambda i0, i1: at(values[i0:i1], nodes[i0:i1, None, None], nodes[:, None], nodes),
+    )
     return values
 
 
@@ -149,10 +144,12 @@ def _checked_field(measure, resolution, slice, channel, p):
 
     ``at(out, i, j, k)`` writes into ``out`` the field at the nodes of
     broadcastable index arrays of its shape, NaN where a node is unphysical
-    or beyond the last node of its axis, and returns the kernel's output.  A
-    node is physical when every closed-form eigenvalue of its unmapped state
-    is at least -TOL_PSD.  The caller holds the returned array until the next
-    call replaces it, so the heap never empties in bulk and malloc keeps the
+    or beyond the last node of its axis.  A node is physical when every
+    closed-form eigenvalue of its unmapped state is at least -TOL_PSD.  It
+    calls the kernel on about SLAB_NODES / 4 nodes at a time, whole rows
+    along ``out``'s first axis, cutting an index array only where it spans
+    that axis.  Each thread keeps its last kernel output until its next call
+    replaces it, so the heap never empties in bulk and malloc keeps the
     pages of freed temporaries instead of returning them to the OS.
     ``bounds(start, end)`` gives, per box of nodes from index triple
     ``start[..., :]`` to ``end[..., :]``, a range that holds the field at
@@ -170,7 +167,7 @@ def _checked_field(measure, resolution, slice, channel, p):
         channel = states._member(channels.ChannelKind, channel, "channel")
         if np.ndim(p) != 0:
             raise DomainError(f"p must be a scalar, got shape {np.shape(p)}")
-        p = channels._check_probability(p)
+        (p,) = states._in_range(("channel probability",), (p,), low=0)
     if (r, s) == (0.0, 0.0):
         eigenvalues = bell_eigenvalues
         rel_ent = measures.bell_relative_entropy_values
@@ -204,18 +201,29 @@ def _checked_field(measure, resolution, slice, channel, p):
     # fails the test, as NaN fails every comparison
     unmapped, *axes = (np.append(ax, np.nan) for ax in (axis, *axes))
 
+    # each thread's last kernel output, kept until its next batch replaces it
+    held = threading.local()
+
     def at(out, i, j, k):
         index = [np.minimum(x, n) for x in (i, j, k)]
-        # the eigenvalues live until the kernel is done, so its arrays lie
-        # above theirs in the heap and the held output keeps all their pages
-        lam = eigenvalues(*(unmapped[x] for x in index))
-        physical = np.broadcast_to(functools.reduce(np.minimum, lam) >= -TOL_PSD, out.shape)
-        out.fill(np.nan)
-        field = kernel(
-            *(np.broadcast_to(ax[x], out.shape)[physical] for ax, x in zip(axes[:coords], index))
-        )
-        out[physical] = field
-        return field
+        rows = max(1, SLAB_NODES // 4 // math.prod(out.shape[1:]))
+        for a in range(0, len(out), rows):
+            part = out[a : a + rows]
+            batch = [x[a : a + rows] if np.ndim(x) == out.ndim and len(x) > 1 else x for x in index]
+            # the eigenvalues live until the kernel is done, so its arrays lie
+            # above theirs in the heap and the held output keeps all their
+            # pages; they are freed before the next batch takes its own
+            lam = eigenvalues(*(unmapped[x] for x in batch))
+            physical = np.broadcast_to(functools.reduce(np.minimum, lam) >= -TOL_PSD, part.shape)
+            part.fill(np.nan)
+            held.field = kernel(
+                *(
+                    np.broadcast_to(ax[x], part.shape)[physical]
+                    for ax, x in zip(axes[:coords], batch)
+                )
+            )
+            part[physical] = held.field
+            del lam, physical
 
     def bounds(start, end):
         def box(along):
@@ -358,13 +366,13 @@ def _over_runs(size, work):
     workers each take one contiguous run of the layers, cut so that the
     runs' total size is about equal.  A run is split into chunks of whole
     layers of about SLAB_NODES nodes: a chunk takes layers while it holds at
-    most SLAB_NODES, and at least one.  ``work(chunks)`` gets the run's
-    layer ranges ``[(i0, i1), ...]`` in order, in one pool task per worker
-    with a nonempty run.  So what ``work`` keeps from one chunk to the next,
-    a buffer and the sampling temporaries, stays resident instead of being
-    paged in again for every chunk.  Returns the results in run order.
-    Every node is computed on its own and the runs are joined in order, so
-    no output depends on the chunks or on the workers.
+    most SLAB_NODES, and at least one.  Each worker with a nonempty run calls
+    ``work(i0, i1)`` on its chunks' layer ranges in order, in one pool task.
+    The runs are cut by size, not dealt chunk by chunk as workers come free,
+    because a pass of a few chunks would not balance across the workers.
+    Returns the results in chunk order.  Every node is computed on its own
+    and the chunks are joined in order, so no output depends on the chunks
+    or on the workers.
     """
     workers = os.cpu_count() or 1
     total = np.cumsum(size)
@@ -380,22 +388,23 @@ def _over_runs(size, work):
             nodes += size[i]
         runs.append(list(zip(heads, heads[1:] + [stop])))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, filter(None, runs)))
+        done = pool.map(lambda chunks: [work(i0, i1) for i0, i1 in chunks], filter(None, runs))
+        return [result for results in done for result in results]
 
 
 def _march(n, size, cases):
     """Marching cubes over a grid of n nodes per axis, given in layers.
 
     The layers, of ``size`` nodes each, are scheduled by :func:`_over_runs`;
-    ``cases(chunks)`` gives a run's :func:`_box_cases` output per chunk
-    ``(i0, i1)``, for the cubes of layers ``[i0, i1)``, which come before
-    those of later layers in cube order.
+    ``cases(i0, i1)`` gives the :func:`_box_cases` output for the cubes of
+    layers ``[i0, i1)``, which come before those of later layers in cube
+    order.
     """
-    runs = _over_runs(size, cases)
-    case, key, t = (np.concatenate(column) for column in zip(*itertools.chain(*runs)))
+    chunks = _over_runs(size, cases)
+    case, key, t = (np.concatenate(column) for column in zip(*chunks))
     # each stage's inputs are dropped once used, so the triangle areas are
     # computed beside the mesh alone, not beside the whole build
-    del runs
+    del chunks
     vertex, points = _number_vertices(n, key, t)
     del key, t
     mesh = TriangleMesh(points, vertex[_triangle_pairs(case)])
@@ -471,8 +480,8 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
         raise DomainError("grid resolution must be at least 8 per axis")
     level = _check_level(level)
 
-    def cases(chunks):
-        return [_box_cases(vals[None, i0 : i1 + 1], [(i0, 0, 0)], level, n) for i0, i1 in chunks]
+    def cases(i0, i1):
+        return _box_cases(vals[None, i0 : i1 + 1], [(i0, 0, 0)], level, n)
 
     return _march(n, np.full(n - 1, n * n), cases)
 
@@ -537,28 +546,18 @@ def level_surface(
     per_layer = np.bincount(origins[:, 0] // BLOCK_CUBES, minlength=len(starts))
     first = np.concatenate(([0], np.cumsum(per_layer)))
     closure = np.arange(BLOCK_CUBES + 1)
-    slots = len(closure) ** 3
-    # a layer of blocks can hold several chunks' nodes, so it is sampled
-    # about SLAB_NODES / 4 nodes at a time: the physicality test's four
-    # eigenvalue arrays then take no more than one chunk
-    group = max(1, SLAB_NODES // 4 // slots)
 
-    def cases(chunks):
-        out = []
-        for b0, b1 in chunks:
-            origin = origins[first[b0] : first[b1]]
-            boxes = np.empty((len(origin),) + (len(closure),) * 3)
-            for g in range(0, len(origin), group):
-                corner = origin[g : g + group, :, None, None, None]
-                i = corner[:, 0] + closure[:, None, None]
-                j = corner[:, 1] + closure[:, None]
-                k = corner[:, 2] + closure
-                # held until the next group replaces it, as in sample_field
-                held = at(boxes[g : g + group], i, j, k)
-            out.append(_box_cases(boxes, origin, level, n))
-        return out
+    def cases(b0, b1):
+        origin = origins[first[b0] : first[b1]]
+        boxes = np.empty((len(origin),) + (len(closure),) * 3)
+        corner = origin[:, :, None, None, None]
+        i = corner[:, 0] + closure[:, None, None]
+        j = corner[:, 1] + closure[:, None]
+        k = corner[:, 2] + closure
+        at(boxes, i, j, k)
+        return _box_cases(boxes, origin, level, n)
 
-    return _march(n, per_layer * slots, cases)
+    return _march(n, per_layer * len(closure) ** 3, cases)
 
 
 def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:

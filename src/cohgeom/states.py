@@ -37,9 +37,9 @@ BELL_FIELDS = ("c1", "c2", "c3")
 X_FIELDS = ("r", "s") + BELL_FIELDS
 
 
-def _in_range(names, values, columns=False) -> tuple:
+def _in_range(names, values, columns=False, low=-1) -> tuple:
     """``values``, one per name in ``names``, as floats (or, with ``columns``,
-    float arrays), each checked to lie in [-1, 1]; NaN fails the check too."""
+    float arrays), each checked to lie in [low, 1]; NaN fails the check too."""
     values = tuple(values)
     if len(values) != len(names):
         raise DomainError(
@@ -49,9 +49,9 @@ def _in_range(names, values, columns=False) -> tuple:
     if not columns and any(v.ndim for v in values):
         raise DomainError(f"expected one number each for {', '.join(names)}")
     for name, value in zip(names, values):
-        bad = value[~((-1.0 <= value) & (value <= 1.0))]
+        bad = value[~((low <= value) & (value <= 1.0))]
         if bad.size:
-            raise DomainError(f"{name} must lie in [-1, 1], got {bad[0]}")
+            raise DomainError(f"{name} must lie in [{low}, 1], got {bad[0]}")
     return tuple(float(v) if v.ndim == 0 else v for v in values)
 
 

@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -180,10 +181,12 @@ class TestSampleField:
         platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults"
     )
     def test_workers_keep_their_pages(self):
-        # A worker's temporaries stay resident from one chunk to the next:
-        # returned to the OS after every chunk and faulted in again, they took
-        # about 5 grids' worth of minor faults at n = 192.  Two workers, so the
-        # count does not depend on the host's cores.
+        # Each thread's sampler holds its last kernel output until its next
+        # call, so a worker's temporaries stay resident from one chunk to the
+        # next: 0.3-1.2 grids' pages of minor faults at n = 192, where
+        # dropping the output after every call took 1.8-2.1, and returning
+        # the temporaries to the OS after every chunk once took about 5.  Two
+        # workers, so the count does not depend on the host's cores.
         child = (
             "import os, resource\n"
             "os.cpu_count = lambda: 2\n"
@@ -346,6 +349,36 @@ class TestSampleField:
             assert np.isfinite(c).all()
             lam = bell_eigenvalues(*c) if rs == (0.0, 0.0) else x_eigenvalues(*rs, *c)
             assert (np.minimum.reduce(lam) >= -TOL_PSD).all()
+
+    def test_kernel_calls_take_a_quarter_chunk(self, monkeypatch):
+        # chunks of 8 layers of 24^2 nodes, or of up to 6 block closures of
+        # 9^3: every batch, recorded by the size of its eigenvalue call (the
+        # kernel then gets its physical nodes), takes at most SLAB_NODES / 4
+        # nodes or one row along out's first axis, and a chunk takes several
+        # batches.  One worker, so the batches come chunk by chunk.
+        monkeypatch.setattr(geometry, "SLAB_NODES", 8 * 24 * 24)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        calls = []
+        eigenvalues, box_cases = geometry.bell_eigenvalues, geometry._box_cases
+        monkeypatch.setattr(
+            geometry,
+            "bell_eigenvalues",
+            lambda *c: calls.append(np.broadcast(*c).size) or eigenvalues(*c),
+        )
+        sample_field("rel-ent", 24)
+        # more calls than the 3 chunks
+        assert len(calls) > 3
+        assert max(calls) <= max(geometry.SLAB_NODES // 4, 24 * 24)
+        # level_surface marks each chunk's end by its case pass
+        calls.clear()
+        monkeypatch.setattr(
+            geometry, "_box_cases", lambda *args: calls.append(None) or box_cases(*args)
+        )
+        assert len(level_surface("rel-ent", 130, 0.05).triangles) > 0
+        sizes = [size for size in calls if size is not None]
+        assert max(sizes) <= max(geometry.SLAB_NODES // 4, 9**3)
+        ends = [i for i, size in enumerate(calls) if size is None]
+        assert max(np.diff([-1, *ends]) - 1) > 1
 
     def test_nodes_past_the_grid_are_unphysical(self):
         # level_surface's last blocks reach past node n - 1; (1, 0, 0) is a
@@ -687,11 +720,11 @@ class TestLevelSurface:
         platform.libc_ver()[0] != "glibc", reason="counts glibc malloc's page faults"
     )
     def test_workers_keep_their_pages(self):
-        # As in sample_field, each worker loops over its own run of chunks
-        # and keeps its buffer and temporaries from one chunk to the next:
-        # 1.1-1.2 grids' pages of minor faults at n = 192, where one pool
-        # task per chunk took 3.4.  Two workers, so the count does not
-        # depend on the host's cores.
+        # As in sample_field, each thread's sampler keeps its temporaries
+        # from one chunk to the next: 0.5-0.7 grids' pages of minor faults
+        # at n = 192.  When the output was held per pool task, one task per
+        # chunk took 3.4.  Two workers, so the count does not depend on the
+        # host's cores.
         child = (
             "import os, resource\n"
             "os.cpu_count = lambda: 2\n"
@@ -707,6 +740,35 @@ class TestLevelSurface:
         assert proc.returncode == 0, proc.stderr
         faults, grid_pages = map(int, proc.stdout.split())
         assert faults < 2 * grid_pages
+
+
+class TestOverRuns:
+    # zero-size layers, as level_surface's block layers with no uncertified
+    # block: at both ends, inside a chunk, and as whole runs
+    SIZES = [
+        [0, 0, 4, 0, 7, 3, 12, 0, 0, 5, 5, 0, 1, 0, 0],
+        [0] * 6,
+        [3] * 9 + [0] * 7,
+    ]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+    def test_chunks_cover_each_layer_once_in_order(self, monkeypatch, size, cpus):
+        monkeypatch.setattr(geometry, "SLAB_NODES", 10)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+        def work(i0, i1):
+            # the first layers' chunks finish last
+            time.sleep(0.001 * (len(size) - i0))
+            return i0, i1
+
+        chunks = geometry._over_runs(np.array(size), work)
+        # in chunk order, each layer in exactly one chunk
+        assert [i0 for i0, _ in chunks] == [0] + [i1 for _, i1 in chunks[:-1]]
+        assert chunks[-1][1] == len(size)
+        for i0, i1 in chunks:
+            assert i0 < i1
+            assert i1 - i0 == 1 or sum(size[i0:i1]) <= 10
 
 
 class TestMeshBytes:
