@@ -208,6 +208,17 @@ def _check_stack(m) -> np.ndarray:
     return a
 
 
+def _spectrum(a, tolerance: float, message: str) -> np.ndarray:
+    """Eigenvalues of a checked ``(..., 4, 4)`` stack ``a``, descending: one
+    Hermiticity check within ``tolerance`` (DomainError ``message`` if it
+    fails) and one batched LAPACK ``eigvalsh`` call on the symmetrized stack,
+    both from the same adjoint."""
+    adjoint = a.conj().swapaxes(-1, -2)
+    if np.abs(a - adjoint).max(initial=0.0) > tolerance:
+        raise DomainError(message)
+    return np.linalg.eigvalsh((a + adjoint) / 2)[..., ::-1]
+
+
 def hermitian_spectrum(m) -> np.ndarray:
     """Eigenvalues of a 4x4 Hermitian matrix or a ``(..., 4, 4)`` stack, descending.
 
@@ -222,22 +233,18 @@ def hermitian_spectrum(m) -> np.ndarray:
         If any entry is not finite, or any matrix is not Hermitian within
         1e-10.
     """
-    a = _check_stack(m)
-    if np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-10:
-        raise DomainError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)[..., ::-1]
+    return _spectrum(_check_stack(m), 1e-10, "matrix is not Hermitian within tolerance")
 
 
 def _require_density(m) -> tuple[np.ndarray, np.ndarray]:
     """Validate Hermiticity, unit trace and positivity of a matrix or a
-    ``(..., 4, 4)`` stack; return (m, spectrum)."""
+    ``(..., 4, 4)`` stack; return (m, spectrum).  The spectrum is
+    :func:`hermitian_spectrum`'s, from the stack checked once."""
     a = _check_stack(m)
-    if np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0) > 1e-12:
-        raise DomainError("density matrix is not Hermitian within 1e-12")
+    spectrum = _spectrum(a, 1e-12, "density matrix is not Hermitian within 1e-12")
     trace = np.trace(a, axis1=-2, axis2=-1)
     if (np.abs(trace.real - 1.0) > 1e-12).any() or (np.abs(trace.imag) > 1e-12).any():
         raise DomainError("density matrix trace differs from 1 by more than 1e-12")
-    spectrum = hermitian_spectrum(a)
     lam_min = spectrum[..., -1].min(initial=np.inf)
     if lam_min < -TOL_PSD:
         raise DomainError(

@@ -17,15 +17,29 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# Starts its argv, waits for it and prints its exit code and ru_maxrss in KiB.
+# A child's ru_maxrss includes the high-water RSS of the process it was
+# started from, so children measured straight from pytest read at least
+# pytest's own peak; this launcher is a fresh interpreter of a few MB.
+RSS_LAUNCHER = (
+    "import os, subprocess, sys; "
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(proc.pid, 0); "
+    "proc.returncode = os.waitstatus_to_exitcode(status); "
+    "print(proc.returncode, usage.ru_maxrss)"
+)
+
+
 def peak_rss(*argv):
-    """Peak RSS in bytes of a child process run with ``cli_env()``."""
-    proc = subprocess.Popen(argv, env=cli_env())
-    _, status, usage = os.wait4(proc.pid, 0)
-    # reaped here, so the Popen object must be told, or it warns that the
-    # child is still running
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    return usage.ru_maxrss * 1024
+    """Peak RSS in bytes of a child process run with ``cli_env()``, started
+    from ``RSS_LAUNCHER`` rather than from pytest."""
+    launched = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, *argv],
+        env=cli_env(), capture_output=True, text=True, check=True,
+    )
+    returncode, maxrss = map(int, launched.stdout.split())
+    assert returncode == 0
+    return maxrss * 1024
 
 
 class TestMeasure:
@@ -408,7 +422,7 @@ class TestMemoryGuard:
         "argv",
         [
             ("surface", "--level", "0.5", "--resolution", "64", "--out", "x.obj"),
-            ("verify", "--samples", "10000"),
+            ("verify", "--samples", "100000"),
             ("dynamics", "--c1", "0.1", "--c2", "0.1", "--c3", "0.1", "--steps", "10000"),
         ],
         ids=["surface", "verify", "dynamics"],

@@ -224,6 +224,32 @@ class TestHermitianSpectrum:
             hermitian_spectrum(np.eye(3))
 
 
+class TestRequireDensity:
+    def test_one_spectrum_and_the_checks_in_order(self, monkeypatch):
+        columns = np.array([[0.3, 0.1], [-0.2, 0.4], [0.5, 0.0]])
+        rho = bell_density(columns)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a)
+        )
+        _, spectrum = states._require_density(rho)
+        assert calls == [(2, 4, 4)]
+        assert spectrum.tobytes() == hermitian_spectrum(rho).tobytes()
+        # Hermitian within hermitian_spectrum's 1e-10 but not a density's 1e-12
+        skew = rho.copy()
+        skew[1, 0, 3] += 1e-11
+        hermitian_spectrum(skew)
+        with pytest.raises(DomainError, match="not Hermitian within 1e-12"):
+            states._require_density(skew)
+        # with the trace off as well, the Hermiticity check still comes first
+        skew[1, 0, 0] += 0.5
+        with pytest.raises(DomainError, match="not Hermitian within 1e-12"):
+            states._require_density(skew)
+        with pytest.raises(DomainError, match="trace differs"):
+            states._require_density(1.5 * rho)
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
 @pytest.mark.parametrize(
     "reads",

@@ -1,8 +1,13 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cohgeom import measures
+from cohgeom import channels, measures, states, verification
 from cohgeom.states import (
+    BELL_FIELDS,
+    X_FIELDS,
     DomainError,
     TOL_PSD,
     bell_density,
@@ -14,6 +19,8 @@ from cohgeom.verification import (
     PEAK_BYTES_PER_SAMPLE,
     SuiteResult,
     bell_closed_vs_jacobi,
+    bell_spectrum_vs_jacobi,
+    channel_map_vs_kraus,
     discord_predicate_consistency,
     kraus_completeness,
     run_all,
@@ -21,6 +28,7 @@ from cohgeom.verification import (
     sample_physical_x,
     trajectory_monotonicity,
     x_closed_vs_jacobi,
+    x_spectrum_vs_jacobi,
 )
 
 
@@ -39,22 +47,31 @@ class TestSampling:
         assert np.abs(rows).max() <= 1.0
         assert np.minimum.reduce(x_eigenvalues(*rows.T)).min() >= -TOL_PSD
 
-    def test_draws_follow_the_rejection_batches(self):
-        # verify's output depends on these exact draws: batches of 4 count
-        # (Bell) or 8 count (X) candidates, accepted rows kept in order
-        for sample, eigenvalues, width, batch in (
-            (sample_physical_bell, bell_eigenvalues, 3, 4),
-            (sample_physical_x, x_eigenvalues, 5, 8),
-        ):
-            rng = np.random.default_rng(2)
-            kept = np.empty((0, width))
-            while len(kept) < 7:
-                cand = rng.uniform(-1.0, 1.0, size=(batch * 7, width))
-                lam_min = np.minimum.reduce(eigenvalues(*cand.T))
-                kept = np.concatenate([kept, cand[lam_min >= 0.0]])
-            other = np.random.default_rng(2)
-            assert np.array_equal(sample(7, other), kept[:7])
-            assert other.random() == rng.random()
+    def test_draws_follow_the_rejection_batches(self, monkeypatch):
+        # verify's output depends on these exact draws: rounds of 4 count
+        # (Bell) or 8 count (X) candidates, accepted rows kept in order, and
+        # every round drawn to its end.  The second case draws in chunks of
+        # 2 oversample rows, so each round of 4 * 7 or 8 * 7 candidates spans
+        # four chunks, and its seed needs two rounds for both samplers.
+        for seed, batch_rows, rounds in ((2, None, None), (7, 2, 2)):
+            if batch_rows:
+                monkeypatch.setattr(verification, "BATCH_ROWS", batch_rows, raising=False)
+            for sample, eigenvalues, width, batch in (
+                (sample_physical_bell, bell_eigenvalues, 3, 4),
+                (sample_physical_x, x_eigenvalues, 5, 8),
+            ):
+                rng = np.random.default_rng(seed)
+                kept = np.empty((0, width))
+                drawn = 0
+                while len(kept) < 7:
+                    cand = rng.uniform(-1.0, 1.0, size=(batch * 7, width))
+                    lam_min = np.minimum.reduce(eigenvalues(*cand.T))
+                    kept = np.concatenate([kept, cand[lam_min >= 0.0]])
+                    drawn += 1
+                assert rounds in (None, drawn)
+                other = np.random.default_rng(seed)
+                assert np.array_equal(sample(7, other), kept[:7])
+                assert other.random() == rng.random()
 
     def test_deterministic_for_fixed_seed(self):
         a = sample_physical_bell(50, np.random.default_rng(5))
@@ -139,6 +156,131 @@ class TestSuites:
 
     def test_monotonicity(self):
         assert trajectory_monotonicity(20, np.random.default_rng(9)).passed
+
+    # sha256 of the run_all lines joined by newlines, which is verify's
+    # stdout: at the benchmark's 3,000 samples and the CLI's default 10,000
+    LINE_DIGESTS = {
+        3000: "059f7363986f166542045b5bda8aa5517accb9a90209fc3cffbd91a2e3adfcaf",
+        10000: "a0ce5ab94915a32d5e80ea5674869d4b8233db0763a34baef944b924e5dfaba3",
+    }
+
+    @pytest.mark.parametrize("samples", sorted(LINE_DIGESTS))
+    def test_lines_are_pinned(self, samples):
+        lines = "\n".join(result.line() for result in run_all(samples))
+        assert hashlib.sha256(lines.encode()).hexdigest() == self.LINE_DIGESTS[samples]
+
+    @pytest.mark.parametrize(
+        "seed, suite, sample, names, module, name, gap",
+        [
+            (
+                0, bell_spectrum_vs_jacobi, sample_physical_bell, BELL_FIELDS,
+                states, "hermitian_spectrum",
+                lambda rows: np.abs(
+                    np.sort(np.stack(bell_eigenvalues(*rows.T), axis=-1))[:, ::-1]
+                    - states.hermitian_spectrum(bell_density(rows.T))
+                ).max(axis=1),
+            ),
+            (
+                3, x_spectrum_vs_jacobi, sample_physical_x, X_FIELDS,
+                states, "hermitian_spectrum",
+                lambda rows: np.abs(
+                    np.sort(np.stack(x_eigenvalues(*rows.T), axis=-1))[:, ::-1]
+                    - states.hermitian_spectrum(x_density(rows.T))
+                ).max(axis=1),
+            ),
+            (
+                0, bell_closed_vs_jacobi, sample_physical_bell, BELL_FIELDS,
+                measures, "bell_relative_entropy_values",
+                lambda rows: np.abs(
+                    measures.bell_relative_entropy_values(*rows.T)
+                    - measures.relative_entropy_coherence(bell_density(rows.T))
+                ),
+            ),
+            (
+                0, x_closed_vs_jacobi, sample_physical_x, X_FIELDS,
+                measures, "x_relative_entropy_values",
+                lambda rows: np.abs(
+                    measures.x_relative_entropy_values(*rows.T)
+                    - measures.relative_entropy_coherence(x_density(rows.T))
+                ),
+            ),
+        ],
+        ids=["bell_spectrum", "x_spectrum", "bell_closed", "x_closed"],
+    )
+    def test_tied_deviations_report_the_first_state(
+        self, monkeypatch, seed, suite, sample, names, module, name, gap
+    ):
+        # one side of the comparison moved by the same 1e-6 for every state:
+        # the deviations then tie at ulp multiples of 1e-6, here on rows
+        # hundreds apart, and the FAIL line must name the first of them, as
+        # the deviation over all rows at once gives it
+        shifted = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: shifted(*args) + 1e-6)
+        rows = sample(3000, np.random.default_rng(seed))
+        dev = gap(rows)
+        tied = np.flatnonzero(dev == dev.max())
+        assert len(tied) > 1 and tied[-1] - tied[0] > 512
+        result = suite(3000, np.random.default_rng(seed))
+        assert result.deviation == dev.max()
+        assert result.worst == tuple(zip(names, rows[tied[0]]))
+
+    def test_tied_channel_deviations_report_the_first_state(self, monkeypatch):
+        # the first maximum in (kind, p, state) order, over 30 states
+        mapped = channels.correlation_map_values
+        monkeypatch.setattr(
+            channels, "correlation_map_values",
+            lambda *args: tuple(c + 1e-6 for c in mapped(*args)),
+        )
+        triples = sample_physical_bell(30, np.random.default_rng(3))
+        probs = np.linspace(0.0, 1.0, 101)[:, None]
+        rho = bell_density(triples.T)
+        dev = np.array([
+            np.abs(np.subtract(
+                np.broadcast_arrays(*channels.correlation_map_values(kind, probs, *triples.T)),
+                states.correlations_of(channels.apply_product_channel(rho, kind, probs)),
+            )).max(axis=0)
+            for kind in channels.ChannelKind
+        ])
+        tied = np.argwhere(dev == dev.max())
+        assert len(tied) > 1 and len(set(tied[:, 2])) > 1
+        k, p, i = tied[0]
+        result = channel_map_vs_kraus(30, np.random.default_rng(3))
+        assert result.deviation == dev.max()
+        kind = list(channels.ChannelKind)[k].value
+        assert result.worst == (("kind", kind), ("p", probs[p, 0]), *zip(BELL_FIELDS, triples[i]))
+
+    def test_trajectory_worst_is_first_in_kind_state_p_order(self, monkeypatch):
+        # coherence patched to count |c1| < 0.5 and |c3| < 0.5, so the only
+        # rises are 1, where a shrinking c1 or c3 crosses 0.5: bit flip
+        # shrinks c3 and keeps c1, phase flip shrinks c1 and keeps c3.  Row 0
+        # rises only under phase flip, row 100, batches later, only under bit
+        # flip, the first kind: (kind, state, p) order reports row 100.
+        rows = np.zeros((130, 3))
+        rows[0, 0] = rows[100, 2] = 0.8
+        monkeypatch.setattr(verification, "sample_physical_bell", lambda count, rng: rows)
+        monkeypatch.setattr(
+            measures, "bell_relative_entropy_values",
+            lambda c1, c2, c3: (np.abs(c1) < 0.5) * 1.0 + (np.abs(c3) < 0.5),
+        )
+        result = trajectory_monotonicity(130, None)
+        assert result.deviation == 1.0
+        kind = next(iter(channels.ChannelKind)).value
+        assert result.worst[0] == ("kind", kind)
+        assert result.worst[2:] == tuple(zip(BELL_FIELDS, rows[100]))
+
+    def test_traced_peak_does_not_grow_with_the_batches(self):
+        # the samples stay one array of 24-40 bytes per sample; every stack
+        # and spectrum is a batch of fixed size
+        def traced_peak(samples):
+            tracemalloc.start()
+            try:
+                run_all(samples)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(3000), traced_peak(30000)
+        assert large <= small + 100 * (30000 - 3000)
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(DomainError):
