@@ -13,16 +13,6 @@ from .channels import (
     dynamics_trajectory,
     kraus_ops,
 )
-from .geometry import (
-    TriangleMesh,
-    export_obj,
-    extract_isosurface,
-    filter_triangles,
-    grid_axis,
-    level_surface,
-    sample_field,
-    surface_stats,
-)
 from .measures import (
     MeasureKind,
     bell_discord_values,
@@ -76,3 +66,31 @@ __all__ = [
     "x_density",
     "x_relative_entropy_values",
 ]
+
+# The surface layer, and the thread pool and marching-cubes tables it brings,
+# is imported on first use of one of its names (PEP 562), so the measures,
+# channels and `verify` do not pay for it.
+_GEOMETRY = frozenset(
+    {
+        "TriangleMesh",
+        "export_obj",
+        "extract_isosurface",
+        "filter_triangles",
+        "grid_axis",
+        "level_surface",
+        "sample_field",
+        "surface_stats",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _GEOMETRY:
+        from . import geometry
+
+        return getattr(geometry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _GEOMETRY)

@@ -26,7 +26,9 @@ import json
 import os
 import sys
 
-from . import channels, geometry, measures, states, verification
+# geometry, the surface layer, is imported by the commands that use it, so
+# `verify` and `measure` to stdout start without it
+from . import channels, measures, states, verification
 from .measures import MeasureKind
 
 _CSV_COLUMNS = tuple(kind.value for kind in channels.ChannelKind)
@@ -105,6 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _output(path: str | None):
     """The file at ``path``, written atomically, or stdout without one."""
     if path:
+        from . import geometry
+
         with geometry.open_atomic(path) as handle:
             yield handle
     else:
@@ -143,6 +147,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    from . import geometry
+
     if not 0.0 < args.level <= 1.0:
         raise states.DomainError(f"--level must lie in (0, 1], got {args.level}")
     if args.stats_out and os.path.realpath(args.stats_out) == os.path.realpath(args.out):
@@ -190,6 +196,8 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    from . import geometry
+
     params = states.require_physical_bell((args.c1, args.c2, args.c3))
     grid = channels.default_p_grid(args.steps)
     columns = list(_CSV_COLUMNS) if args.channel == "all" else [args.channel]

@@ -7,14 +7,15 @@ application, Kraus completeness, the discord/coherence equality predicate
 against the numerical equality test, and coherence monotonicity along channel
 trajectories.  Every suite works on batches of a fixed size, so its arrays do
 not grow with the sample count: the sampled suites build ``(B, 4, 4)`` stacks
-of BATCH_ROWS states, the channel suite takes the probability grid as one
-more array axis, ``(P, B, 4, 4)``, and the grid and trajectory suites take a
-few layers or states at a time.  What grows is the sampled rows, kept as one
-array, and the channel suite's (kind, p, state) deviations.  A suite reports
-the first state, in the C order of its whole deviation array, at which the
-worst deviation occurs, whatever the batches.  The ``_vs_jacobi`` suite names
-predate the LAPACK oracle and are kept because the ``verify`` output pins
-them.  The CLI ``verify`` subcommand runs all of them.
+of BATCH_ROWS states, the channel suite builds ``(P, B, 4, 4)`` stacks of
+BATCH_ROWS // 64 states, with the probability grid as one more axis, and the
+grid and trajectory suites take a few layers or states at a time.  What
+grows is the sampled rows, kept as one array, and the channel suite's (kind,
+p, state) deviations.  A suite reports the first state, in the C order of its
+whole deviation array, at which the worst deviation occurs, whatever the
+batches.  The ``_vs_jacobi`` suite names predate the LAPACK oracle and are
+kept because the ``verify`` output pins them.  The CLI ``verify`` subcommand
+runs all of them.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .states import BELL_FIELDS, X_FIELDS
 
 DEFAULT_SEED = 1234
 
-# Peak bytes of a `verify` run per sample, from child peak RSS: 42.7, 50.4
-# and 99.5 MiB at 10^5, 3 10^5 and 10^6 samples, 66-74 bytes per added
-# sample (39.4 MiB at 3,000).  The rows of one sampled suite take 24 (Bell)
+# Peak bytes of a `verify` run per sample, from child peak RSS: 41.3, 48.8
+# and 98.1 MiB at 10^5, 3 10^5 and 10^6 samples, 66-74 bytes per added
+# sample (37.5 MiB at 3,000).  The rows of one sampled suite take 24 (Bell)
 # or 40 (X) bytes per sample, and malloc keeps the freed Bell rows' pages
 # while the X rows are live.
 PEAK_BYTES_PER_SAMPLE = 75
@@ -201,16 +202,19 @@ def x_closed_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
 def channel_map_vs_kraus(state_count: int, rng: np.random.Generator) -> SuiteResult:
     """Correlation-triple maps against explicit product-channel application.
 
-    The density stacks are built BATCH_ROWS // 32 states at a time, 101
-    probabilities each.  The worst state is the first maximum in (kind, p,
-    state) order, which batches over states do not visit in turn, so the
-    (kind, p, state) deviations are kept whole: 8 bytes per kind, p and
-    state.
+    The density stacks are built BATCH_ROWS // 64 states at a time, 101
+    probabilities each.  At 16 states the contraction handed OpenBLAS a
+    complex GEMM that it ran on two threads, and in some fresh processes the
+    suite then took 128-134 ms instead of 11-19 ms; at 8 that did not show in
+    16 fresh processes.  The batch size changes no bit of the deviations.
+    The worst state is the first maximum in (kind, p, state) order, which
+    batches over states do not visit in turn, so the (kind, p, state)
+    deviations are kept whole: 8 bytes per kind, p and state.
     """
     triples = sample_physical_bell(state_count, rng)
     probs = np.linspace(0.0, 1.0, 101)[:, None]
     dev = np.empty((len(_KINDS), len(probs), state_count))
-    for i0, i1 in _batches(state_count, BATCH_ROWS // 32):
+    for i0, i1 in _batches(state_count, BATCH_ROWS // 64):
         part = triples[i0:i1].T
         rho = states.bell_density(part)
         for k, kind in enumerate(channels.ChannelKind):

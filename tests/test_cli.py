@@ -344,7 +344,9 @@ class TestSurface:
 
     def test_peak_memory_is_a_few_grids(self, tmp_path):
         # the child's peak RSS over a bare import, against the 8 n^3 grid bytes;
-        # each sampling thread adds its slab temporaries, so the count is fixed
+        # each sampling thread adds its slab temporaries, so the count is fixed:
+        # 0.54-0.66 measured over an import that leaves the surface layer out,
+        # 0.48-0.59 when the import loaded it
         n = 192
         surface = peak_rss(
             *cli_args(2), "surface", "--measure", "rel-ent", "--level", "0.3",
@@ -356,7 +358,9 @@ class TestSurface:
     def test_surface_run_never_holds_the_grid(self, tmp_path):
         # sampled and marched a chunk at a time, a run whose mesh is small
         # peaks at a fraction of the 8 n^3 grid bytes over a bare import:
-        # 0.26-0.27 measured, 1.12 when the grid was sampled whole
+        # 0.15-0.16 measured over an import that leaves the surface layer out,
+        # 0.13-0.14 when the import loaded it, 1.12 when the grid was sampled
+        # whole
         n = 256
         surface = peak_rss(
             *cli_args(2), "surface", "--measure", "rel-ent", "--level", "0.84",

@@ -1,5 +1,6 @@
 """Every name a package module or a test file imports is used in that file,
-and the package exports exactly the pinned public names.
+the package exports exactly the pinned public names, and only the commands
+that build surfaces load the surface layer.
 
 ``__init__.py`` is skipped by the import scan, because it imports names to
 re-export them, and so are ``__future__`` imports.
@@ -7,8 +8,12 @@ re-export them, and so are ``__future__`` imports.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+from conftest import cli_env
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cohgeom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -81,4 +86,59 @@ def test_public_api_is_pinned():
     import cohgeom
 
     assert cohgeom.__all__ == PUBLIC_API
+    assert set(PUBLIC_API) <= set(dir(cohgeom))
     assert PUBLIC_API == sorted(PUBLIC_API) and len(PUBLIC_API) == 29
+
+
+# The surface layer and what only it needs: the marching-cubes tables and
+# the sampling pool.  `import cohgeom` resolves geometry's names on first use.
+SURFACE_MODULES = ["cohgeom.geometry", "cohgeom._mc_tables", "concurrent.futures"]
+
+
+def surface_modules_after(code: str) -> list[str]:
+    """Which of SURFACE_MODULES a fresh interpreter holds after ``code``."""
+    probe = f"import sys\n{code}\nprint([m for m in {SURFACE_MODULES!r} if m in sys.modules])"
+    child = subprocess.run(
+        [sys.executable, "-c", probe], env=cli_env(), capture_output=True, text=True, check=True
+    )
+    return ast.literal_eval(child.stdout.splitlines()[-1])
+
+
+CLI = "from cohgeom.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import cohgeom",
+        CLI.format(argv=["verify", "--samples", "1"]),
+        CLI.format(argv=["measure", "--c1", "0.3", "--c2", "-0.2", "--c3", "0.1"]),
+    ],
+    ids=["import", "verify", "measure"],
+)
+def test_surface_layer_is_not_loaded(code):
+    assert surface_modules_after(code) == []
+
+
+def test_surface_run_loads_the_surface_layer(tmp_path):
+    argv = ["surface", "--level", "0.5", "--resolution", "8", "--out", str(tmp_path / "x.obj")]
+    assert surface_modules_after(CLI.format(argv=argv)) == SURFACE_MODULES
+
+
+def test_public_names_are_their_modules_objects():
+    # read through the package first, so geometry's names resolve on first use
+    code = (
+        "import cohgeom\n"
+        "public = {name: getattr(cohgeom, name) for name in cohgeom.__all__}\n"
+        "from cohgeom import channels, geometry, measures, states\n"
+        "for name, value in public.items():\n"
+        "    owners = [m for m in (channels, geometry, measures, states) if name in vars(m)]\n"
+        "    assert owners and all(value is vars(m)[name] for m in owners), name\n"
+        "try:\n"
+        "    cohgeom.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')"
+    )
+    assert surface_modules_after(code) == SURFACE_MODULES

@@ -249,6 +249,24 @@ class TestSuites:
         kind = list(channels.ChannelKind)[k].value
         assert result.worst == (("kind", kind), ("p", probs[p, 0]), *zip(BELL_FIELDS, triples[i]))
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_channel_batch_changes_no_bit(self, monkeypatch, tied):
+        # BATCH_ROWS // 64 states per density stack: 1, 3, 8 (the default),
+        # 16 and all 30 give the same deviation and worst state, bitwise,
+        # with the maximum reached once or tied across states
+        if tied:
+            mapped = channels.correlation_map_values
+            monkeypatch.setattr(
+                channels, "correlation_map_values",
+                lambda *args: tuple(c + 1e-6 for c in mapped(*args)),
+            )
+        results = set()
+        for batch in (1, 3, 8, 16, 32):
+            monkeypatch.setattr(verification, "BATCH_ROWS", 64 * batch)
+            result = channel_map_vs_kraus(30, np.random.default_rng(3))
+            results.add((result.deviation.hex(), repr(result.worst)))
+        assert len(results) == 1
+
     def test_trajectory_worst_is_first_in_kind_state_p_order(self, monkeypatch):
         # coherence patched to count |c1| < 0.5 and |c3| < 0.5, so the only
         # rises are 1, where a shrinking c1 or c3 crosses 0.5: bit flip
