@@ -26,9 +26,9 @@ import json
 import os
 import sys
 
-# geometry, the surface layer, is imported by the commands that use it, so
-# `verify` and `measure` to stdout start without it
-from . import channels, measures, states, verification
+# geometry, the surface layer, is imported by the command that uses it, so
+# `verify`, `measure` and `dynamics` start without it
+from . import _textio, channels, measures, states, verification
 from .measures import MeasureKind
 
 _CSV_COLUMNS = tuple(kind.value for kind in channels.ChannelKind)
@@ -107,9 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _output(path: str | None):
     """The file at ``path``, written atomically, or stdout without one."""
     if path:
-        from . import geometry
-
-        with geometry.open_atomic(path) as handle:
+        with _textio.open_atomic(path) as handle:
             yield handle
     else:
         yield sys.stdout
@@ -188,7 +186,7 @@ def _cmd_surface(args) -> int:
     # leaves the other one unchanged
     with contextlib.ExitStack() as stack:
         if args.stats_out:
-            stack.enter_context(geometry.open_atomic(args.stats_out)).write(stats)
+            stack.enter_context(_textio.open_atomic(args.stats_out)).write(stats)
         geometry.export_obj(mesh, args.out, metadata)
     if not args.stats_out:
         sys.stdout.write(stats)
@@ -196,16 +194,14 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
-    from . import geometry
-
     params = states.require_physical_bell((args.c1, args.c2, args.c3))
     grid = channels.default_p_grid(args.steps)
     columns = list(_CSV_COLUMNS) if args.channel == "all" else [args.channel]
     curves = [channels.dynamics_trajectory(params, name, grid) for name in columns]
     with _output(args.out) as out:
         out.write("p," + ",".join(f"C_{name}" for name in columns) + "\n")
-        for start in range(0, len(grid), geometry.BLOCK_ROWS):
-            stop = start + geometry.BLOCK_ROWS
+        for start in range(0, len(grid), _textio.BLOCK_ROWS):
+            stop = start + _textio.BLOCK_ROWS
             rows = zip(grid[start:stop].tolist(), *(c[start:stop].tolist() for c in curves))
             out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     return 0

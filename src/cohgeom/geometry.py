@@ -10,7 +10,6 @@ Wavefront OBJ plus flat JSON statistics.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, measures, states
+from . import _textio, channels, measures, states
 from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .measures import MeasureKind
 from .states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
@@ -54,11 +53,6 @@ BLOCK_CUBES = 8
 # A block is certified only when its bounds clear the level by this much, far
 # above the kernels' rounding of about 1e-13.
 BOUND_MARGIN = 1e-9
-
-# Rows of text, OBJ vertices or faces and dynamics CSV rows, formatted and
-# written at a time, so a run holds one block of text instead of the whole
-# file.
-BLOCK_ROWS = 1 << 14
 
 # Estimated peak bytes per grid byte of a surface run that holds the grid,
 # sample_field then extract_isosurface: the float64 grid, the chunk
@@ -227,15 +221,17 @@ def _checked_field(measure, resolution, slice, channel, p):
 
     def bounds(start, end):
         def box(along):
-            ends = [tuple(ax[x[..., d]] for d, ax in enumerate(along)) for x in (start, end)]
-            return ends, measures._eigenvalue_ranges(r, s, *ends)
+            return [tuple(ax[x[..., d]] for d, ax in enumerate(along)) for x in (start, end)]
 
-        ends, eigen = box((axis,) * 3)
+        ends = box((axis,) * 3)
+        eigen = measures._eigenvalue_ranges(r, s, *ends)
         # a physical node has every eigenvalue at least -TOL_PSD, and the
         # mask is that of the unmapped state
         empty = functools.reduce(np.logical_or, (top < -TOL_PSD - BOUND_MARGIN for _, top in eigen))
         if channel is not None:
-            ends, eigen = box(axes)
+            ends = box(axes)
+            if coords == 3:  # the l1 and trace ranges read the ends alone
+                eigen = measures._eigenvalue_ranges(r, s, *ends)
         low, high = field_range(*ends, eigen)
         return np.where(empty, np.inf, low), np.where(empty, -np.inf, high)
 
@@ -612,12 +608,12 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
     One ``v`` line per vertex with 9-significant-digit coordinates, one
     1-indexed ``f`` line per triangle, preceded by comment lines recording
     the metadata (measure, level, resolution, slice, ...).  The file at the
-    path ``destination`` is written atomically through :func:`open_atomic`.
-    Identical meshes and metadata produce byte-identical files.  Lines are
-    formatted and written BLOCK_ROWS at a time, so the text of the whole
-    mesh is never held.
+    path ``destination`` is written atomically.  Identical meshes and
+    metadata produce byte-identical files.  Lines are formatted and written
+    ``_textio.BLOCK_ROWS`` at a time, so the text of the whole mesh is never
+    held.
     """
-    with open_atomic(destination) as out:
+    with _textio.open_atomic(destination) as out:
         out.write("# constant-level surface mesh\n")
         for key, value in (metadata or {}).items():
             if isinstance(value, float):
@@ -627,30 +623,9 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
             out.write(f"# {key}: {value}\n")
         out.write(f"# vertices: {len(mesh.vertices)}\n")
         out.write(f"# triangles: {len(mesh.triangles)}\n")
-        for start in range(0, len(mesh.vertices), BLOCK_ROWS):
-            block = mesh.vertices[start : start + BLOCK_ROWS]
+        for start in range(0, len(mesh.vertices), _textio.BLOCK_ROWS):
+            block = mesh.vertices[start : start + _textio.BLOCK_ROWS]
             out.write("v %.9g %.9g %.9g\n" * len(block) % tuple(block.flat))
-        for start in range(0, len(mesh.triangles), BLOCK_ROWS):
-            block = mesh.triangles[start : start + BLOCK_ROWS] + 1
+        for start in range(0, len(mesh.triangles), _textio.BLOCK_ROWS):
+            block = mesh.triangles[start : start + _textio.BLOCK_ROWS] + 1
             out.write("f %d %d %d\n" * len(block) % tuple(block.flat))
-
-
-@contextlib.contextmanager
-def open_atomic(path):
-    """Open an ASCII text file that appears at ``path`` only once complete.
-
-    Writes go to a new temporary file in the same directory, which replaces
-    ``path`` when the block exits normally and is removed when it raises, so
-    a failed write leaves neither a partial file nor a changed old one.
-    """
-    temp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
-    try:
-        with open(temp, "x", encoding="ascii", newline="\n") as handle:
-            yield handle
-        os.replace(temp, path)
-    except BaseException as exc:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(temp)
-        if isinstance(exc, OSError) and exc.filename == temp:
-            exc.filename = os.fspath(path)
-        raise

@@ -5,17 +5,16 @@ tolerance: closed-form spectra and entropies against LAPACK ``eigvalsh``
 spectra, the correlation-triple channel maps against explicit Kraus
 application, Kraus completeness, the discord/coherence equality predicate
 against the numerical equality test, and coherence monotonicity along channel
-trajectories.  Every suite works on batches of a fixed size, so its arrays do
-not grow with the sample count: the sampled suites build ``(B, 4, 4)`` stacks
-of BATCH_ROWS states, the channel suite builds ``(P, B, 4, 4)`` stacks of
-BATCH_ROWS // 64 states, with the probability grid as one more axis, and the
-grid and trajectory suites take a few layers or states at a time.  What
-grows is the sampled rows, kept as one array, and the channel suite's (kind,
-p, state) deviations.  A suite reports the first state, in the C order of its
-whole deviation array, at which the worst deviation occurs, whatever the
-batches.  The ``_vs_jacobi`` suite names predate the LAPACK oracle and are
-kept because the ``verify`` output pins them.  The CLI ``verify`` subcommand
-runs all of them.
+trajectories.  A sampled suite checks the rows that each chunk of the
+rejection sampler's candidates accepts, as they come: whole for the spectra
+and coherence, BATCH_ROWS // 64 states at a time for the channel maps, with
+the probability grid as one more axis, and BATCH_ROWS // 8 for the
+trajectories; the grid suite takes a few c1 layers at a time.  No array grows
+with the sample count.  A suite reports the first state, in the C order of
+its whole deviation array, at which the worst deviation occurs, whatever
+order its batches come in.  The ``_vs_jacobi`` names predate the LAPACK
+oracle and stay because the ``verify`` output pins them; the CLI ``verify``
+subcommand runs every suite.
 """
 
 from __future__ import annotations
@@ -29,20 +28,27 @@ from .states import BELL_FIELDS, X_FIELDS
 
 DEFAULT_SEED = 1234
 
-# Peak bytes of a `verify` run per sample, from child peak RSS: 41.3, 48.8
-# and 98.1 MiB at 10^5, 3 10^5 and 10^6 samples, 66-74 bytes per added
-# sample (37.5 MiB at 3,000).  The rows of one sampled suite take 24 (Bell)
-# or 40 (X) bytes per sample, and malloc keeps the freed Bell rows' pages
-# while the X rows are live.
+# The memory guard's estimate of a `verify` run's peak bytes per sample.  The
+# run no longer grows with the sample count: child peak RSS read 37.3 MiB at
+# 3,000 samples, 38.0 at 10^5 and 38.3 at 10^6.  The 75 bytes are what a run
+# took when it kept its sampled rows (66-74 per added sample); resizing the
+# guard would change which counts exit 2, so it is left for a separate change.
 PEAK_BYTES_PER_SAMPLE = 75
 
-# States a sampled suite evaluates at once, and accepted rows a rejection
-# chunk yields on average.  Child peak RSS of `verify --samples 3000` read
-# 38.4, 39.3, 41.5 and 41.6 MiB at 256, 512, 1024 and 2048, and `run_all(3000)`
-# took 54, 44, 43 and 45 ms (best of 12, alternating in one process).
+# Sets every suite's batches.  The sampler draws and tests oversample *
+# BATCH_ROWS candidates at a time, and a sampled suite checks the rows each
+# chunk accepts: about 683 of a Bell chunk of 2,048 (acceptance 1/3), 336 of
+# an X chunk of 4,096 (0.082).  Child peak RSS of `verify --samples 3000`
+# read 37.0, 37.2-37.3, 38.6-38.7 and 40.3-40.4 MiB at 256, 512, 1024 and
+# 2048, and `run_all(3000)` took 57, 45, 39 and 43 ms (best of 12, in one
+# process); above 512 the channel suite's stacks reach OpenBLAS's slow mode.
 BATCH_ROWS = 512
 
 _KINDS = np.array([kind.value for kind in channels.ChannelKind])
+
+# a family's closed-form eigenvalues, row width and candidates per wanted row
+_BELL = (states.bell_eigenvalues, 3, 4)
+_X = (states.x_eigenvalues, 5, 8)
 
 
 @dataclass(frozen=True)
@@ -74,32 +80,30 @@ class SuiteResult:
         return line
 
 
-def _worst(dev, names, columns) -> tuple:
-    """The state at the first maximum of ``dev``: each column, broadcast
-    against ``dev``, read there and paired with its name."""
-    dev = np.asarray(dev)
-    at = np.unravel_index(np.argmax(dev), dev.shape)
-    return tuple(
-        (name, np.broadcast_to(column, dev.shape)[at].item())
-        for name, column in zip(names, columns)
-    )
-
-
 class _RunningWorst:
-    """The first maximum of deviations that arrive a batch at a time, in the
-    C order of the whole array they are parts of.  A batch replaces the worst
-    state only on a strictly greater maximum (or a first NaN), so ties keep
-    the earliest state, as ``np.argmax`` over the whole array would."""
+    """The first maximum of a deviation array whose blocks arrive in any
+    order.  ``add`` takes a block, columns that broadcast against it, and the
+    index in the whole array of the block's first entry.  Of two equal
+    maxima, or two NaN, the one earlier in the C order of the whole array is
+    kept, as ``np.argmax`` over the whole array would keep it."""
 
     def __init__(self, names):
         self.names = names
-        self.top = None
-        self.at = ()
+        self.top, self.index, self.at = None, None, ()
 
-    def add(self, dev, columns) -> None:
-        top = dev.max()
-        if self.top is None or np.argmax([self.top, top]) == 1:
-            self.top, self.at = top, _worst(dev, self.names, columns)
+    def add(self, dev, columns, start) -> None:
+        at = np.unravel_index(np.argmax(dev), dev.shape)
+        index = tuple(np.add(at, start).tolist())
+        if self.top is not None:
+            # the earlier maximum goes first, and np.argmax keeps it on a tie
+            pair = sorted([(self.index, self.top), (index, dev[at])])
+            if pair[np.argmax([top for _, top in pair])][0] != index:
+                return
+        self.top, self.index = dev[at], index
+        self.at = tuple(
+            (name, np.broadcast_to(column, dev.shape)[at].item())
+            for name, column in zip(self.names, columns)
+        )
 
 
 def _batches(count: int, size: int):
@@ -107,49 +111,47 @@ def _batches(count: int, size: int):
     return ((i, min(i + size, count)) for i in range(0, count, size))
 
 
-def _sample_physical(eigenvalues, width, oversample, count, rng) -> np.ndarray:
-    """Uniform samples from [-1, 1]^width where every eigenvalue is >= 0;
-    (count, width).  Candidates come in rounds of ``oversample * count``,
-    each drawn and tested ``oversample * BATCH_ROWS`` at a time, and accepted
-    rows are kept in order.  A round is drawn to its end even once ``count``
-    rows are kept, so the rows and the generator's state after the call are
-    those of drawing each round whole."""
-    out = np.empty((count, width))
+def _sample_physical(eigenvalues, width, oversample, count, rng):
+    """Uniform samples from [-1, 1]^width where every eigenvalue is >= 0,
+    yielded as (start, rows): the rows a chunk of candidates accepts, and
+    the index of the first of them among the ``count``.  Candidates come in
+    rounds of ``oversample * count``, each drawn and tested ``oversample *
+    BATCH_ROWS`` at a time.  A round is drawn to its end even once ``count``
+    rows are kept, so once the generator is exhausted, the rows and the
+    generator's state are those of drawing each round whole."""
     kept = 0
     while kept < count:
         for i0, i1 in _batches(oversample * count, oversample * BATCH_ROWS):
             cand = rng.uniform(-1.0, 1.0, size=(i1 - i0, width))
             if kept < count:
-                good = cand[np.minimum.reduce(eigenvalues(*cand.T)) >= 0.0]
-                good = good[: count - kept]
-                out[kept : kept + len(good)] = good
-                kept += len(good)
-    return out
+                good = cand[np.minimum.reduce(eigenvalues(*cand.T)) >= 0.0][: count - kept]
+                if len(good):
+                    yield kept, good
+                    kept += len(good)
+
+
+def _rows(family, count, rng) -> np.ndarray:
+    batches = _sample_physical(*family, count, rng)
+    return np.concatenate([np.empty((0, family[1])), *(rows for _, rows in batches)])
 
 
 def sample_physical_bell(count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples from the physical Bell-diagonal tetrahedron, (count, 3)."""
-    return _sample_physical(states.bell_eigenvalues, 3, 4, count, rng)
+    return _rows(_BELL, count, rng)
 
 
 def sample_physical_x(count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform samples from the physical X-state parameter set, (count, 5)."""
-    return _sample_physical(states.x_eigenvalues, 5, 8, count, rng)
+    return _rows(_X, count, rng)
 
 
-def _descending(eigenvalues) -> np.ndarray:
-    """Stack a tuple of eigenvalue arrays into (N, 4) rows sorted descending."""
-    return np.sort(np.stack(eigenvalues, axis=-1), axis=-1)[:, ::-1]
-
-
-def _over_rows(name, tolerance, rows, names, deviation) -> SuiteResult:
-    """A sampled suite: ``deviation`` maps the columns of BATCH_ROWS rows at
-    a time to one deviation per row; the result holds the largest and the
-    first row that reaches it."""
+def _over_rows(name, tolerance, family, samples, rng, names, deviation) -> SuiteResult:
+    """A sampled suite: ``deviation`` maps the columns of each batch of the
+    ``samples`` rows of ``family`` to one deviation per row; the result holds
+    the largest and the first row that reaches it."""
     worst = _RunningWorst(names)
-    for i0, i1 in _batches(len(rows), BATCH_ROWS):
-        columns = rows[i0:i1].T
-        worst.add(deviation(columns), columns)
+    for start, rows in _sample_physical(*family, samples, rng):
+        worst.add(deviation(rows.T), rows.T, start)
     return SuiteResult(name, float(worst.top), tolerance, worst.at)
 
 
@@ -157,7 +159,7 @@ def _spectrum_gap(eigenvalues, density):
     """Per state, the largest gap between closed-form and LAPACK spectra."""
 
     def gap(columns):
-        closed = _descending(eigenvalues(*columns))
+        closed = np.sort(np.stack(eigenvalues(*columns), axis=-1), axis=-1)[:, ::-1]
         return np.abs(closed - states.hermitian_spectrum(density(columns))).max(axis=1)
 
     return gap
@@ -173,30 +175,26 @@ def _coherence_gap(closed, density):
 
 def bell_spectrum_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form Bell-diagonal spectra against LAPACK spectra."""
-    rows = sample_physical_bell(samples, rng)
     gap = _spectrum_gap(states.bell_eigenvalues, states.bell_density)
-    return _over_rows("bell_spectrum_vs_jacobi", 1e-12, rows, BELL_FIELDS, gap)
+    return _over_rows("bell_spectrum_vs_jacobi", 1e-12, _BELL, samples, rng, BELL_FIELDS, gap)
 
 
 def x_spectrum_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form X-state spectra against LAPACK spectra."""
-    rows = sample_physical_x(samples, rng)
     gap = _spectrum_gap(states.x_eigenvalues, states.x_density)
-    return _over_rows("x_spectrum_vs_jacobi", 1e-12, rows, X_FIELDS, gap)
+    return _over_rows("x_spectrum_vs_jacobi", 1e-12, _X, samples, rng, X_FIELDS, gap)
 
 
 def bell_closed_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form Bell coherence against the generic entropy-difference route."""
-    rows = sample_physical_bell(samples, rng)
     gap = _coherence_gap(measures.bell_relative_entropy_values, states.bell_density)
-    return _over_rows("bell_closed_vs_jacobi", 1e-10, rows, BELL_FIELDS, gap)
+    return _over_rows("bell_closed_vs_jacobi", 1e-10, _BELL, samples, rng, BELL_FIELDS, gap)
 
 
 def x_closed_vs_jacobi(samples: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form X coherence against the generic entropy-difference route."""
-    rows = sample_physical_x(samples, rng)
     gap = _coherence_gap(measures.x_relative_entropy_values, states.x_density)
-    return _over_rows("x_closed_vs_jacobi", 1e-10, rows, X_FIELDS, gap)
+    return _over_rows("x_closed_vs_jacobi", 1e-10, _X, samples, rng, X_FIELDS, gap)
 
 
 def channel_map_vs_kraus(state_count: int, rng: np.random.Generator) -> SuiteResult:
@@ -207,22 +205,20 @@ def channel_map_vs_kraus(state_count: int, rng: np.random.Generator) -> SuiteRes
     complex GEMM that it ran on two threads, and in some fresh processes the
     suite then took 128-134 ms instead of 11-19 ms; at 8 that did not show in
     16 fresh processes.  The batch size changes no bit of the deviations.
-    The worst state is the first maximum in (kind, p, state) order, which
-    batches over states do not visit in turn, so the (kind, p, state)
-    deviations are kept whole: 8 bytes per kind, p and state.
+    The worst state is the first maximum in (kind, p, state) order.
     """
-    triples = sample_physical_bell(state_count, rng)
     probs = np.linspace(0.0, 1.0, 101)[:, None]
-    dev = np.empty((len(_KINDS), len(probs), state_count))
-    for i0, i1 in _batches(state_count, BATCH_ROWS // 64):
-        part = triples[i0:i1].T
-        rho = states.bell_density(part)
-        for k, kind in enumerate(channels.ChannelKind):
-            mapped = np.broadcast_arrays(*channels.correlation_map_values(kind, probs, *part))
-            direct = states.correlations_of(channels.apply_product_channel(rho, kind, probs))
-            dev[k, :, i0:i1] = np.abs(np.subtract(mapped, direct)).max(axis=0)
-    worst = _worst(dev, ("kind", "p") + BELL_FIELDS, (_KINDS[:, None, None], probs, *triples.T))
-    return SuiteResult("channel_map_vs_kraus", float(dev.max()), 1e-12, worst)
+    worst = _RunningWorst(("kind", "p") + BELL_FIELDS)
+    for start, rows in _sample_physical(*_BELL, state_count, rng):
+        for i0, i1 in _batches(len(rows), BATCH_ROWS // 64):
+            part = rows[i0:i1].T
+            rho, dev = states.bell_density(part), []
+            for kind in channels.ChannelKind:
+                mapped = np.broadcast_arrays(*channels.correlation_map_values(kind, probs, *part))
+                direct = states.correlations_of(channels.apply_product_channel(rho, kind, probs))
+                dev.append(np.abs(np.subtract(mapped, direct)).max(axis=0))
+            worst.add(np.array(dev), (_KINDS[:, None, None], probs, *part), (0, 0, start + i0))
+    return SuiteResult("channel_map_vs_kraus", float(worst.top), 1e-12, worst.at)
 
 
 def kraus_completeness() -> SuiteResult:
@@ -233,8 +229,9 @@ def kraus_completeness() -> SuiteResult:
         ops = channels.kraus_ops(kind, probs)
         total = np.einsum("...kba,...kbc->...ac", ops.conj(), ops)
         dev.append(np.abs(total - np.eye(2)).max(axis=(-2, -1)))
-    worst = _worst(dev, ("kind", "p"), (_KINDS[:, None], probs))
-    return SuiteResult("kraus_completeness", float(np.max(dev)), 1e-12, worst)
+    worst = _RunningWorst(("kind", "p"))
+    worst.add(np.array(dev), (_KINDS[:, None], probs), 0)
+    return SuiteResult("kraus_completeness", float(worst.top), 1e-12, worst.at)
 
 
 def discord_predicate_consistency() -> SuiteResult:
@@ -260,7 +257,7 @@ def discord_predicate_consistency() -> SuiteResult:
         predicate = measures.discord_equals_coherence_values(c1, c2, c3)
         mismatch = physical & (numeric_eq != predicate)
         mismatches += np.count_nonzero(mismatch)
-        worst.add(mismatch, (c1, c2, c3))
+        worst.add(mismatch, (c1, c2, c3), (i0, 0, 0))
     return SuiteResult("discord_predicate_grid", float(mismatches), 0.0, worst.at)
 
 
@@ -268,19 +265,21 @@ def trajectory_monotonicity(state_count: int, rng: np.random.Generator) -> Suite
     """Coherence along every channel trajectory must not increase with p.
 
     Trajectories are evaluated BATCH_ROWS // 8 states at a time, 101 grid
-    points each, kind by kind, which visits the rises in (kind, state, p)
-    order.
+    points each, for every kind; the worst state is the first rise in (kind,
+    state, p) order.
     """
     probs = np.linspace(0.0, 1.0, 101)
-    rows = sample_physical_bell(state_count, rng)
     worst = _RunningWorst(("kind", "p") + BELL_FIELDS)
-    for kind in channels.ChannelKind:
-        for i0, i1 in _batches(state_count, BATCH_ROWS // 8):
+    for start, rows in _sample_physical(*_BELL, state_count, rng):
+        for i0, i1 in _batches(len(rows), BATCH_ROWS // 8):
             c1, c2, c3 = rows[i0:i1].T[:, :, None]
-            mapped = channels.correlation_map_values(kind, probs, c1, c2, c3)
-            rise = np.diff(measures.bell_relative_entropy_values(*mapped), axis=-1)
+            rise = []
+            for kind in channels.ChannelKind:
+                mapped = channels.correlation_map_values(kind, probs, c1, c2, c3)
+                rise.append(np.diff(measures.bell_relative_entropy_values(*mapped), axis=-1))
             # a rise from p to the next grid point is reported at p
-            worst.add(rise, (kind.value, probs[:-1], c1, c2, c3))
+            columns = (_KINDS[:, None, None], probs[:-1], c1, c2, c3)
+            worst.add(np.array(rise), columns, (0, start + i0, 0))
     deviation = float(np.maximum(worst.top, 0.0))
     return SuiteResult("trajectory_monotonicity", deviation, 1e-9, worst.at)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cohgeom import geometry, measures
+from cohgeom import _textio, geometry, measures
 from cohgeom.channels import correlation_map_values
 from cohgeom._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from cohgeom.geometry import (
@@ -688,6 +688,26 @@ class TestLevelSurface:
         level_surface("rel-ent", 128, 0.1, channel="pf", p=0.5)
         assert 0 < sum(sampled) < 1200
 
+    @pytest.mark.parametrize("measure", ["l1", "trace"])
+    def test_two_coordinate_bounds_skip_the_mapped_eigenvalues(self, monkeypatch, measure):
+        # the l1 and trace ranges read the mapped box's ends alone, so under a
+        # channel the bounds take only the unmapped boxes' eigenvalue ranges,
+        # as without one: 2 calls at n = 64, where they took 4 when the
+        # mapped boxes' ranges were computed too
+        calls = []
+        ranges = measures._eigenvalue_ranges
+        monkeypatch.setattr(
+            measures, "_eigenvalue_ranges", lambda *args: calls.append(1) or ranges(*args)
+        )
+        level_surface(measure, 64, 0.5)
+        plain, calls[:] = len(calls), []
+        mesh = level_surface(measure, 64, 0.5, channel="bf", p=0.3)
+        assert len(calls) == plain == 2
+        expected = extract_isosurface(sample_field(measure, 64, channel="bf", p=0.3), 0.5)
+        assert len(expected.triangles) > 0
+        assert mesh.vertices.tobytes() == expected.vertices.tobytes()
+        assert mesh.triangles.tobytes() == expected.triangles.tobytes()
+
     @pytest.mark.parametrize(
         "args, kwargs",
         [
@@ -798,7 +818,7 @@ class TestMeshBytes:
     def test_row_blocks_give_the_same_obj(self, tmp_path, monkeypatch):
         # 7-row blocks: the mesh's vertex and triangle counts end in partial
         # blocks, and the bytes match the first pinned digest
-        monkeypatch.setattr(geometry, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(_textio, "BLOCK_ROWS", 7)
         mesh = extract_isosurface(sample_field("rel-ent", 24), 0.2)
         assert len(mesh.vertices) % 7 and len(mesh.triangles) % 7
         path = tmp_path / "mesh.obj"

@@ -105,19 +105,24 @@ def surface_modules_after(code: str) -> list[str]:
 
 
 CLI = "from cohgeom.cli import main\nassert main({argv!r}) == 0"
+STATE = ["--c1", "0.3", "--c2", "-0.2", "--c3", "0.1"]
 
 
+# "{out}" stands for a file under tmp_path
 @pytest.mark.parametrize(
     "code",
     [
         "import cohgeom",
         CLI.format(argv=["verify", "--samples", "1"]),
-        CLI.format(argv=["measure", "--c1", "0.3", "--c2", "-0.2", "--c3", "0.1"]),
+        CLI.format(argv=["measure", *STATE]),
+        CLI.format(argv=["measure", *STATE, "--out", "{out}"]),
+        CLI.format(argv=["dynamics", *STATE]),
+        CLI.format(argv=["dynamics", *STATE, "--out", "{out}"]),
     ],
-    ids=["import", "verify", "measure"],
+    ids=["import", "verify", "measure", "measure-out", "dynamics", "dynamics-out"],
 )
-def test_surface_layer_is_not_loaded(code):
-    assert surface_modules_after(code) == []
+def test_surface_layer_is_not_loaded(tmp_path, code):
+    assert surface_modules_after(code.format(out=tmp_path / "out")) == []
 
 
 def test_surface_run_loads_the_surface_layer(tmp_path):

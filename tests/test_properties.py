@@ -5,8 +5,9 @@ non-negative weights, normalized, are the state's eigenvalues, and the
 correlations follow from them.  The sampled-grid property draws X-state
 slices and channel pre-maps instead, the triangle-filter property builds
 meshes on random triples, the block-bound property draws boxes of grid
-nodes, and the symmetry, partial-transpose and discord-oracle properties
-draw a seed for verify's samplers of physical Bell-diagonal and X states.
+nodes, the level-surface property draws fields and sizes, and the symmetry,
+partial-transpose and discord-oracle properties draw a seed for verify's
+samplers of physical Bell-diagonal and X states.
 The draws are derandomized, so the suite is deterministic.
 """
 
@@ -24,8 +25,10 @@ from cohgeom.channels import ChannelKind, correlation_map_values, default_p_grid
 from cohgeom.geometry import (
     BOUND_MARGIN,
     TriangleMesh,
+    extract_isosurface,
     filter_triangles,
     grid_axis,
+    level_surface,
     sample_field,
 )
 from cohgeom.measures import (
@@ -301,6 +304,26 @@ def test_block_bounds_hold_the_field(field, n, box, seed):
         f_lo, f_hi = measures._xlog2x_range(v_lo, v_hi)
         f = measures._xlog2x(v)
         assert (f_lo - BOUND_MARGIN <= f).all() and (f <= f_hi + BOUND_MARGIN).all()
+
+
+@SETTINGS
+@given(field=fields, n=st.integers(8, 48), cpus=st.integers(1, 3), seed=seeds)
+def test_level_surface_equals_the_two_step_path(field, n, cpus, seed):
+    # the mesh is exact only if every certified box is sound; a level taken
+    # from the field's own nodes sits where boxes are marginal
+    measure, rs, kind, p = field
+    if kind is None:
+        p = None
+    grid = sample_field(measure, n, slice=rs, channel=kind, p=p)
+    values = grid[grid > 0.0]
+    assume(values.size)
+    level = np.random.default_rng(seed).choice(values)
+    expected = extract_isosurface(grid, level)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "cpu_count", lambda: cpus)
+        mesh = level_surface(measure, n, level, slice=rs, channel=kind, p=p)
+    assert mesh.vertices.tobytes() == expected.vertices.tobytes()
+    assert mesh.triangles.tobytes() == expected.triangles.tobytes()
 
 
 def entropy(spectra):
