@@ -69,23 +69,12 @@ __all__ = [
 
 # The surface layer, and the thread pool and marching-cubes tables it brings,
 # is imported on first use of one of its names (PEP 562), so the measures,
-# channels and `verify` do not pay for it.
-_GEOMETRY = frozenset(
-    {
-        "TriangleMesh",
-        "export_obj",
-        "extract_isosurface",
-        "filter_triangles",
-        "grid_axis",
-        "level_surface",
-        "sample_field",
-        "surface_stats",
-    }
-)
+# channels and `verify` do not pay for it: every name of __all__ that the
+# imports above did not bind is geometry's.
 
 
 def __getattr__(name):
-    if name in _GEOMETRY:
+    if name in __all__:
         from . import geometry
 
         return getattr(geometry, name)
@@ -93,4 +82,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | _GEOMETRY)
+    return sorted(set(globals()) | set(__all__))

@@ -31,7 +31,7 @@ import sys
 from . import _textio, channels, measures, states, verification
 from .measures import MeasureKind
 
-_CSV_COLUMNS = tuple(kind.value for kind in channels.ChannelKind)
+_CHANNELS = tuple(kind.value for kind in channels.ChannelKind)
 
 
 def _add_state_args(parser: argparse.ArgumentParser) -> None:
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s", type=float, help="sample the X-state slice at this s")
     s.add_argument(
         "--channel",
-        choices=[k.value for k in channels.ChannelKind],
+        choices=_CHANNELS,
         help="pre-map the grid through this channel before sampling",
     )
     s.add_argument("--p", type=float, help="channel probability for --channel")
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument(
         "--channel",
         default="all",
-        choices=list(_CSV_COLUMNS) + ["all"],
+        choices=list(_CHANNELS) + ["all"],
         help="channel column(s) to emit (default: all)",
     )
     d.add_argument(
@@ -196,7 +196,7 @@ def _cmd_surface(args) -> int:
 def _cmd_dynamics(args) -> int:
     params = states.require_physical_bell((args.c1, args.c2, args.c3))
     grid = channels.default_p_grid(args.steps)
-    columns = list(_CSV_COLUMNS) if args.channel == "all" else [args.channel]
+    columns = list(_CHANNELS) if args.channel == "all" else [args.channel]
     curves = [channels.dynamics_trajectory(params, name, grid) for name in columns]
     with _output(args.out) as out:
         out.write("p," + ",".join(f"C_{name}" for name in columns) + "\n")

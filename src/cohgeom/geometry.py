@@ -159,8 +159,6 @@ def _checked_field(measure, resolution, slice, channel, p):
         raise DomainError("a channel pre-map and its probability p must be given together")
     if channel is not None:
         channel = states._member(channels.ChannelKind, channel, "channel")
-        if np.ndim(p) != 0:
-            raise DomainError(f"p must be a scalar, got shape {np.shape(p)}")
         (p,) = states._in_range(("channel probability",), (p,), low=0)
     if (r, s) == (0.0, 0.0):
         eigenvalues = bell_eigenvalues
@@ -336,10 +334,9 @@ def _box_cases(boxes, origins, level, n):
     # each active cube's lowest node, flat in the boxes and flat in the grid
     local = np.ravel_multi_index((box, i, j, k), boxes.shape)
     node = ((origin[0] + i) * n + origin[1] + j) * n + origin[2] + k
-    if len(boxes) > 1:
-        # the cubes come box by box, and the grid's cube order interleaves them
-        order = np.argsort(node, kind="stable")
-        cubes, local, node = cubes[order], local[order], node[order]
+    # the cubes come box by box, and the grid's cube order interleaves them
+    order = np.argsort(node, kind="stable")
+    cubes, local, node = cubes[order], local[order], node[order]
     case = _CASE_OF_CODE[code.reshape(-1)[cubes]]
     cube_of, edge_of = np.nonzero(EDGE_CROSSED[case])
     axis = _EDGE_AXIS[edge_of]

@@ -142,32 +142,6 @@ class TestApplyProductChannel:
         with pytest.raises(DomainError):
             apply_product_channel(np.eye(4), "bf", 0.5)
 
-    def test_fixed_contraction_path_is_the_optimizers(self, monkeypatch):
-        # the contraction runs on a fixed einsum path; on every shape the
-        # package passes it must be the path optimize=True picks, with
-        # bitwise the same result
-        einsum, calls = np.einsum, []
-
-        def spy(*operands, optimize=False):
-            out = einsum(*operands, optimize=optimize)
-            if optimize is not False:
-                assert optimize == np.einsum_path(*operands, optimize=True)[0]
-                assert out.tobytes() == einsum(*operands, optimize=True).tobytes()
-                calls.append(out.shape)
-            return out
-
-        monkeypatch.setattr(np, "einsum", spy)
-        rows = sample_physical_bell(16, np.random.default_rng(11))
-        stack, one = bell_density(rows.T), bell_density(rows[0])
-        probs = default_p_grid(101)
-        for kind in ChannelKind:
-            for m in (stack, stack[:8], one):
-                apply_product_channel(m, kind, 0.37)
-                apply_product_channel(m, kind, probs[:, None])
-            apply_product_channel(one, kind, probs)
-        assert len(calls) == 7 * len(ChannelKind)
-        assert calls[-1] == (101, 2, 2, 2, 2)
-
 
 class TestBellParamMap:
     def test_amplitude_damping_row(self):

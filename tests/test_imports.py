@@ -1,6 +1,7 @@
 """Every name a package module or a test file imports is used in that file,
-the package exports exactly the pinned public names, and only the commands
-that build surfaces load the surface layer.
+every private module-level name of the package is read in the package, the
+package exports exactly the pinned public names, and only the commands that
+build surfaces load the surface layer.
 
 ``__init__.py`` is skipped by the import scan, because it imports names to
 re-export them, and so are ``__future__`` imports.
@@ -45,6 +46,51 @@ def test_scanner_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The ``_``-prefixed names, dunders aside, that a module of ``sources``
+    defines at its top level by ``def``, ``class`` or assignment, and that no
+    source reads as a name or an attribute."""
+    defined, read = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+                defined += [n.id for n in names if isinstance(n.ctx, ast.Store)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    private = [n for n in defined if n.startswith("_") and not n.startswith("__")]
+    return [name for name in private if name not in read]
+
+
+def test_scanner_finds_an_unread_private_name():
+    first = (
+        "_A, (_B, C) = 1, (2, 3)\n"
+        "_D: int = 4\n"
+        "__version__ = '1'\n"
+        "def _f():\n"
+        "    _local = _A  # _B\n"
+        "class _K:\n"
+        "    pass\n"
+        "def _g():\n"
+        "    pass\n"
+        "obj._D = 5\n"
+    )
+    second = "import first\nfirst._g()\n"
+    assert unread_private_names([first, second]) == ["_B", "_D", "_f", "_K"]
+
+
+def test_no_unread_private_names():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []
 
 
 # The public API, one entry point per quantity.  A name added to or dropped
