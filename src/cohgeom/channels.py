@@ -43,13 +43,6 @@ class ChannelKind(enum.Enum):
     AMPLITUDE_DAMPING = "gad"
 
 
-# Peak bytes of a `dynamics` run per p grid point, most of it the float
-# arrays of the trajectories, since the CSV is written in fixed row blocks:
-# measured at 35.3-35.6, 46.1, 66.0-66.1 and 136.0-136.1 MiB peak RSS for
-# 10^4, 10^5, 3 10^5 and 10^6 steps, to a file or stdout, about 107 bytes
-# per step.
-PEAK_BYTES_PER_STEP = 112
-
 # The power of (1 - p) by which each channel shrinks (c1, c2, c3).
 _SHRINK = {
     ChannelKind.BIT_FLIP: (0, 2, 2),
@@ -138,8 +131,8 @@ def dynamics_trajectory(params, kind, p_grid) -> np.ndarray:
 
 def default_p_grid(steps: int) -> np.ndarray:
     """Uniform grid of ``steps`` decoherence probabilities covering [0, 1];
-    ``steps`` is an integer of at least 2.  Refuses a count whose
-    PEAK_BYTES_PER_STEP estimate exceeds physical memory."""
+    ``steps`` is an integer of at least 2.  Refuses a count whose two
+    arrays, the integer range and the grid, exceed physical memory."""
     steps = _require_count("steps", steps, 2, "p grid needs at least two points")
-    _require_memory(f"{steps} steps", PEAK_BYTES_PER_STEP * steps)
+    _require_memory(f"{steps} steps", 16 * steps)
     return np.arange(steps) / (steps - 1)

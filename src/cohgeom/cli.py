@@ -194,15 +194,16 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    # checked before the header is written, since the curves come block by block
     params = states.require_physical_bell((args.c1, args.c2, args.c3))
     grid = channels.default_p_grid(args.steps)
     columns = list(_CHANNELS) if args.channel == "all" else [args.channel]
-    curves = [channels.dynamics_trajectory(params, name, grid) for name in columns]
     with _output(args.out) as out:
         out.write("p," + ",".join(f"C_{name}" for name in columns) + "\n")
         for start in range(0, len(grid), _textio.BLOCK_ROWS):
-            stop = start + _textio.BLOCK_ROWS
-            rows = zip(grid[start:stop].tolist(), *(c[start:stop].tolist() for c in curves))
+            block = grid[start : start + _textio.BLOCK_ROWS]
+            curves = [channels.dynamics_trajectory(params, name, block) for name in columns]
+            rows = zip(block.tolist(), *(c.tolist() for c in curves))
             out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     return 0
 

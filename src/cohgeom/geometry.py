@@ -622,7 +622,7 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
         out.write(f"# triangles: {len(mesh.triangles)}\n")
         for start in range(0, len(mesh.vertices), _textio.BLOCK_ROWS):
             block = mesh.vertices[start : start + _textio.BLOCK_ROWS]
-            out.write("v %.9g %.9g %.9g\n" * len(block) % tuple(block.flat))
+            out.write("v %.9g %.9g %.9g\n" * len(block) % tuple(block.ravel().tolist()))
         for start in range(0, len(mesh.triangles), _textio.BLOCK_ROWS):
             block = mesh.triangles[start : start + _textio.BLOCK_ROWS] + 1
-            out.write("f %d %d %d\n" * len(block) % tuple(block.flat))
+            out.write("f %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))

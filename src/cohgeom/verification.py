@@ -28,13 +28,6 @@ from .states import BELL_FIELDS, X_FIELDS
 
 DEFAULT_SEED = 1234
 
-# The memory guard's estimate of a `verify` run's peak bytes per sample.  The
-# run no longer grows with the sample count: child peak RSS read 37.3 MiB at
-# 3,000 samples, 38.0 at 10^5 and 38.3 at 10^6.  The 75 bytes are what a run
-# took when it kept its sampled rows (66-74 per added sample); resizing the
-# guard would change which counts exit 2, so it is left for a separate change.
-PEAK_BYTES_PER_SAMPLE = 75
-
 # Sets every suite's batches.  The sampler draws and tests oversample *
 # BATCH_ROWS candidates at a time, and a sampled suite checks the rows each
 # chunk accepts: about 683 of a Bell chunk of 2,048 (acceptance 1/3), 336 of
@@ -286,10 +279,9 @@ def trajectory_monotonicity(state_count: int, rng: np.random.Generator) -> Suite
 
 def run_all(samples: int) -> list[SuiteResult]:
     """Run every suite, sampling from DEFAULT_SEED; returns results in order.
-    ``samples`` is a positive integer.  Refuses a count whose
-    PEAK_BYTES_PER_SAMPLE estimate exceeds physical memory before sampling."""
+    ``samples`` is a positive integer; the suites check their states in
+    fixed-size batches, so no array grows with it."""
     samples = states._require_count("samples", samples, 1, "samples must be positive")
-    states._require_memory(f"{samples} samples", PEAK_BYTES_PER_SAMPLE * samples)
     rng = np.random.default_rng(DEFAULT_SEED)
     return [
         bell_spectrum_vs_jacobi(samples, rng),

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cohgeom.channels import (
-    PEAK_BYTES_PER_STEP,
     ChannelKind,
     apply_product_channel,
     correlation_map_values,
@@ -244,7 +243,7 @@ class TestDynamicsTrajectory:
         assert np.array_equal(default_p_grid(np.int64(11)), default_p_grid(11))
 
     def test_steps_beyond_memory_rejected(self, small_memory):
-        fits = small_memory // PEAK_BYTES_PER_STEP
+        fits = small_memory // 16
         assert len(default_p_grid(fits)) == fits
         with pytest.raises(DomainError, match=f"{fits + 1} steps needs .* physical memory"):
             default_p_grid(fits + 1)

@@ -1,5 +1,6 @@
 """The README's Python and CLI examples run as written, on public names only."""
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -52,3 +53,15 @@ def test_flags_exist():
     options = set(re.findall(r'"(--[\w-]+)"', cli))
     flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", README.read_text()))
     assert flags - options - {"--no-build-isolation"} == set()
+
+
+def test_module_names_exist():
+    # every `module.NAME` the README names in a cohgeom submodule is defined
+    # there, so a constant that goes cannot stay in the prose
+    modules = {path.stem for path in (README.parent / "src" / "cohgeom").glob("*.py")}
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    named = [pair for span in spans for pair in re.findall(r"(?<![\w.])(\w+)\.(\w+)", span)]
+    checked = [(module, name) for module, name in named if module in modules]
+    assert checked
+    for module, name in checked:
+        assert hasattr(importlib.import_module(f"cohgeom.{module}"), name), (module, name)

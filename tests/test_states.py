@@ -9,6 +9,7 @@ from cohgeom.states import (
     bell_density,
     bell_eigenvalues,
     correlations_of,
+    entangled_values,
     hermitian_spectrum,
     require_physical_bell,
     require_physical_x,
@@ -27,6 +28,10 @@ def bell_sorted(params):
 def x_sorted(params):
     """Closed-form X-state eigenvalues, descending."""
     return np.sort(x_eigenvalues(*params))[::-1]
+
+
+def bell_entangled(c1, c2, c3):
+    return bool(entangled_values(0.0, 0.0, c1, c2, c3))
 
 
 class TestPauliBasis:
@@ -136,6 +141,42 @@ class TestInputGate:
         ):
             assert type(got) is tuple
             assert all(type(v) is float for v in got)
+
+
+class TestBellEntanglement:
+    # points are classified by entangled_values; the points it has no class
+    # for, unphysical ones, are refused by the input gate before it
+    def test_origin_separable(self):
+        assert not bell_entangled(0.0, 0.0, 0.0)
+
+    def test_bell_vertex_entangled(self):
+        assert bell_entangled(1.0, -1.0, 1.0)
+
+    def test_unphysical_invalid(self):
+        # smallest eigenvalue (1 - c1 - c2 - c3)/4 = -0.2
+        with pytest.raises(DomainError, match="not positive semidefinite"):
+            require_physical_bell((0.9, 0.9, 0))
+
+    def test_octahedron_boundary(self):
+        assert not bell_entangled(0.5, -0.25, 0.25)
+        assert bell_entangled(0.6, -0.5, 0.5)
+        # on the boundary the partial transpose has a zero eigenvalue, which
+        # decimal inputs round to about -1e-17: still separable
+        for point in ((-0.2, 0.0, 0.8), (-0.4, 0.2, 0.4), (0.3, 0.3, -0.4)):
+            assert not bell_entangled(*point)
+            assert bell_entangled(*(1.001 * np.array(point)))
+        # as before the PPT test: entangled when |c1| + |c2| + |c3| > 1 + TOL_PSD
+        # (the partial transpose eigenvalue here is -5e-13)
+        assert bell_entangled(0.5, -0.5, 2e-12)
+        assert not bell_entangled(0.5, -0.5, 0.5e-12)
+        # beyond a face of the tetrahedron, accepted only by the positivity
+        # tolerance: the partial transpose is positive, so separable
+        require_physical_bell((0.5, 0.5, 3e-12))
+        assert not bell_entangled(0.5, 0.5, 3e-12)
+
+    def test_nan_invalid(self):
+        with pytest.raises(DomainError, match="c1 must lie in"):
+            require_physical_bell((np.nan, 0, 0))
 
 
 class TestBellSpectrum:
