@@ -1,6 +1,7 @@
 """Text output of the CLI and the OBJ writer, written atomically in blocks."""
 
 import contextlib
+import errno
 import os
 
 # Rows of text, OBJ vertices or faces and dynamics CSV rows, formatted and
@@ -13,15 +14,27 @@ BLOCK_ROWS = 1 << 14
 def open_atomic(path):
     """Open an ASCII text file that appears at ``path`` only once complete.
 
-    Writes go to a new temporary file in the same directory, which replaces
-    ``path`` when the block exits normally and is removed when it raises, so
-    a failed write leaves neither a partial file nor a changed old one.
+    ``path`` is followed through symlinks to its target.  A regular file or
+    a missing target is written atomically: writes go to a new temporary
+    file in the target's directory, which replaces the target when the block
+    exits normally and is removed when it raises, so a failed write leaves
+    neither a partial file nor a changed old one.  Any other existing
+    target, such as a FIFO or a device, is opened and written directly, so
+    it stays what it is.  An empty path raises FileNotFoundError.
     """
-    temp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    if not os.fspath(path):
+        # realpath would take it for the working directory
+        raise FileNotFoundError(errno.ENOENT, "empty output path", path)
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="ascii", newline="\n") as handle:
+            yield handle
+        return
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"
     try:
         with open(temp, "x", encoding="ascii", newline="\n") as handle:
             yield handle
-        os.replace(temp, path)
+        os.replace(temp, target)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp)

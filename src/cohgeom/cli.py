@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """The file at ``path``, written atomically, or stdout without one."""
-    if path:
+    """The file at ``path``, through ``_textio.open_atomic``, or stdout without one."""
+    if path is not None:
         with _textio.open_atomic(path) as handle:
             yield handle
     else:
@@ -185,10 +185,10 @@ def _cmd_surface(args) -> int:
     # and replaces its own only after, so a destination that cannot be written
     # leaves the other one unchanged
     with contextlib.ExitStack() as stack:
-        if args.stats_out:
+        if args.stats_out is not None:
             stack.enter_context(_textio.open_atomic(args.stats_out)).write(stats)
         geometry.export_obj(mesh, args.out, metadata)
-    if not args.stats_out:
+    if args.stats_out is None:
         sys.stdout.write(stats)
     return 0
 

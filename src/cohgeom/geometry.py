@@ -41,13 +41,13 @@ DEGENERATE_AREA = 1e-14
 # MiB of peak but made the case pass 0.07 -> 0.09 s.
 SLAB_NODES = 1 << 18
 
-# Cubes per axis of the blocks that level_surface certifies before it
-# samples anything (see level_surface).  With two workers at n = 256 (best of
-# 5, two runs), 8 took rel-ent at 0.8953 to 0.078-0.090 s and discord at 0.2
-# to 0.39-0.41 s; 6 took 0.11 and 0.39-0.43 s, 12 and 16 took 0.08-0.09 and
-# 0.44-0.47 s, and 4 took 0.19 and 0.48-0.49 s.  Smaller blocks bound the
-# field more tightly but sample more shared nodes: a block's closure has
-# (b + 1)^3 nodes for its b^3 cubes.
+# Cubes per axis of the blocks that level_surface samples, where its halving
+# search ends (see level_surface).  Two workers at n = 256, best of 5, two
+# runs, before that search: 8 took rel-ent at 0.8953 to 0.078-0.090 s and
+# discord at 0.2 to 0.39-0.41 s; 6 took 0.11 and 0.39-0.43 s, 12 and 16 took
+# 0.08-0.09 and 0.44-0.47 s, and 4 took 0.19 and 0.48-0.49 s.  Smaller blocks
+# bound the field more tightly but sample more shared nodes: a block's
+# closure has (b + 1)^3 nodes for its b^3 cubes.
 BLOCK_CUBES = 8
 
 # A block is certified only when its bounds clear the level by this much, far
@@ -498,45 +498,45 @@ def level_surface(
     The cubes are split into blocks of BLOCK_CUBES per axis.  Interval
     bounds on the closed forms, taken from a box's end coordinates, certify
     a box whose physical nodes all lie below the level, or all at or above
-    it, with BOUND_MARGIN to spare, or that holds no physical node.  A block
-    is certified whole or by its eighths, whose bounds are tighter, and the
-    field is never sampled there (min/max culling: Wilhelms and Van Gelder,
-    ACM TOG 11(3), 1992).  The other blocks are sampled on their closure
-    nodes and marched on the workers of :func:`_over_runs`, in chunks of
-    whole block layers sized by their uncertified blocks' nodes, so the n^3
-    grid is never held.
+    it, with BOUND_MARGIN to spare, or that holds no physical node.  From
+    one box of a power of two blocks per axis over the grid, each halving
+    bounds the 8 children of every box left, down to the blocks' eighths,
+    whose bounds are tighter, and a block stays when any eighth may hold the
+    level (min/max culling: Wilhelms and Van Gelder, ACM TOG 11(3), 1992);
+    so the bounds follow the surface, not the grid.  Only the kept blocks
+    are sampled, on their closure nodes, and marched by block layers on the
+    workers of :func:`_over_runs`, so the n^3 grid is never held.
 
-    Why the bytes cannot change: a certified block holds no active cube,
-    since each of its cubes lies in a certified box, the block or one of its
-    eighths, whose nodes all lie on one side of the level or are NaN.  Every
-    cube lies in one block, and all 8 of its corners are in that block's
-    closure, sampled as sample_field samples them, by elementwise kernels.  So
-    every active cube gets the same case, keys and ``t``; within a chunk the
-    cubes are sorted into cube order, and chunks follow it too, so the
-    vertex and triangle order are those of the two-step path.
+    Why the bytes cannot change: a block is dropped only when each of its
+    cubes lies in a certified box, which holds no active cube, since its
+    nodes all lie on one side of the level or are NaN.  Every cube lies in
+    one block, and all 8 of its corners are in that block's closure, sampled
+    as sample_field samples them, by elementwise kernels.  So every active
+    cube gets the same case, keys and ``t``; within a chunk the cubes are
+    sorted into cube order, and chunks follow it too, so the vertex and
+    triangle order are those of the two-step path.
     """
     at, bounds = _checked_field(measure, resolution, slice, channel, p)
     level = _check_level(level)
     n = int(resolution)
 
-    def crossed(origins):
-        # each block whole, then the blocks left by eighths, whose bounds are
-        # tighter; a block stays when any of its parts may hold the level
-        for size in (BLOCK_CUBES, BLOCK_CUBES // 2):
-            parts = size * np.indices((BLOCK_CUBES // size,) * 3).reshape(3, -1).T
-            corner = origins[:, None] + parts
+    # the bounds hold a few dozen temporaries per box: SLAB_NODES / 64 per call
+    step = max(1, SLAB_NODES // 512)
+    size = BLOCK_CUBES << ((n - 2) // BLOCK_CUBES).bit_length()
+    origins = np.zeros((1, 3), dtype=int)
+    while size > BLOCK_CUBES // 2 and len(origins):
+        size //= 2
+        kept = []
+        for parent in (origins[b : b + step] for b in range(0, len(origins), step)):
+            corner = parent[:, None] + size * np.indices((2, 2, 2)).reshape(3, -1).T
             low, high = bounds(np.minimum(corner, n - 1), np.minimum(corner + size, n - 1))
             certified = (high + BOUND_MARGIN < level) | (low - BOUND_MARGIN >= level)
-            origins = origins[~certified.all(axis=1)]
-        return origins
-
-    starts = np.arange(0, n - 1, BLOCK_CUBES)
-    blocks = np.stack(np.meshgrid(starts, starts, starts, indexing="ij"), axis=-1).reshape(-1, 3)
-    # the bounds hold a few dozen temporaries per box, and eight boxes per
-    # block once refined, so they take SLAB_NODES / 64 blocks at a time
-    step = SLAB_NODES // 64
-    origins = np.concatenate([crossed(blocks[b : b + step]) for b in range(0, len(blocks), step)])
-    per_layer = np.bincount(origins[:, 0] // BLOCK_CUBES, minlength=len(starts))
+            may = ~certified & (corner < n - 1).all(axis=-1)
+            kept.append(parent[may.any(axis=1)] if size < BLOCK_CUBES else corner[may])
+        origins = np.concatenate(kept)
+    # the blocks come in tree order, and the case pass takes them by layer
+    origins = origins[np.argsort(origins[:, 0], kind="stable")]
+    per_layer = np.bincount(origins[:, 0] // BLOCK_CUBES, minlength=(n - 2) // BLOCK_CUBES + 1)
     first = np.concatenate(([0], np.cumsum(per_layer)))
     closure = np.arange(BLOCK_CUBES + 1)
 
@@ -614,7 +614,7 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
         out.write("# constant-level surface mesh\n")
         for key, value in (metadata or {}).items():
             if isinstance(value, float):
-                value = repr(value)
+                value = repr(float(value))
             elif value is None:
                 value = "none"
             out.write(f"# {key}: {value}\n")

