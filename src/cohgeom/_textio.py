@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import os
+import stat
 
 # Rows of text, OBJ vertices or faces and dynamics CSV rows, formatted and
 # written at a time, so a run holds one block of text instead of the whole
@@ -18,7 +19,9 @@ def open_atomic(path):
     a missing target is written atomically: writes go to a new temporary
     file in the target's directory, which replaces the target when the block
     exits normally and is removed when it raises, so a failed write leaves
-    neither a partial file nor a changed old one.  Any other existing
+    neither a partial file nor a changed old one.  A replaced file's
+    permission bits carry over to the new one; a hard link to it keeps the
+    old bytes, since a rename cannot keep it.  Any other existing
     target, such as a FIFO or a device, is opened and written directly, so
     it stays what it is.  An empty path raises FileNotFoundError.
     """
@@ -34,6 +37,8 @@ def open_atomic(path):
     try:
         with open(temp, "x", encoding="ascii", newline="\n") as handle:
             yield handle
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(temp, target)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):

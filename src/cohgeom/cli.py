@@ -26,9 +26,9 @@ import json
 import os
 import sys
 
-# geometry, the surface layer, is imported by the command that uses it, so
-# `verify`, `measure` and `dynamics` start without it
-from . import _textio, channels, measures, states, verification
+# geometry, the surface layer, and verification, the oracle suites, are
+# imported by the command that uses each, so no other command loads them
+from . import _textio, channels, measures, states
 from .measures import MeasureKind
 
 _CHANNELS = tuple(kind.value for kind in channels.ChannelKind)
@@ -209,6 +209,8 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verification
+
     results = verification.run_all(args.samples)
     for result in results:
         print(result.line())

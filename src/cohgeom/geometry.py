@@ -252,18 +252,28 @@ class TriangleMesh:
             raise DomainError("triangle indices out of range")
 
     def triangle_areas(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        # the edge vectors are formed in place and a is dropped, so the cross
-        # product runs beside two (T, 3) arrays, not five
+        # the corners by coordinate, (3, T) each; the edge vectors are formed
+        # in place and their cross product and its length written out by
+        # component, which is bitwise the np.cross and np.linalg.norm forms
+        a, b, c = (self.vertices.T[:, corner] for corner in self.triangles.T)
         b -= a
         c -= a
         del a
-        return np.linalg.norm(np.cross(b, c), axis=1) / 2
+        x = b[1] * c[2] - b[2] * c[1]
+        y = b[2] * c[0] - b[0] * c[2]
+        z = b[0] * c[1] - b[1] * c[0]
+        del b, c
+        return np.sqrt(x * x + y * y + z * z) / 2
 
     def centroids(self) -> np.ndarray:
-        return self.vertices[self.triangles].mean(axis=1)
+        # summed a corner at a time, beside one (T, 3) array instead of a
+        # (T, 3, 3) one: bitwise the mean over the corners
+        a, b, c = self.triangles.T
+        total = self.vertices[a]
+        total += self.vertices[b]
+        total += self.vertices[c]
+        total /= 3
+        return total
 
 
 # The case tables as arrays.  An edge is crossed when its two corners lie on
@@ -608,7 +618,10 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
     path ``destination`` is written atomically.  Identical meshes and
     metadata produce byte-identical files.  Lines are formatted and written
     ``_textio.BLOCK_ROWS`` at a time, so the text of the whole mesh is never
-    held.
+    held.  A block's lines are assembled as rows of bytes: each distinct
+    coordinate of the block is formatted once, by Python's ``"%.9g"``, and
+    each index is spelled out digit by digit, so the bytes are those of
+    ``"v %.9g %.9g %.9g"`` and ``"f %d %d %d"`` for every line.
     """
     with _textio.open_atomic(destination) as out:
         out.write("# constant-level surface mesh\n")
@@ -622,7 +635,44 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
         out.write(f"# triangles: {len(mesh.triangles)}\n")
         for start in range(0, len(mesh.vertices), _textio.BLOCK_ROWS):
             block = mesh.vertices[start : start + _textio.BLOCK_ROWS]
-            out.write("v %.9g %.9g %.9g\n" * len(block) % tuple(block.ravel().tolist()))
+            # each distinct coordinate once, told apart by its bits so that
+            # -0.0 and 0.0 stay apart; "%.9g" of a double fits in 16
+            # characters, the longest being -1.23456789e-308
+            distinct, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            text = "%16.9g" * len(distinct) % tuple(distinct.view(float).tolist())
+            assert len(text) == 16 * len(distinct)
+            table = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, 16)
+            out.write(_lines("v", table[inverse].reshape(len(block), 3, 16)))
+        # the 1-based indices in the smallest unsigned type that holds them,
+        # where integer division by a scalar is fastest
+        width, kind = len(str(len(mesh.vertices))), np.min_scalar_type(len(mesh.vertices))
         for start in range(0, len(mesh.triangles), _textio.BLOCK_ROWS):
-            block = mesh.triangles[start : start + _textio.BLOCK_ROWS] + 1
-            out.write("f %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
+            index = (mesh.triangles[start : start + _textio.BLOCK_ROWS] + 1).astype(kind)
+            # the digits of each index by position, blank before its first
+            digits = np.empty((width,) + index.shape, np.uint8)
+            rest = index
+            for position in range(width - 1, -1, -1):
+                tens = rest // 10
+                digits[position] = rest - 10 * tens + ord("0")
+                rest = tens
+            digits[index < 10 ** np.arange(width - 1, -1, -1)[:, None, None]] = ord(" ")
+            out.write(_lines("f", digits.transpose(1, 2, 0)))
+
+
+# Maps the field separator of _lines to a space.
+_SEPARATOR = bytes.maketrans(b"\t", b" ")
+
+
+def _lines(tag, fields):
+    """One text line per row of ``fields``, a ``(rows, 3, width)`` uint8
+    array of right-aligned ASCII fields padded with spaces: the tag, then
+    each field after one space, then a newline, with the pads dropped."""
+    rows, _, width = fields.shape
+    line = np.empty((rows, 3 * (width + 1) + 2), np.uint8)
+    line[:, 0] = ord(tag)
+    line[:, -1] = ord("\n")
+    body = line[:, 1:-1].reshape(rows, 3, width + 1)
+    # a tab marks each separator while the pads are deleted
+    body[:, :, 0] = ord("\t")
+    body[:, :, 1:] = fields
+    return line.tobytes().translate(_SEPARATOR, b" ").decode("ascii")

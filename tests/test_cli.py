@@ -1,16 +1,24 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
+import pathlib
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohgeom import _textio
 from cohgeom.cli import main
+from cohgeom.geometry import TriangleMesh, export_obj
 from cohgeom.verification import SuiteResult
 from conftest import cli_args, cli_env
 
@@ -471,6 +479,19 @@ class TestAtomicWrites:
         reader.join(timeout=10)
         assert not reader.is_alive()
 
+    @pytest.mark.parametrize("mode", [0o600, 0o755], ids=oct)
+    def test_replaced_file_keeps_its_mode(self, tmp_path, capsys, mode):
+        # the new file would otherwise take the umask's mode
+        measured, mesh = tmp_path / "measure.json", tmp_path / "mesh.obj"
+        for path in (measured, mesh):
+            path.write_bytes(b"old\n")
+            path.chmod(mode)
+        assert run_cli(*self.MEASURE, "--out", str(measured)) == 0
+        export_obj(TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]]), mesh)
+        for path in (measured, mesh):
+            assert path.read_bytes() != b"old\n"
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -616,7 +637,7 @@ class TestVerify:
         def broken(samples):
             return [SuiteResult("bell_closed_vs_jacobi", 1.0, 1e-10)]
 
-        monkeypatch.setattr("cohgeom.cli.verification.run_all", broken)
+        monkeypatch.setattr("cohgeom.verification.run_all", broken)
         assert run_cli("verify", "--samples", "10") == 1
         out = capsys.readouterr().out
         assert "FAIL: bell_closed_vs_jacobi" in out
@@ -670,3 +691,131 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["region"] == "separable"
+
+
+# Drawn flag values: numbers that give a physical state, numbers in and out
+# of range, and every kind of bad one.
+REALS = st.one_of(
+    st.sampled_from(["0", "0.1", "-0.2", "0.25", "0.3"]),
+    st.floats(-1.5, 1.5).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-3", "2", "abc", "", "0x1"]),
+)
+
+
+def counts(top):
+    """Drawn size values, at most ``top``, and bad ones."""
+    return st.one_of(
+        st.integers(-2, top).map(str), st.sampled_from(["nan", "inf", "2.5", "1e3", "x", ""])
+    )
+
+
+# Drawn output paths, by name (see TestExitCodes); None leaves the flag out.
+PATHS = st.sampled_from([None, "missing", "directory", "file", "link", "fifo"])
+
+
+@st.composite
+def argvs(draw):
+    """A command line of any subcommand, with output paths by name."""
+    def flag(name, values):
+        # left out one time in five, which a required flag exits 2 for
+        return [] if draw(st.integers(0, 4)) == 0 else [name, draw(values)]
+
+    def path(name):
+        value = draw(PATHS)
+        return [] if value is None else [name, value]
+
+    state = [*flag("--c1", REALS), *flag("--c2", REALS), *flag("--c3", REALS)]
+    command = draw(st.sampled_from(["measure", "surface", "dynamics", "verify"]))
+    if command == "measure":
+        return [command, *state, *flag("--r", REALS), *flag("--s", REALS), *path("--out")]
+    if command == "dynamics":
+        channels = st.sampled_from(["all", "bf", "pf", "bpf", "gad", "xx", ""])
+        tail = [*flag("--channel", channels), *flag("--steps", counts(100)), *path("--out")]
+        return [command, *state, *tail]
+    # the sizes are always given, since their defaults are larger
+    if command == "verify":
+        return [command, "--samples", draw(counts(50))]
+    measures = st.sampled_from(["l1", "rel-ent", "trace", "discord", "xx"])
+    return [
+        command,
+        *flag("--measure", measures),
+        *flag("--level", REALS),
+        "--resolution",
+        draw(counts(24)),
+        *flag("--r", REALS),
+        *flag("--s", REALS),
+        *flag("--channel", st.sampled_from(["bf", "pf", "bpf", "gad", "xx"])),
+        *flag("--p", REALS),
+        *path("--out"),
+        *path("--stats-out"),
+    ]
+
+
+class TestExitCodes:
+    """The exit-code contract as a property: every command line exits 0 or
+    2, with nothing on stdout and an error or usage line on stderr when it
+    exits 2, and output lands where an exit-0 run was pointed."""
+
+    STATE = ("--c1", "0.3", "--c2", "-0.2", "--c3", "0.1")
+    SURFACE = ("surface", "--measure", "rel-ent", "--level", "0.3", "--resolution", "24")
+
+    @staticmethod
+    def release(fifo, reader):
+        """Open ``fifo`` for writing until ``reader`` is done, so a reader
+        whose writer never came gets end of file."""
+        deadline = time.monotonic() + 10
+        while reader.is_alive() and time.monotonic() < deadline:
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError as exc:  # no reader has it open yet
+                assert exc.errno == errno.ENXIO
+            reader.join(timeout=0.001)
+        assert not reader.is_alive()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(argv=argvs())
+    # runs that exit 0 through each kind of path
+    @example(argv=["measure", *STATE, "--out", "link"])
+    @example(argv=["measure", *STATE, "--r", "0.1", "--out", "fifo"])
+    @example(argv=["dynamics", *STATE, "--steps", "100", "--out", "file"])
+    @example(argv=["dynamics", *STATE, "--channel", "gad", "--steps", "2"])
+    @example(argv=["verify", "--samples", "50"])
+    @example(argv=[*SURFACE, "--out", "fifo", "--stats-out", "link"])
+    @example(argv=[*SURFACE, "--channel", "pf", "--p", "0.5", "--out", "link"])
+    @example(argv=[*SURFACE, "--r", "0.2", "--out", "file", "--stats-out", "fifo"])
+    def test_exits_0_or_2(self, argv):
+        with tempfile.TemporaryDirectory() as directory:
+            root = pathlib.Path(directory)
+            paths = {name: root / name for name in ("directory", "file", "link", "fifo")}
+            paths["missing"] = root / "missing" / "out"
+            paths["directory"].mkdir()
+            paths["file"].write_bytes(b"old\n")
+            paths["link"].symlink_to(paths["file"])
+            os.mkfifo(paths["fifo"])
+            got = []
+            # a daemon, so a reader left waiting fails the test, not the whole run
+            reader = threading.Thread(
+                target=lambda: got.append(paths["fifo"].read_bytes()), daemon=True
+            )
+            reader.start()
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([str(paths.get(arg, arg)) for arg in argv])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            finally:
+                self.release(paths["fifo"], reader)
+            assert code in (0, 2)
+            if code == 2:
+                assert out.getvalue() == ""
+                assert any(
+                    line.startswith(("error:", "usage:")) for line in err.getvalue().splitlines()
+                )
+                return
+            assert paths["link"].is_symlink()
+            assert stat.S_ISFIFO(os.lstat(paths["fifo"]).st_mode)
+            if "link" in argv or "file" in argv:
+                assert paths["file"].read_bytes() not in (b"", b"old\n")
+            if "fifo" in argv:
+                assert got and got[0]

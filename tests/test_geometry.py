@@ -809,6 +809,33 @@ class TestMeshBytes:
         assert np.array_equal(used, EDGE_CROSSED)
 
 
+def random_mesh():
+    rng = np.random.default_rng(7)
+    vertices = rng.standard_normal((500, 3)) * 10.0 ** rng.integers(-8, 8, (500, 1))
+    return geometry.TriangleMesh(vertices, rng.integers(0, 500, (2000, 3)))
+
+
+class TestTriangleMesh:
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            lambda: level_surface("l1", 40, 0.4965),
+            lambda: level_surface("rel-ent", 32, 0.2),
+            lambda: level_surface("discord", 32, 0.3),
+            lambda: level_surface("rel-ent", 32, 0.3, slice=(0.3, -0.2)),
+            random_mesh,
+        ],
+        ids=["l1", "rel-ent", "discord", "x-slice", "random"],
+    )
+    def test_areas_and_centroids_equal_the_numpy_forms(self, mesh):
+        mesh = mesh()
+        a, b, c = (mesh.vertices[mesh.triangles[:, i]] for i in range(3))
+        areas = np.linalg.norm(np.cross(b - a, c - a), axis=1) / 2
+        assert len(areas) > 0
+        assert np.array_equal(mesh.triangle_areas(), areas)
+        assert np.array_equal(mesh.centroids(), mesh.vertices[mesh.triangles].mean(axis=1))
+
+
 class TestSurfaceStats:
     def test_empty_mesh(self):
         mesh = extract_isosurface(sample_field("l1", 16), 1.5)

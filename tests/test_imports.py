@@ -1,7 +1,8 @@
 """Every name a package module or a test file imports is used in that file,
 every private module-level name of the package is read in the package, the
-package exports exactly the pinned public names, and only the commands that
-build surfaces load the surface layer.
+package exports exactly the pinned public names, only the commands that
+build surfaces load the surface layer, and only `verify` loads the oracle
+suites.
 
 ``__init__.py`` is skipped by the import scan, because it imports names to
 re-export them, and so are ``__future__`` imports.
@@ -139,11 +140,13 @@ def test_public_api_is_pinned():
 # The surface layer and what only it needs: the marching-cubes tables and
 # the sampling pool.  `import cohgeom` resolves geometry's names on first use.
 SURFACE_MODULES = ["cohgeom.geometry", "cohgeom._mc_tables", "concurrent.futures"]
+# The oracle suites, which only `verify` runs.
+ORACLE_MODULES = ["cohgeom.verification"]
 
 
-def surface_modules_after(code: str) -> list[str]:
-    """Which of SURFACE_MODULES a fresh interpreter holds after ``code``."""
-    probe = f"import sys\n{code}\nprint([m for m in {SURFACE_MODULES!r} if m in sys.modules])"
+def modules_after(code: str, modules: list[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after ``code``."""
+    probe = f"import sys\n{code}\nprint([m for m in {modules!r} if m in sys.modules])"
     child = subprocess.run(
         [sys.executable, "-c", probe], env=cli_env(), capture_output=True, text=True, check=True
     )
@@ -168,12 +171,23 @@ STATE = ["--c1", "0.3", "--c2", "-0.2", "--c3", "0.1"]
     ids=["import", "verify", "measure", "measure-out", "dynamics", "dynamics-out"],
 )
 def test_surface_layer_is_not_loaded(tmp_path, code):
-    assert surface_modules_after(code.format(out=tmp_path / "out")) == []
+    assert modules_after(code.format(out=tmp_path / "out"), SURFACE_MODULES) == []
 
 
 def test_surface_run_loads_the_surface_layer(tmp_path):
     argv = ["surface", "--level", "0.5", "--resolution", "8", "--out", str(tmp_path / "x.obj")]
-    assert surface_modules_after(CLI.format(argv=argv)) == SURFACE_MODULES
+    assert modules_after(CLI.format(argv=argv), SURFACE_MODULES) == SURFACE_MODULES
+
+
+def test_only_verify_loads_the_oracle_suites(tmp_path):
+    # one interpreter runs every other command, then verify
+    surface = ["surface", "--level", "0.5", "--resolution", "8", "--out", str(tmp_path / "x.obj")]
+    others = "\n".join(
+        CLI.format(argv=argv) for argv in (["measure", *STATE], ["dynamics", *STATE], surface)
+    )
+    assert modules_after(others, ORACLE_MODULES) == []
+    verify = CLI.format(argv=["verify", "--samples", "1"])
+    assert modules_after(f"{others}\n{verify}", ORACLE_MODULES) == ORACLE_MODULES
 
 
 def test_public_names_are_their_modules_objects():
@@ -192,4 +206,4 @@ def test_public_names_are_their_modules_objects():
         "else:\n"
         "    raise AssertionError('no AttributeError')"
     )
-    assert surface_modules_after(code) == SURFACE_MODULES
+    assert modules_after(code, SURFACE_MODULES) == SURFACE_MODULES

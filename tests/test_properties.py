@@ -7,12 +7,15 @@ slices and channel pre-maps instead, the triangle-filter property builds
 meshes on random triples, the block-bound property draws boxes of grid
 nodes, the level-surface property draws fields and sizes, and the symmetry,
 partial-transpose and discord-oracle properties draw a seed for verify's
-samplers of physical Bell-diagonal and X states.
+samplers of physical Bell-diagonal and X states, and the OBJ-writer property
+draws coordinates, mesh sizes and row blocks.
 The draws are derandomized, so the suite is deterministic.
 """
 
 import itertools
 import os
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -20,11 +23,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cohgeom import geometry, measures
+from cohgeom import _textio, geometry, measures
 from cohgeom.channels import ChannelKind, correlation_map_values, default_p_grid
 from cohgeom.geometry import (
     BOUND_MARGIN,
     TriangleMesh,
+    export_obj,
     extract_isosurface,
     filter_triangles,
     grid_axis,
@@ -376,3 +380,59 @@ def test_closed_form_discord_matches_its_definition(seed):
     closed = bell_discord_values(*c.T)
     assert (numeric >= closed[:, None] - 1e-12).all()
     assert np.abs(numeric.min(axis=1) - closed).max() <= 1e-12
+
+
+def obj_lines_by_percent(mesh):
+    """export_obj's v and f lines as Python's % formats them: the oracle."""
+    v = "".join("v %.9g %.9g %.9g\n" % tuple(row) for row in mesh.vertices.tolist())
+    return v + "".join("f %d %d %d\n" % tuple(row) for row in (mesh.triangles + 1).tolist())
+
+
+@st.composite
+def nine_digit_ties(draw):
+    """A double next to a 9-significant-digit rounding tie: the nearest
+    double to the decimal m.5 * 10^e, moved up to 2 ulps either way."""
+    digits = draw(st.integers(10**8, 10**9 - 1))
+    exponent = draw(st.integers(-330, 298))
+    tie = float(f"{'-' if draw(st.booleans()) else ''}{digits}5e{exponent}")
+    for _ in range(draw(st.integers(0, 2))):
+        tie = np.nextafter(tie, draw(st.sampled_from([-np.inf, np.inf])))
+    return float(tie)
+
+
+coordinates = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.23456789e-308,
+         float(np.nextafter(1.0, 0.0)), -float(np.nextafter(1.0, 0.0)), 1.0, 1e-4,
+         float(np.nextafter(1e-4, 0.0)), 1e300, -1e-300, 1.7976931348623157e308]
+    ),
+    st.floats(),
+    st.floats(-1e-4, 1e-4),
+    st.floats(-1.0, 1.0),
+    nine_digit_ties(),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    values=st.lists(coordinates, min_size=1, max_size=40),
+    # vertex counts on either side of a change in the f lines' digit count
+    vertex_count=st.sampled_from([1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001]),
+    triangle_count=st.integers(0, 120),
+    rows=st.sampled_from([3, 7, 64, _textio.BLOCK_ROWS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_obj_lines_match_percent_formatting(values, vertex_count, triangle_count, rows, seed):
+    rng = np.random.default_rng(seed)
+    vertices = np.array(values)[rng.integers(0, len(values), (vertex_count, 3))]
+    # the first and last vertex are always used, so the widest and narrowest
+    # indices both appear
+    triangles = rng.integers(0, vertex_count, (triangle_count + 1, 3))
+    triangles[-1, :2] = 0, vertex_count - 1
+    mesh = TriangleMesh(vertices, triangles)
+    with tempfile.TemporaryDirectory() as root, mock.patch.object(_textio, "BLOCK_ROWS", rows):
+        path = pathlib.Path(root, "mesh.obj")
+        export_obj(mesh, path)
+        text = path.read_text()
+    body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    assert body == obj_lines_by_percent(mesh)
