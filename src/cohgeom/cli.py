@@ -26,12 +26,22 @@ import json
 import os
 import sys
 
+# When numpy loads, its OpenBLAS starts a worker thread per extra CPU, which
+# spins for tens of ms of CPU before it sleeps.  No command makes a BLAS call
+# large enough to split, so a CLI process runs one BLAS thread unless the
+# user has set one.  This runs before the first import that loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 # geometry, the surface layer, and verification, the oracle suites, are
 # imported by the command that uses each, so no other command loads them
 from . import _textio, channels, measures, states
 from .measures import MeasureKind
 
 _CHANNELS = tuple(kind.value for kind in channels.ChannelKind)
+# The options that take a float.  argparse reads a negative value that is
+# not in the `-12` or `-1.5` form, such as `-1e-05`, `-inf` or `-nan`, as
+# an option of its own, so `main` joins such a value to its option.
+_FLOAT_OPTIONS = frozenset({"--c1", "--c2", "--c3", "--r", "--s", "--level", "--p"})
 
 
 def _add_state_args(parser: argparse.ArgumentParser) -> None:
@@ -222,9 +232,29 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_floats(argv: list[str]) -> list[str]:
+    """``argv`` with each negative number that follows a float option joined
+    to it, as ``--c1=-1e-05``."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _FLOAT_OPTIONS and token.startswith("-") and _is_float(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_floats(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "measure":
             return _cmd_measure(args)
@@ -238,5 +268,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The ``cohgeom`` command: ``main()``, then exit without tearing the
+    interpreter down.  Every output file is closed before ``main`` returns,
+    so only the standard streams are left to flush; a flush that fails, as on
+    a reader that closed its pipe, exits 2 with an ``error:`` line.  An
+    exception that escapes ``main`` takes Python's normal exit path."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        code = 2
+        with contextlib.suppress(OSError):
+            print(f"error: {exc}", file=sys.stderr)
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -9,6 +9,7 @@ share no code with the closed forms.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -177,9 +178,10 @@ def entangled_values(r, s, c1, c2, c3):
     spectrum decides.  An eigenvalue counts as negative below -TOL_PSD / 4, so
     that with r = s = 0, where a negative one is (1 - |c1| - |c2| - |c3|)/4,
     this is the octahedron |c1| + |c2| + |c3| > 1 + TOL_PSD.  Inputs are
-    assumed physical.
+    assumed physical.  The four eigenvalue arrays are folded pairwise, so no
+    ``(4, ...)`` stack of them is built.
     """
-    lam = np.minimum.reduce(x_eigenvalues(r, s, c1, -np.asarray(c2), c3))
+    lam = functools.reduce(np.minimum, x_eigenvalues(r, s, c1, -np.asarray(c2), c3))
     return lam < -TOL_PSD / 4
 
 

@@ -130,6 +130,19 @@ class TestMeasure:
         ) == 0
         assert json.loads(capsys.readouterr().out)["region"] == "entangled"
 
+    @pytest.mark.parametrize("value", ["-1e-05", "-5e-324", "-inf", "-nan", "-1E3", "-.5"])
+    def test_negative_values_in_any_float_form(self, capsys, value):
+        # argparse reads these as options; they reach the range check
+        code = run_cli("measure", "--c1", value, "--c2", "0", "--c3", "0", "--r", value)
+        out, err = capsys.readouterr()
+        if -1.0 <= float(value) <= 1.0:
+            assert code == 0 and err == ""
+            doc = json.loads(out)
+            assert doc["c1"] == doc["r"] == float(value)
+        else:
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "must lie in" in err
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         assert run_cli(
@@ -693,11 +706,113 @@ class TestDeterminism:
         assert json.loads(proc.stdout)["region"] == "separable"
 
 
+# Both ways a process runs the CLI as ``__main__``; a runpy launcher can
+# patch the package first.
+LAUNCHERS = {
+    "module": [sys.executable, "-m", "cohgeom.cli"],
+    "runpy": [
+        sys.executable, "-c",
+        "import runpy; runpy.run_module('cohgeom.cli', run_name='__main__')",
+    ],
+}
+FAILED_SUITE = (
+    "import runpy, cohgeom.verification as v; "
+    "v.run_all = lambda samples: [v.SuiteResult('bell_closed_vs_jacobi', 1.0, 1e-10)]; "
+    "runpy.run_module('cohgeom.cli', run_name='__main__')"
+)
+
+
+def buffered_env() -> dict:
+    """``cli_env()`` without ``PYTHONUNBUFFERED``, so the child's stdout is
+    block-buffered, and written out only when flushed."""
+    return {k: v for k, v in cli_env().items() if k != "PYTHONUNBUFFERED"}
+
+
+class TestEntryPoint:
+    """``run()``, behind ``python -m cohgeom.cli`` and the ``cohgeom`` script,
+    flushes the standard streams and exits without interpreter teardown."""
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS)
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (["measure", "--c1", "0", "--c2", "0", "--c3", "0"], 0, '"region": "separable"'),
+            (["verify", "--samples", "20"], 0, "all suites passed"),
+            (["measure", "--c1", "0.9", "--c2", "0.9", "--c3", "0"], 2, None),
+            (["measure", "--c1", "0"], 2, None),
+        ],
+        ids=["measure", "verify", "unphysical", "usage"],
+    )
+    def test_exit_codes(self, launcher, argv, code, out):
+        proc = subprocess.run(
+            LAUNCHERS[launcher] + argv, env=buffered_env(), capture_output=True, text=True
+        )
+        assert proc.returncode == code
+        if out is None:
+            assert proc.stdout == ""
+            assert "error: " in proc.stderr.splitlines()[-1]
+        else:
+            assert out in proc.stdout and proc.stderr == ""
+
+    def test_failed_suite_exits_1(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", FAILED_SUITE, "verify", "--samples", "10"],
+            env=buffered_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout.endswith("FAIL: bell_closed_vs_jacobi\n")
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS)
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_every_stdout_byte_arrives(self, capsys, tmp_path, launcher, to_file):
+        # about 2 MB of CSV, many buffers' worth, all written before exit
+        argv = ["dynamics", "--c1", "-0.1", "--c2", "0.4", "--c3", "0.4", "--steps", "20000"]
+        assert run_cli(*argv) == 0
+        expected = capsys.readouterr().out.encode()
+        if to_file:
+            path = tmp_path / "stdout.csv"
+            with open(path, "wb") as out:
+                proc = subprocess.run(LAUNCHERS[launcher] + argv, env=buffered_env(), stdout=out)
+            got = path.read_bytes()
+        else:
+            proc = subprocess.run(LAUNCHERS[launcher] + argv, env=buffered_env(), capture_output=True)
+            got = proc.stdout
+        assert proc.returncode == 0
+        assert got == expected
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_pipe_exits_2(self, buffered):
+        # the reader is gone before the child writes: a buffered stdout fails
+        # on run()'s final flush, an unbuffered one on the command's write
+        read, write = os.pipe()
+        os.close(read)
+        env = buffered_env() if buffered else {**cli_env(), "PYTHONUNBUFFERED": "1"}
+        argv = ["measure", "--c1", "0.3", "--c2", "-0.2", "--c3", "0.1"]
+        try:
+            proc = subprocess.run(
+                LAUNCHERS["module"] + argv, env=env, stdout=write, stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+    def test_script_entry_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"cohgeom": "cohgeom.cli:run"}
+
+
 # Drawn flag values: numbers that give a physical state, numbers in and out
-# of range, and every kind of bad one.
+# of range, and every kind of bad one.  Small negative numbers, whose repr
+# is in exponent form, and "-inf" and "-nan" are taken as values although
+# argparse reads them as options.
 REALS = st.one_of(
     st.sampled_from(["0", "0.1", "-0.2", "0.25", "0.3"]),
     st.floats(-1.5, 1.5).map(repr),
+    st.floats(-1e-4, 0.0, exclude_max=True).map(repr),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-3", "2", "abc", "", "0x1"]),
 )
 
@@ -809,6 +924,9 @@ class TestExitCodes:
             assert code in (0, 2)
             if code == 2:
                 assert out.getvalue() == ""
+                # every drawn flag has its value, so only a value read as an
+                # option could leave one without
+                assert "expected one argument" not in err.getvalue()
                 assert any(
                     line.startswith(("error:", "usage:")) for line in err.getvalue().splitlines()
                 )

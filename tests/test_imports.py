@@ -1,14 +1,15 @@
 """Every name a package module or a test file imports is used in that file,
 every private module-level name of the package is read in the package, the
-package exports exactly the pinned public names, only the commands that
-build surfaces load the surface layer, and only `verify` loads the oracle
-suites.
+package exports exactly the pinned public names, `import cohgeom` loads no
+numpy, only the commands that build surfaces load the surface layer, only
+`verify` loads the oracle suites, and a CLI process runs one BLAS thread
+unless the user chose another count.
 
-``__init__.py`` is skipped by the import scan, because it imports names to
-re-export them, and so are ``__future__`` imports.
+``__future__`` imports are skipped by the import scan.
 """
 
 import ast
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 from conftest import cli_env
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cohgeom"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
@@ -144,13 +145,51 @@ SURFACE_MODULES = ["cohgeom.geometry", "cohgeom._mc_tables", "concurrent.futures
 ORACLE_MODULES = ["cohgeom.verification"]
 
 
-def modules_after(code: str, modules: list[str]) -> list[str]:
-    """Which of ``modules`` a fresh interpreter holds after ``code``."""
-    probe = f"import sys\n{code}\nprint([m for m in {modules!r} if m in sys.modules])"
+def child_value(code: str, env: dict | None = None):
+    """The literal that a fresh interpreter, run with ``env`` (by default
+    ``cli_env()``), prints on its last line after ``code``."""
     child = subprocess.run(
-        [sys.executable, "-c", probe], env=cli_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env or cli_env(), capture_output=True, text=True,
+        check=True,
     )
     return ast.literal_eval(child.stdout.splitlines()[-1])
+
+
+def modules_after(code: str, modules: list[str]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after ``code``."""
+    return child_value(f"import sys\n{code}\nprint([m for m in {modules!r} if m in sys.modules])")
+
+
+def test_package_import_loads_no_numpy_and_sets_nothing():
+    code = (
+        "import os, sys\n"
+        "before = dict(os.environ)\n"
+        "import cohgeom\n"
+        "print(['numpy' in sys.modules, dict(os.environ) == before])"
+    )
+    assert child_value(code) == [False, True]
+
+
+BLAS = "OPENBLAS_NUM_THREADS"
+UNSET = {k: v for k, v in cli_env().items() if k != BLAS}
+
+
+def test_cli_runs_one_blas_thread_unless_the_user_chose():
+    # the variable is read when numpy loads, so the CLI sets it first
+    code = "import os\nimport cohgeom.cli\nprint(repr(os.environ.get('OPENBLAS_NUM_THREADS')))"
+    assert child_value(code, UNSET) == "1"
+    assert child_value(code, {**UNSET, BLAS: "2"}) == "2"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
+def test_cli_process_holds_one_thread():
+    # numpy's OpenBLAS would start a worker per extra CPU
+    code = (
+        "import cohgeom.cli, numpy\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(int(status.split('Threads:')[1].split()[0]))"
+    )
+    assert child_value(code, UNSET) == 1
 
 
 CLI = "from cohgeom.cli import main\nassert main({argv!r}) == 0"

@@ -178,6 +178,23 @@ class TestBellEntanglement:
         with pytest.raises(DomainError, match="c1 must lie in"):
             require_physical_bell((np.nan, 0, 0))
 
+    def test_classes_equal_the_stacked_minimum(self):
+        # entangled_values folds the four eigenvalue arrays pairwise; the
+        # minimum over their (4, T) stack gives the same classes, on drawn X
+        # states and on Bell points on either side of the octahedron's
+        # |c1| + |c2| + |c3| = 1 + TOL_PSD
+        rng = np.random.default_rng(34)
+        r, s, c1, c2, c3 = sample_physical_x(4000, rng).T
+        signs = rng.choice([-1.0, 1.0], size=(3, 4000))
+        weights = rng.dirichlet(np.ones(3), size=4000).T
+        nudge = 1.0 + rng.integers(-1, 4, size=4000) * states.TOL_PSD
+        faces = signs * weights * nudge
+        for x in ((r, s, c1, c2, c3), (0.0, 0.0, *faces)):
+            stacked = np.minimum.reduce(np.stack(x_eigenvalues(*x[:3], -x[3], x[4])))
+            expected = stacked < -states.TOL_PSD / 4
+            assert 0 < expected.sum() < expected.size
+            assert np.array_equal(entangled_values(*x), expected)
+
 
 class TestBellSpectrum:
     def test_maximally_mixed(self):
