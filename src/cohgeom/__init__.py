@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 # Each public name, under the module that defines it.  A module is imported
 # on the first read of one of its names (PEP 562), so `import cohgeom` loads
-# neither numpy nor the surface layer with its thread pool and marching-cubes
-# tables, and the CLI can settle numpy's thread count before numpy loads.
+# neither numpy nor the surface layer with its marching-cubes tables, and
+# the CLI can settle numpy's thread count before numpy loads.
 _HOMES = {
     "channels": (
         "ChannelKind",

@@ -116,11 +116,14 @@ def dynamics_trajectory(params, kind, p_grid) -> np.ndarray:
 
     The initial correlations are mapped through :func:`correlation_map_values`
     at every grid point at once (the maps are one-shot in p, not iterated) and
-    the closed-form coherence is evaluated on the result.  Returns one
+    the closed-form coherence is evaluated on the result.  ``p_grid`` is a
+    strictly increasing one-dimensional grid in [0, 1].  Returns one
     coherence per grid point, in grid order.
     """
     initial = require_physical_bell(params)
     (grid,) = _in_range(("channel probability",), (p_grid,), columns=True, low=0)
+    if np.ndim(grid) != 1:
+        raise DomainError(f"p grid must be one-dimensional, got shape {np.shape(grid)}")
     if (np.diff(grid) <= 0.0).any():
         raise DomainError("p grid must be strictly increasing")
     mapped = correlation_map_values(kind, grid, *initial)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -31,6 +32,12 @@ import sys
 # large enough to split, so a CLI process runs one BLAS thread unless the
 # user has set one.  This runs before the first import that loads numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# The imports below build numpy's and cohgeom's long-lived objects, which the
+# cyclic GC would traverse over and over while they load.  Run as a script,
+# the CLI collects nothing until run() has frozen them; imported as a module,
+# it leaves the GC as it finds it.
+if __name__ == "__main__":
+    gc.disable()
 
 # geometry, the surface layer, and verification, the oracle suites, are
 # imported by the command that uses each, so no other command loads them
@@ -273,7 +280,11 @@ def run() -> None:
     interpreter down.  Every output file is closed before ``main`` returns,
     so only the standard streams are left to flush; a flush that fails, as on
     a reader that closed its pipe, exits 2 with an ``error:`` line.  An
-    exception that escapes ``main`` takes Python's normal exit path."""
+    exception that escapes ``main`` takes Python's normal exit path.  The
+    objects of the imports are frozen first, so no GC pass of the command
+    traverses them, and the GC is enabled for the command."""
+    gc.freeze()
+    gc.enable()
     code = main()
     try:
         sys.stdout.flush()

@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import _textio, channels, measures, states
 from ._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .measures import MeasureKind
-from .states import DomainError, TOL_PSD, bell_eigenvalues, x_eigenvalues
+from .states import DomainError, TOL_PSD
 
 # Triangles at or below this area are dropped as degenerate.
 DEGENERATE_AREA = 1e-14
@@ -139,7 +138,11 @@ def _checked_field(measure, resolution, slice, channel, p):
     ``at(out, i, j, k)`` writes into ``out`` the field at the nodes of
     broadcastable index arrays of its shape, NaN where a node is unphysical
     or beyond the last node of its axis.  A node is physical when every
-    closed-form eigenvalue of its unmapped state is at least -TOL_PSD.  It
+    closed-form eigenvalue of its unmapped state is at least -TOL_PSD,
+    decided without the eigenvalues by :func:`states._bell_physical` or
+    :func:`states._x_physical`: two sums and two compares over a batch
+    instead of four eigenvalue arrays and their minimum, the same test bit
+    for bit, since dividing by 4 is exact and rounding is monotone.  It
     calls the kernel on about SLAB_NODES / 4 nodes at a time, whole rows
     along ``out``'s first axis, cutting an index array only where it spans
     that axis.  Each thread keeps its last kernel output until its next call
@@ -161,7 +164,7 @@ def _checked_field(measure, resolution, slice, channel, p):
         channel = states._member(channels.ChannelKind, channel, "channel")
         (p,) = states._in_range(("channel probability",), (p,), low=0)
     if (r, s) == (0.0, 0.0):
-        eigenvalues = bell_eigenvalues
+        physical_at = states._bell_physical
         rel_ent = measures.bell_relative_entropy_values
     elif measure is MeasureKind.DISCORD or channel is not None:
         raise DomainError(
@@ -169,7 +172,7 @@ def _checked_field(measure, resolution, slice, channel, p):
             f"family only, (r, s) = (0, 0); got (r, s) = ({r}, {s})"
         )
     else:
-        eigenvalues = functools.partial(x_eigenvalues, r, s)
+        physical_at = functools.partial(states._x_physical, r, s)
         rel_ent = functools.partial(measures.x_relative_entropy_values, r, s)
     states._require_memory(f"resolution {n}", PEAK_PER_GRID_BYTE * 8 * n**3)
     # per field: its kernel, its range over a box, and the coordinates it reads
@@ -202,11 +205,10 @@ def _checked_field(measure, resolution, slice, channel, p):
         for a in range(0, len(out), rows):
             part = out[a : a + rows]
             batch = [x[a : a + rows] if np.ndim(x) == out.ndim and len(x) > 1 else x for x in index]
-            # the eigenvalues live until the kernel is done, so its arrays lie
-            # above theirs in the heap and the held output keeps all their
-            # pages; they are freed before the next batch takes its own
-            lam = eigenvalues(*(unmapped[x] for x in batch))
-            physical = np.broadcast_to(functools.reduce(np.minimum, lam) >= -TOL_PSD, part.shape)
+            # the mask lives until the kernel is done, so the kernel's arrays
+            # lie above it in the heap and the held output keeps their pages;
+            # the mask is freed before the next batch takes its own
+            physical = np.broadcast_to(physical_at(*(unmapped[x] for x in batch)), part.shape)
             part.fill(np.nan)
             held.field = kernel(
                 *(
@@ -215,7 +217,7 @@ def _checked_field(measure, resolution, slice, channel, p):
                 )
             )
             part[physical] = held.field
-            del lam, physical
+            del physical
 
     def bounds(start, end):
         def box(along):
@@ -370,12 +372,14 @@ def _over_runs(size, work):
     runs' total size is about equal.  A run is split into chunks of whole
     layers of about SLAB_NODES nodes: a chunk takes layers while it holds at
     most SLAB_NODES, and at least one.  Each worker with a nonempty run calls
-    ``work(i0, i1)`` on its chunks' layer ranges in order, in one pool task.
-    The runs are cut by size, not dealt chunk by chunk as workers come free,
-    because a pass of a few chunks would not balance across the workers.
-    Returns the results in chunk order.  Every node is computed on its own
-    and the chunks are joined in order, so no output depends on the chunks
-    or on the workers.
+    ``work(i0, i1)`` on its chunks' layer ranges in order: the first run on
+    the calling thread, every later one on a ``threading.Thread`` of its
+    own, all joined before this returns or raises.  The runs are cut by
+    size, not dealt chunk by chunk as workers come free, because a pass of a
+    few chunks would not balance across the workers.  Returns the results in
+    chunk order; a failing run raises, the first in run order.  Every node
+    is computed on its own and the chunks are joined in order, so no output
+    depends on the chunks or on the workers.
     """
     workers = os.cpu_count() or 1
     total = np.cumsum(size)
@@ -389,10 +393,30 @@ def _over_runs(size, work):
                 heads.append(i)
                 nodes = 0
             nodes += size[i]
-        runs.append(list(zip(heads, heads[1:] + [stop])))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(lambda chunks: [work(i0, i1) for i0, i1 in chunks], filter(None, runs))
-        return [result for results in done for result in results]
+        if heads:
+            runs.append(list(zip(heads, heads[1:] + [stop])))
+    results = [None] * len(runs)
+
+    def take(index):
+        try:
+            results[index] = [work(i0, i1) for i0, i1 in runs[index]]
+        except BaseException as exc:
+            results[index] = exc
+
+    started = []
+    try:
+        for index in range(1, len(runs)):
+            thread = threading.Thread(target=take, args=(index,))
+            thread.start()
+            started.append(thread)
+        take(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return [chunk for run in results for chunk in run]
 
 
 def _march(n, size, cases):
@@ -450,7 +474,10 @@ def _triangle_pairs(case):
 
 
 def _check_level(level) -> float:
-    level = float(level)
+    try:
+        level = float(level)
+    except (TypeError, ValueError):
+        raise DomainError(f"level must be a number, got {level!r}") from None
     if not level > 0.0:
         raise DomainError(f"level must be positive, got {level}")
     return level

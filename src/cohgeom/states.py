@@ -159,6 +159,41 @@ def x_eigenvalues(r, s, c1, c2, c3):
     )
 
 
+def _bell_physical(c1, c2, c3):
+    """``np.minimum.reduce(bell_eigenvalues(c1, c2, c3)) >= -TOL_PSD``, bit
+    for bit, from two sums over the broadcast shape instead of four
+    eigenvalues; NaN fails, as in every comparison.
+
+    Why it is exact: dividing by 4 is exact, so ``x / 4 >= -TOL_PSD`` is
+    ``x >= -4 * TOL_PSD``.  With ``a = 1 - c1`` and ``b = 1 + c1``, the four
+    numerators round as ``(a - c2) - c3``, ``(a + c2) + c3``, ``(b - c2) +
+    c3`` and ``(b + c2) - c3``.  Rounding is monotone, so ``x -> fl(x + c3)``
+    is too, and the smaller of ``fl(u + c3)`` and ``fl(v + c3)`` is
+    ``fl(min(u, v) + c3)``; the same holds for ``- c3``.  The minimum runs
+    over the arrays without c3, which are smaller when c3 varies along an
+    axis of its own, as on a grid.
+    """
+    a, b = 1 - c1, 1 + c1
+    floor = -4 * TOL_PSD
+    return (np.minimum(a + c2, b - c2) + c3 >= floor) & (np.minimum(a - c2, b + c2) - c3 >= floor)
+
+
+def _x_physical(r, s, c1, c2, c3):
+    """``np.minimum.reduce(x_eigenvalues(r, s, c1, c2, c3)) >= -TOL_PSD``,
+    bit for bit, from the two smaller eigenvalues; NaN fails.
+
+    ``outer`` and ``inner`` are computed as :func:`x_eigenvalues` computes
+    them, and are never negative, so by monotone rounding ``fl((1 + c3) +
+    outer)`` is never below ``fl((1 + c3) - outer)``, and likewise for the
+    inner block; and as dividing by 4 is exact, ``x / 4 >= -TOL_PSD`` is ``x
+    >= -4 * TOL_PSD`` (see :func:`_bell_physical`).
+    """
+    outer = np.sqrt((r + s) ** 2 + (c1 - c2) ** 2)
+    inner = np.sqrt((r - s) ** 2 + (c1 + c2) ** 2)
+    floor = -4 * TOL_PSD
+    return (1 + c3 - outer >= floor) & (1 - c3 - inner >= floor)
+
+
 def _require_psd(lam) -> None:
     """Raise unless the smallest of the eigenvalues ``lam`` is >= -TOL_PSD."""
     smallest = min(lam)
@@ -214,11 +249,16 @@ def _spectrum(a, tolerance: float, message: str) -> np.ndarray:
     """Eigenvalues of a checked ``(..., 4, 4)`` stack ``a``, descending: one
     Hermiticity check within ``tolerance`` (DomainError ``message`` if it
     fails) and one batched LAPACK ``eigvalsh`` call on the symmetrized stack,
-    both from the same adjoint."""
+    both from the same adjoint.  Entries so large that the difference or the
+    symmetrized stack overflows raise DomainError too."""
     adjoint = a.conj().swapaxes(-1, -2)
-    if np.abs(a - adjoint).max(initial=0.0) > tolerance:
-        raise DomainError(message)
-    return np.linalg.eigvalsh((a + adjoint) / 2)[..., ::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.abs(a - adjoint).max(initial=0.0) > tolerance:
+            raise DomainError(message)
+        symmetric = (a + adjoint) / 2
+    if not np.isfinite(symmetric).all():
+        raise DomainError("matrix entries too large: the symmetrized matrix is not finite")
+    return np.linalg.eigvalsh(symmetric)[..., ::-1]
 
 
 def hermitian_spectrum(m) -> np.ndarray:

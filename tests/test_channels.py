@@ -226,6 +226,12 @@ class TestDynamicsTrajectory:
         with pytest.raises(DomainError, match="one number each"):
             dynamics_trajectory((np.array([0.1, 0.2]), 0, 0), "bf", default_p_grid(3))
 
+    @pytest.mark.parametrize("grid", [0.5, [[0.0, 0.5]]])
+    def test_rejects_a_grid_that_is_not_one_dimensional(self, grid):
+        # a scalar grid reached np.diff, which raised ValueError
+        with pytest.raises(DomainError, match="one-dimensional"):
+            dynamics_trajectory((0.1, 0.1, 0.1), "bf", grid)
+
     def test_default_grid(self):
         grid = default_p_grid(101)
         assert len(grid) == 101

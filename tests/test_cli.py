@@ -722,6 +722,26 @@ FAILED_SUITE = (
 )
 
 
+# A sitecustomize for a ``-m cohgeom.cli`` child.  It counts the GC passes
+# from the moment the CLI module starts to run; when main() parses its
+# arguments it reports on stderr the passes so far and whether the GC is
+# enabled.
+GC_PROBE = """\
+import argparse, gc, sys
+passes = []
+def started(event, args):
+    if event == "exec" and args[0].co_filename.endswith("cli.py"):
+        passes.clear()
+sys.addaudithook(started)
+parse = argparse.ArgumentParser.parse_args
+def probe(self, *args, **kwargs):
+    print("gc passes", len(passes), gc.isenabled(), file=sys.stderr)
+    return parse(self, *args, **kwargs)
+argparse.ArgumentParser.parse_args = probe
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info))
+"""
+
+
 def buffered_env() -> dict:
     """``cli_env()`` without ``PYTHONUNBUFFERED``, so the child's stdout is
     block-buffered, and written out only when flushed."""
@@ -779,6 +799,18 @@ class TestEntryPoint:
             got = proc.stdout
         assert proc.returncode == 0
         assert got == expected
+
+    def test_no_gc_pass_while_the_cli_imports(self, capsys, tmp_path):
+        # numpy's and cohgeom's imports run with the GC off, and main() with
+        # it on; the exit code and stdout bytes are those of main() in process
+        (tmp_path / "sitecustomize.py").write_text(GC_PROBE)
+        env = buffered_env()
+        env["PYTHONPATH"] += os.pathsep + str(tmp_path)
+        argv = ["measure", "--c1", "0.3", "--c2", "-0.2", "--c3", "0.1"]
+        proc = subprocess.run(LAUNCHERS["module"] + argv, env=env, capture_output=True, text=True)
+        assert proc.stderr == "gc passes 0 True\n"
+        assert proc.returncode == run_cli(*argv) == 0
+        assert proc.stdout == capsys.readouterr().out
 
     @pytest.mark.parametrize("buffered", [True, False])
     def test_closed_pipe_exits_2(self, buffered):

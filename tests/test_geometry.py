@@ -4,15 +4,15 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from cohgeom import _textio, geometry, measures
+from cohgeom import _textio, geometry, measures, states
 from cohgeom.channels import correlation_map_values
 from cohgeom._mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from cohgeom.geometry import (
@@ -35,6 +35,26 @@ from cohgeom.states import (
     x_eigenvalues,
 )
 from conftest import cli_env
+
+
+def workers_of(monkeypatch, calls):
+    """The workers of each call in ``calls``, one pass each: the calling
+    thread, which takes the first run, plus the threads that the pass
+    starts."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    seen = []
+    for call in calls:
+        started.clear()
+        call()
+        seen.append(1 + len(started))
+    return seen
 
 
 def sphere_grid(n=32):
@@ -125,15 +145,9 @@ class TestSampleField:
     def test_pool_takes_cpu_count(self, monkeypatch):
         # one worker when the count is unknown
         seen = []
-
-        def pool(max_workers):
-            seen.append(max_workers)
-            return ThreadPoolExecutor(max_workers)
-
-        monkeypatch.setattr(geometry, "ThreadPoolExecutor", pool)
         for cpus in (5, None):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            sample_field("l1", 8)
+            seen += workers_of(monkeypatch, [lambda: sample_field("l1", 8)])
         assert seen == [5, 1]
 
     @pytest.mark.skipif(
@@ -219,7 +233,7 @@ class TestSampleField:
         def no_pool(*args, **kwargs):
             raise AssertionError("sampling started")
 
-        monkeypatch.setattr(geometry, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(geometry, "_over_runs", no_pool)
         # the range check refuses an array p before anything is allocated
         match = "one number each for channel probability" if np.ndim(p) else None
         with pytest.raises(DomainError, match=match):
@@ -313,18 +327,18 @@ class TestSampleField:
 
     def test_kernel_calls_take_a_quarter_chunk(self, monkeypatch):
         # chunks of 8 layers of 24^2 nodes, or of up to 6 block closures of
-        # 9^3: every batch, recorded by the size of its eigenvalue call (the
+        # 9^3: every batch, recorded by the size of its physicality test (the
         # kernel then gets its physical nodes), takes at most SLAB_NODES / 4
         # nodes or one row along out's first axis, and a chunk takes several
         # batches.  One worker, so the batches come chunk by chunk.
         monkeypatch.setattr(geometry, "SLAB_NODES", 8 * 24 * 24)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         calls = []
-        eigenvalues, box_cases = geometry.bell_eigenvalues, geometry._box_cases
+        physical, box_cases = states._bell_physical, geometry._box_cases
         monkeypatch.setattr(
-            geometry,
-            "bell_eigenvalues",
-            lambda *c: calls.append(np.broadcast(*c).size) or eigenvalues(*c),
+            states,
+            "_bell_physical",
+            lambda *c: calls.append(np.broadcast(*c).size) or physical(*c),
         )
         sample_field("rel-ent", 24)
         # more calls than the 3 chunks
@@ -382,6 +396,14 @@ class TestExtractIsosurface:
     def test_nonpositive_level_rejected(self):
         with pytest.raises(DomainError):
             extract_isosurface(sphere_grid(8), 0.0)
+
+    def test_unreadable_level_rejected(self):
+        # float() raised ValueError and TypeError for these
+        for level in ("x", None):
+            with pytest.raises(DomainError, match="level must be a number"):
+                extract_isosurface(sphere_grid(8), level)
+            with pytest.raises(DomainError, match="level must be a number"):
+                level_surface("l1", 8, level)
 
     def test_malformed_grid_rejected(self):
         for shape in ((4, 5, 4), (7, 7, 7), (8, 8)):
@@ -550,19 +572,16 @@ class TestCubeCases:
         assert peak < 8 * geometry.SLAB_NODES * 2
 
     def test_case_pool_takes_cpu_count(self, monkeypatch):
-        # one pool per case pass, sharing the sampling pool's rule: one
-        # worker when the count is unknown, for both entry points
+        # one set of workers per case pass, sharing the sampling pool's rule:
+        # one worker when the count is unknown, for both entry points;
+        # level_surface at n = 48 has a layer of blocks for each of 5 runs
         seen = []
-
-        def pool(max_workers):
-            seen.append(max_workers)
-            return ThreadPoolExecutor(max_workers)
-
-        monkeypatch.setattr(geometry, "ThreadPoolExecutor", pool)
         for cpus in (5, None):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            extract_isosurface(sphere_grid(8), 0.5)
-            level_surface("l1", 8, 0.5)
+            seen += workers_of(
+                monkeypatch,
+                [lambda: extract_isosurface(sphere_grid(8), 0.5), lambda: level_surface("l1", 48, 0.5)],
+            )
         assert seen == [5, 5, 1, 1]
 
 
@@ -766,6 +785,37 @@ class TestOverRuns:
             assert i0 < i1
             assert i1 - i0 == 1 or sum(size[i0:i1]) <= 10
 
+    def test_first_run_is_the_callers(self, monkeypatch):
+        monkeypatch.setattr(geometry, "SLAB_NODES", 10)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        chunks = geometry._over_runs(np.full(9, 4), lambda i0, i1: threading.current_thread())
+        assert chunks[0] is threading.current_thread()
+        assert len(set(chunks)) == 3
+
+    @pytest.mark.parametrize(
+        "failing, delays", [((1, 2), (6, 4, 2)), ((2,), (6, 4, 2)), ((0, 2), (0, 4, 6))]
+    )
+    def test_first_failing_run_raises_after_every_run_ends(self, monkeypatch, failing, delays):
+        # 3 runs of one chunk each, from layers 0, 2 and 5, each ending after
+        # its delay in ms; every run has ended when the exception of the
+        # first failing one, in run order, arrives
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        heads, ended = [0, 2, 5], []
+
+        def work(i0, i1):
+            run = heads.index(i0)
+            time.sleep(0.001 * delays[run])
+            ended.append(run)
+            if run in failing:
+                raise KeyError(run)
+
+        threads = threading.active_count()
+        with pytest.raises(KeyError) as raised:
+            geometry._over_runs(np.ones(9, dtype=int), work)
+        assert raised.value.args == (failing[0],)
+        assert sorted(ended) == [0, 1, 2]
+        assert threading.active_count() == threads
+
 
 class TestMeshBytes:
     # sha256 of export_obj without metadata; any change to vertex order,
@@ -801,6 +851,12 @@ class TestMeshBytes:
         export_obj(mesh, path)
         digest = "55aad02184e5a2a3d3f9da12683ec49189e9535df9dba797c03108b0fcdacb76"
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_triangle_table_is_pinned(self):
+        # the table is decoded from text; its repr is that of the literal of
+        # 256 tuples it replaced
+        digest = "4e600d4af75e45dc0860ddb934b36b4463d852bae6d5e060bbd2ec7a006799da"
+        assert hashlib.sha256(repr(TRI_TABLE).encode()).hexdigest() == digest
 
     def test_triangle_table_uses_exactly_the_crossed_edges(self):
         used = np.zeros_like(EDGE_CROSSED)

@@ -138,9 +138,11 @@ def test_public_api_is_pinned():
     assert PUBLIC_API == sorted(PUBLIC_API) and len(PUBLIC_API) == 29
 
 
-# The surface layer and what only it needs: the marching-cubes tables and
-# the sampling pool.  `import cohgeom` resolves geometry's names on first use.
-SURFACE_MODULES = ["cohgeom.geometry", "cohgeom._mc_tables", "concurrent.futures"]
+# The surface layer and what only it needs, the marching-cubes tables.
+# `import cohgeom` resolves geometry's names on first use.
+SURFACE_MODULES = ["cohgeom.geometry", "cohgeom._mc_tables"]
+# What the surface layer's workers, plain threads, do without.
+EXECUTOR_MODULES = ["concurrent.futures", "logging"]
 # The oracle suites, which only `verify` runs.
 ORACLE_MODULES = ["cohgeom.verification"]
 
@@ -181,6 +183,11 @@ def test_cli_runs_one_blas_thread_unless_the_user_chose():
     assert child_value(code, {**UNSET, BLAS: "2"}) == "2"
 
 
+def test_cli_import_leaves_the_gc_on():
+    # only a process that runs the CLI as __main__ turns it off, until run()
+    assert child_value("import gc, cohgeom.cli\nprint(gc.isenabled())") is True
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc")
 def test_cli_process_holds_one_thread():
     # numpy's OpenBLAS would start a worker per extra CPU
@@ -215,7 +222,8 @@ def test_surface_layer_is_not_loaded(tmp_path, code):
 
 def test_surface_run_loads_the_surface_layer(tmp_path):
     argv = ["surface", "--level", "0.5", "--resolution", "8", "--out", str(tmp_path / "x.obj")]
-    assert modules_after(CLI.format(argv=argv), SURFACE_MODULES) == SURFACE_MODULES
+    loaded = modules_after(CLI.format(argv=argv), SURFACE_MODULES + EXECUTOR_MODULES)
+    assert loaded == SURFACE_MODULES
 
 
 def test_only_verify_loads_the_oracle_suites(tmp_path):

@@ -7,8 +7,9 @@ slices and channel pre-maps instead, the triangle-filter property builds
 meshes on random triples, the block-bound property draws boxes of grid
 nodes, the level-surface property draws fields and sizes, and the symmetry,
 partial-transpose and discord-oracle properties draw a seed for verify's
-samplers of physical Bell-diagonal and X states, and the OBJ-writer property
-draws coordinates, mesh sizes and row blocks.
+samplers of physical Bell-diagonal and X states, the OBJ-writer property
+draws coordinates, mesh sizes and row blocks, and the physicality property
+draws grid nodes and c3 values a few ulps from the PSD boundary.
 The draws are derandomized, so the suite is deterministic.
 """
 
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cohgeom import _textio, geometry, measures
+from cohgeom import _textio, geometry, measures, states
 from cohgeom.channels import ChannelKind, correlation_map_values, default_p_grid
 from cohgeom.geometry import (
     BOUND_MARGIN,
@@ -436,3 +437,51 @@ def test_obj_lines_match_percent_formatting(values, vertex_count, triangle_count
         text = path.read_text()
     body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
     assert body == obj_lines_by_percent(mesh)
+
+
+def ulps_around(values, steps=3):
+    """``values`` and each of them moved 1 to ``steps`` ulps either way."""
+    out, up, down = [values], values, values
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+@SETTINGS
+@given(
+    n=st.integers(8, 300),
+    # node n stands for the NaN node past each axis's last, as in the sampler
+    nodes=st.lists(st.integers(0, 300), min_size=2, max_size=8),
+    rs=st.none() | st.tuples(*[st.sampled_from([0.0, 0.9, -0.9]) | st.floats(-1.0, 1.0)] * 2),
+)
+def test_physical_test_is_the_eigenvalue_test_bit_for_bit(n, nodes, rs):
+    # the sampler's mask takes two sums where the eigenvalues take four
+    # arrays; c3 is drawn where a numerator crosses 0 and -4 TOL_PSD, the
+    # edges of the test, and at the grid's own nodes, at +-0.0 and at NaN
+    axis = np.append(grid_axis(n), np.nan)
+    half = len(nodes) // 2
+    c1 = axis[np.minimum(nodes[:half], n)][:, None]
+    c2 = axis[np.minimum(nodes[half:], n)]
+    floor = -4 * TOL_PSD
+    if rs is None:
+        a, b = 1 - c1, 1 + c1
+        plus = np.concatenate([(a + c2).ravel(), (b - c2).ravel()])
+        minus = np.concatenate([(a - c2).ravel(), (b + c2).ravel()])
+        edges = [-plus, floor - plus, minus, minus - floor]
+    else:
+        r, s = rs
+        outer = np.sqrt((r + s) ** 2 + (c1 - c2) ** 2).ravel()
+        inner = np.sqrt((r - s) ** 2 + (c1 + c2) ** 2).ravel()
+        edges = [outer - 1, outer - 1 + floor, 1 - inner, 1 - inner - floor]
+    c3 = np.concatenate([ulps_around(np.concatenate(edges)), axis, [0.0, -0.0]])
+    c1, c2 = c1[..., None], c2[:, None]
+    if rs is None:
+        lam = bell_eigenvalues(c1, c2, c3)
+        physical = states._bell_physical(c1, c2, c3)
+    else:
+        lam = x_eigenvalues(*rs, c1, c2, c3)
+        physical = states._x_physical(*rs, c1, c2, c3)
+    expected = np.minimum.reduce(np.broadcast_arrays(*lam)) >= -TOL_PSD
+    assert physical.shape == expected.shape
+    assert np.array_equal(physical, expected)

@@ -324,6 +324,16 @@ def test_non_finite_matrices_rejected(reads, entry):
         reads(np.full((4, 4), entry))
 
 
+@pytest.mark.parametrize(
+    "reads", [hermitian_spectrum, measures.relative_entropy_coherence], ids=["spectrum", "rel-ent"]
+)
+def test_matrices_whose_symmetrized_form_overflows_rejected(reads):
+    # finite entries whose (a + a^H) / 2 overflows to inf, which LAPACK
+    # refused with LinAlgError
+    with pytest.raises(DomainError, match="too large"):
+        reads(np.full((4, 4), 1e308))
+
+
 class TestVonNeumannEntropy:
     def test_pure(self):
         assert von_neumann_entropy([1, 0, 0, 0]) == 0.0
