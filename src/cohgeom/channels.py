@@ -23,9 +23,8 @@ from .states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    TOL_PSD,
-    bell_eigenvalues,
     require_physical_bell,
+    _bell_physical,
     _in_range,
     _member,
     _require_count,
@@ -128,7 +127,7 @@ def dynamics_trajectory(params, kind, p_grid) -> np.ndarray:
         raise DomainError("p grid must be strictly increasing")
     mapped = correlation_map_values(kind, grid, *initial)
     # physical initial states cannot leave the physical set under these maps
-    assert all(np.all(lam >= -TOL_PSD) for lam in bell_eigenvalues(*mapped))
+    assert _bell_physical(*mapped).all()
     return measures.bell_relative_entropy_values(*mapped)
 
 

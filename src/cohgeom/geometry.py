@@ -71,8 +71,10 @@ PEAK_PER_GRID_BYTE = 2
 
 def grid_axis(resolution: int) -> np.ndarray:
     """Node coordinates covering [-1, 1] inclusive, exactly sign-symmetric.
-    ``resolution``, the number of nodes, is an integer of at least 2."""
+    ``resolution``, the number of nodes, is an integer of at least 2 whose
+    arrays, the integer range and the axis, fit in physical memory."""
     n = states._require_count("resolution", resolution, 2, "resolution must be at least 2")
+    states._require_memory(f"resolution {n}", 16 * n)
     return (2.0 * np.arange(n) - (n - 1)) / (n - 1)
 
 
@@ -139,10 +141,9 @@ def _checked_field(measure, resolution, slice, channel, p):
     broadcastable index arrays of its shape, NaN where a node is unphysical
     or beyond the last node of its axis.  A node is physical when every
     closed-form eigenvalue of its unmapped state is at least -TOL_PSD,
-    decided without the eigenvalues by :func:`states._bell_physical` or
-    :func:`states._x_physical`: two sums and two compares over a batch
-    instead of four eigenvalue arrays and their minimum, the same test bit
-    for bit, since dividing by 4 is exact and rounding is monotone.  It
+    decided by :func:`states._bell_physical` or :func:`states._x_physical`
+    from the family's pair of numerators: two sums and two compares over a
+    batch instead of four eigenvalue arrays and their minimum.  It
     calls the kernel on about SLAB_NODES / 4 nodes at a time, whole rows
     along ``out``'s first axis, cutting an index array only where it spans
     that axis.  Each thread keeps its last kernel output until its next call
@@ -246,12 +247,15 @@ class TriangleMesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
-        self.triangles = np.asarray(self.triangles, dtype=int).reshape(-1, 3)
-        if self.triangles.size and (
-            self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
-        ):
+        self.vertices = _triples("vertices", self.vertices).astype(float, copy=False)
+        triangles = _triples("triangles", self.triangles)
+        # a float index must be a whole number, which NaN is not; an
+        # infinite one is out of range
+        if triangles.dtype.kind == "f" and not (np.trunc(triangles) == triangles).all():
+            raise DomainError("triangle indices must be integers")
+        if triangles.size and (triangles.min() < 0 or triangles.max() >= len(self.vertices)):
             raise DomainError("triangle indices out of range")
+        self.triangles = triangles.astype(int, copy=False)
 
     def triangle_areas(self) -> np.ndarray:
         # the corners by coordinate, (3, T) each; the edge vectors are formed
@@ -276,6 +280,14 @@ class TriangleMesh:
         total += self.vertices[c]
         total /= 3
         return total
+
+
+def _triples(name, value) -> np.ndarray:
+    """``value``, read by :func:`states._numbers`, as rows of three."""
+    a = states._numbers(name, value)
+    if a.size % 3:
+        raise DomainError(f"{name} must hold triples, got shape {a.shape}")
+    return a.reshape(-1, 3)
 
 
 # The case tables as arrays.  An edge is crossed when its two corners lie on
@@ -474,10 +486,10 @@ def _triangle_pairs(case):
 
 
 def _check_level(level) -> float:
-    try:
-        level = float(level)
-    except (TypeError, ValueError):
-        raise DomainError(f"level must be a number, got {level!r}") from None
+    value = states._numbers("level", level)
+    if value.ndim:
+        raise DomainError(f"level must be a number, got shape {value.shape}")
+    level = float(value)
     if not level > 0.0:
         raise DomainError(f"level must be positive, got {level}")
     return level
@@ -502,7 +514,7 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     Crossed edges are keyed by one flat integer, so the mesh build holds
     arrays the size of the mesh, not of the grid.
     """
-    vals = np.asarray(grid, dtype=float)
+    vals = states._numbers("grid", grid).astype(float, copy=False)
     if vals.ndim != 3 or len(set(vals.shape)) != 1:
         raise DomainError(f"grid must be cubic, got shape {vals.shape}")
     n = vals.shape[0]
@@ -648,8 +660,12 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
     held.  A block's lines are assembled as rows of bytes: each distinct
     coordinate of the block is formatted once, by Python's ``"%.9g"``, and
     each index is spelled out digit by digit, so the bytes are those of
-    ``"v %.9g %.9g %.9g"`` and ``"f %d %d %d"`` for every line.
+    ``"v %.9g %.9g %.9g"`` and ``"f %d %d %d"`` for every line.  A
+    ``destination`` that is neither a str nor a path object raises
+    DomainError; one that cannot be written raises OSError.
     """
+    if not isinstance(destination, (str, os.PathLike)):
+        raise DomainError(f"destination must be a path, got {destination!r}")
     with _textio.open_atomic(destination) as out:
         out.write("# constant-level surface mesh\n")
         for key, value in (metadata or {}).items():

@@ -9,7 +9,6 @@ share no code with the closed forms.
 
 from __future__ import annotations
 
-import functools
 import os
 
 import numpy as np
@@ -38,15 +37,38 @@ BELL_FIELDS = ("c1", "c2", "c3")
 X_FIELDS = ("r", "s") + BELL_FIELDS
 
 
+def _numbers(name: str, value, complex_ok: bool = False) -> np.ndarray:
+    """``value`` as an array, unconverted, when it holds numbers: Python or
+    numpy ints, uints and floats, and with ``complex_ok`` complex ones too.
+    Anything else raises DomainError naming ``name``: strings, numeric ones
+    included, bytes, bools, None, object arrays, ragged nestings, and complex
+    numbers unless allowed.  A Python int too large for numpy's integers is
+    read as a float."""
+    try:
+        a = np.asarray(value)
+        if a.dtype.kind == "O" and all(type(v) is int for v in a.flat):
+            a = a.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        a = np.asarray(None)
+    if a.dtype.kind not in ("iufc" if complex_ok else "iuf"):
+        kinds = "int, float or complex" if complex_ok else "int or float"
+        raise DomainError(f"{name} must be a number ({kinds}) or an array of them, got {value!r}")
+    return a
+
+
 def _in_range(names, values, columns=False, low=-1) -> tuple:
     """``values``, one per name in ``names``, as floats (or, with ``columns``,
-    float arrays), each checked to lie in [low, 1]; NaN fails the check too."""
-    values = tuple(values)
+    float arrays), each read by :func:`_numbers` and checked to lie in [low,
+    1]; NaN fails the check too."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        values = (values,)
     if len(values) != len(names):
         raise DomainError(
             f"expected {len(names)} values ({', '.join(names)}), got {len(values)}"
         )
-    values = tuple(np.asarray(v, dtype=float) for v in values)
+    values = tuple(_numbers(n, v).astype(float, copy=False) for n, v in zip(names, values))
     if not columns and any(v.ndim for v in values):
         raise DomainError(f"expected one number each for {', '.join(names)}")
     for name, value in zip(names, values):
@@ -141,6 +163,11 @@ def x_diagonal(r, s, c3):
     )
 
 
+def _x_roots(r, s, c1, c2):
+    """The outer and inner square roots of :func:`x_eigenvalues`."""
+    return np.sqrt((r + s) ** 2 + (c1 - c2) ** 2), np.sqrt((r - s) ** 2 + (c1 + c2) ** 2)
+
+
 def x_eigenvalues(r, s, c1, c2, c3):
     """Closed-form eigenvalues of an X state, unsorted.
 
@@ -149,8 +176,7 @@ def x_eigenvalues(r, s, c1, c2, c3):
     contributes (1 - c3 +- sqrt((r-s)^2 + (c1+c2)^2))/4.  Accepts scalars or
     broadcastable arrays.
     """
-    outer = np.sqrt((r + s) ** 2 + (c1 - c2) ** 2)
-    inner = np.sqrt((r - s) ** 2 + (c1 + c2) ** 2)
+    outer, inner = _x_roots(r, s, c1, c2)
     return (
         (1 + c3 + outer) / 4,
         (1 + c3 - outer) / 4,
@@ -159,48 +185,51 @@ def x_eigenvalues(r, s, c1, c2, c3):
     )
 
 
-def _bell_physical(c1, c2, c3):
-    """``np.minimum.reduce(bell_eigenvalues(c1, c2, c3)) >= -TOL_PSD``, bit
-    for bit, from two sums over the broadcast shape instead of four
-    eigenvalues; NaN fails, as in every comparison.
+def _bell_low(c1, c2, c3):
+    """A Bell-diagonal state's positivity pair, yielded one at a time: two
+    numerators whose smaller, divided by 4, is the smallest of
+    :func:`bell_eigenvalues` as a value, NaN included, for any c3 but +-inf.
 
-    Why it is exact: dividing by 4 is exact, so ``x / 4 >= -TOL_PSD`` is
-    ``x >= -4 * TOL_PSD``.  With ``a = 1 - c1`` and ``b = 1 + c1``, the four
-    numerators round as ``(a - c2) - c3``, ``(a + c2) + c3``, ``(b - c2) +
-    c3`` and ``(b + c2) - c3``.  Rounding is monotone, so ``x -> fl(x + c3)``
-    is too, and the smaller of ``fl(u + c3)`` and ``fl(v + c3)`` is
-    ``fl(min(u, v) + c3)``; the same holds for ``- c3``.  The minimum runs
-    over the arrays without c3, which are smaller when c3 varies along an
-    axis of its own, as on a grid.
+    Why: with ``a = 1 - c1`` and ``b = 1 + c1`` the eigenvalues round as
+    ``fl(fl(a + c2) + c3) / 4``, ``fl(fl(b - c2) + c3) / 4`` and the same
+    with ``a - c2``, ``b + c2`` and ``- c3``.  For c3 finite or NaN, ``x ->
+    fl(x +- c3)`` and ``fl(x / 4)`` are monotone and keep NaN, so each
+    commutes with ``np.minimum``; only a zero's sign can differ.  The minimum
+    runs on the arrays without c3, the smaller ones on a grid.
     """
     a, b = 1 - c1, 1 + c1
-    floor = -4 * TOL_PSD
-    return (np.minimum(a + c2, b - c2) + c3 >= floor) & (np.minimum(a - c2, b + c2) - c3 >= floor)
+    yield np.minimum(a + c2, b - c2) + c3
+    yield np.minimum(a - c2, b + c2) - c3
+
+
+def _x_low(r, s, c1, c2, c3):
+    """An X state's positivity pair (see :func:`_bell_low`): each block's
+    ``- root`` numerator, as ``fl(A + root) >= fl(A - root)`` for a root >= 0."""
+    outer, inner = _x_roots(r, s, c1, c2)
+    yield 1 + c3 - outer
+    yield 1 - c3 - inner
+
+
+def _physical(pair):
+    """Where a positivity pair's smallest eigenvalue is >= -TOL_PSD, bit for
+    bit, as dividing by 4 is exact there; each numerator is freed once compared."""
+    return (next(pair) >= -4 * TOL_PSD) & (next(pair) >= -4 * TOL_PSD)
+
+
+def _bell_physical(c1, c2, c3):
+    """The sampler's mask for Bell-diagonal states."""
+    return _physical(_bell_low(c1, c2, c3))
 
 
 def _x_physical(r, s, c1, c2, c3):
-    """``np.minimum.reduce(x_eigenvalues(r, s, c1, c2, c3)) >= -TOL_PSD``,
-    bit for bit, from the two smaller eigenvalues; NaN fails.
-
-    ``outer`` and ``inner`` are computed as :func:`x_eigenvalues` computes
-    them, and are never negative, so by monotone rounding ``fl((1 + c3) +
-    outer)`` is never below ``fl((1 + c3) - outer)``, and likewise for the
-    inner block; and as dividing by 4 is exact, ``x / 4 >= -TOL_PSD`` is ``x
-    >= -4 * TOL_PSD`` (see :func:`_bell_physical`).
-    """
-    outer = np.sqrt((r + s) ** 2 + (c1 - c2) ** 2)
-    inner = np.sqrt((r - s) ** 2 + (c1 + c2) ** 2)
-    floor = -4 * TOL_PSD
-    return (1 + c3 - outer >= floor) & (1 - c3 - inner >= floor)
+    """The sampler's mask for X states."""
+    return _physical(_x_low(r, s, c1, c2, c3))
 
 
-def _require_psd(lam) -> None:
-    """Raise unless the smallest of the eigenvalues ``lam`` is >= -TOL_PSD."""
-    smallest = min(lam)
+def _require_psd(smallest) -> None:
+    """Raise unless the smallest eigenvalue ``smallest`` is >= -TOL_PSD."""
     if smallest < -TOL_PSD:
-        raise DomainError(
-            f"state not positive semidefinite: smallest eigenvalue {smallest:.6g}"
-        )
+        raise DomainError(f"state not positive semidefinite: smallest eigenvalue {smallest:.6g}")
 
 
 def entangled_values(r, s, c1, c2, c3):
@@ -209,22 +238,19 @@ def entangled_values(r, s, c1, c2, c3):
     A two-qubit state is separable exactly when its partial transpose is
     positive semidefinite (Peres, PRL 77, 1413; Horodecki et al., PLA 223,
     1).  Transposing the second qubit flips the sign of sigma_y alone, so the
-    partial transpose is the X state (r, s, c1, -c2, c3), whose closed-form
-    spectrum decides.  An eigenvalue counts as negative below -TOL_PSD / 4, so
-    that with r = s = 0, where a negative one is (1 - |c1| - |c2| - |c3|)/4,
-    this is the octahedron |c1| + |c2| + |c3| > 1 + TOL_PSD.  Inputs are
-    assumed physical.  The four eigenvalue arrays are folded pairwise, so no
-    ``(4, ...)`` stack of them is built.
+    partial transpose is the X state (r, s, c1, -c2, c3), whose positivity
+    pair decides: entangled where its smallest eigenvalue is below -TOL_PSD
+    / 4, which with r = s = 0 is the octahedron |c1| + |c2| + |c3| > 1 +
+    TOL_PSD.  NaN counts as separable.  Inputs are assumed physical.
     """
-    lam = functools.reduce(np.minimum, x_eigenvalues(r, s, c1, -np.asarray(c2), c3))
-    return lam < -TOL_PSD / 4
+    return np.minimum(*_x_low(r, s, c1, -np.asarray(c2), c3)) < -TOL_PSD
 
 
 def require_physical_bell(params) -> tuple[float, float, float]:
     """Range-check and positivity-check Bell parameters, raising on failure;
     returns (c1, c2, c3) as floats."""
     p = _in_range(BELL_FIELDS, params)
-    _require_psd(bell_eigenvalues(*p))
+    _require_psd(np.minimum(*_bell_low(*p)) / 4)
     return p
 
 
@@ -232,33 +258,35 @@ def require_physical_x(params) -> tuple[float, float, float, float, float]:
     """Range-check and positivity-check X-state parameters, raising on
     failure; returns (r, s, c1, c2, c3) as floats."""
     q = _in_range(X_FIELDS, params)
-    _require_psd(x_eigenvalues(*q))
+    _require_psd(np.minimum(*_x_low(*q)) / 4)
     return q
 
 
+# Entry bound: a 4x4 matrix's sums and eigenvalues are at most 16 times it.
+MAX_ENTRY = np.finfo(float).max / 32
+
+
 def _check_stack(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = _numbers("matrix", m, complex_ok=True).astype(complex, copy=False)
     if a.shape[-2:] != (4, 4):
         raise DomainError(f"expected (..., 4, 4) matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError("matrix entries must be finite")
+    # NaN and inf fail the bound too
+    if not np.abs(a).max(initial=0.0) <= MAX_ENTRY:
+        if not np.isfinite(a).all():
+            raise DomainError("matrix entries must be finite")
+        raise DomainError(f"matrix entries too large: a magnitude exceeds {MAX_ENTRY:.3g}")
     return a
 
 
 def _spectrum(a, tolerance: float, message: str) -> np.ndarray:
-    """Eigenvalues of a checked ``(..., 4, 4)`` stack ``a``, descending: one
-    Hermiticity check within ``tolerance`` (DomainError ``message`` if it
-    fails) and one batched LAPACK ``eigvalsh`` call on the symmetrized stack,
-    both from the same adjoint.  Entries so large that the difference or the
-    symmetrized stack overflows raise DomainError too."""
+    """Eigenvalues of a stack ``a`` checked, and so bounded, by
+    :func:`_check_stack`, descending: one Hermiticity check within
+    ``tolerance`` (DomainError ``message`` if it fails) and one batched LAPACK
+    ``eigvalsh`` call on the symmetrized stack, both from the same adjoint."""
     adjoint = a.conj().swapaxes(-1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.abs(a - adjoint).max(initial=0.0) > tolerance:
-            raise DomainError(message)
-        symmetric = (a + adjoint) / 2
-    if not np.isfinite(symmetric).all():
-        raise DomainError("matrix entries too large: the symmetrized matrix is not finite")
-    return np.linalg.eigvalsh(symmetric)[..., ::-1]
+    if np.abs(a - adjoint).max(initial=0.0) > tolerance:
+        raise DomainError(message)
+    return np.linalg.eigvalsh((a + adjoint) / 2)[..., ::-1]
 
 
 def hermitian_spectrum(m) -> np.ndarray:
@@ -272,8 +300,8 @@ def hermitian_spectrum(m) -> np.ndarray:
     Raises
     ------
     DomainError
-        If any entry is not finite, or any matrix is not Hermitian within
-        1e-10.
+        If any entry is not finite or exceeds MAX_ENTRY in magnitude, or any
+        matrix is not Hermitian within 1e-10.
     """
     return _spectrum(_check_stack(m), 1e-10, "matrix is not Hermitian within tolerance")
 
@@ -287,11 +315,7 @@ def _require_density(m) -> tuple[np.ndarray, np.ndarray]:
     trace = np.trace(a, axis1=-2, axis2=-1)
     if (np.abs(trace.real - 1.0) > 1e-12).any() or (np.abs(trace.imag) > 1e-12).any():
         raise DomainError("density matrix trace differs from 1 by more than 1e-12")
-    lam_min = spectrum[..., -1].min(initial=np.inf)
-    if lam_min < -TOL_PSD:
-        raise DomainError(
-            f"state not positive semidefinite: smallest eigenvalue {lam_min:.6g}"
-        )
+    _require_psd(spectrum[..., -1].min(initial=np.inf))
     return a, spectrum
 
 

@@ -39,9 +39,9 @@ BATCH_ROWS = 512
 
 _KINDS = np.array([kind.value for kind in channels.ChannelKind])
 
-# a family's closed-form eigenvalues, row width and candidates per wanted row
-_BELL = (states.bell_eigenvalues, 3, 4)
-_X = (states.x_eigenvalues, 5, 8)
+# a family's positivity pair, row width and candidates per wanted row
+_BELL = (states._bell_low, 3, 4)
+_X = (states._x_low, 5, 8)
 
 
 @dataclass(frozen=True)
@@ -104,20 +104,20 @@ def _batches(count: int, size: int):
     return ((i, min(i + size, count)) for i in range(0, count, size))
 
 
-def _sample_physical(eigenvalues, width, oversample, count, rng):
-    """Uniform samples from [-1, 1]^width where every eigenvalue is >= 0,
-    yielded as (start, rows): the rows a chunk of candidates accepts, and
-    the index of the first of them among the ``count``.  Candidates come in
-    rounds of ``oversample * count``, each drawn and tested ``oversample *
-    BATCH_ROWS`` at a time.  A round is drawn to its end even once ``count``
-    rows are kept, so once the generator is exhausted, the rows and the
-    generator's state are those of drawing each round whole."""
+def _sample_physical(low, width, oversample, count, rng):
+    """Uniform samples from [-1, 1]^width where every eigenvalue is >= 0, by
+    the family's positivity pair ``low``, yielded as (start, rows): the rows a
+    chunk of candidates accepts, and the index of the first of them among the
+    ``count``.  Candidates come in rounds of ``oversample * count``, each drawn
+    and tested ``oversample * BATCH_ROWS`` at a time.  A round is drawn to its
+    end even once ``count`` rows are kept, so once the generator is exhausted,
+    the rows and the generator's state are those of drawing each round whole."""
     kept = 0
     while kept < count:
         for i0, i1 in _batches(oversample * count, oversample * BATCH_ROWS):
             cand = rng.uniform(-1.0, 1.0, size=(i1 - i0, width))
             if kept < count:
-                good = cand[np.minimum.reduce(eigenvalues(*cand.T)) >= 0.0][: count - kept]
+                good = cand[np.minimum(*low(*cand.T)) / 4 >= 0.0][: count - kept]
                 if len(good):
                     yield kept, good
                     kept += len(good)
@@ -239,7 +239,7 @@ def discord_predicate_consistency() -> SuiteResult:
     worst, mismatches = _RunningWorst(BELL_FIELDS), 0
     for i0, i1 in _batches(len(axis), max(1, 16 * BATCH_ROWS // len(axis) ** 2)):
         c1, c2, c3 = np.meshgrid(axis[i0:i1], axis, axis, indexing="ij")
-        physical = np.minimum.reduce(states.bell_eigenvalues(c1, c2, c3)) >= -states.TOL_PSD
+        physical = states._bell_physical(c1, c2, c3)
         numeric_eq = (
             np.abs(
                 measures.bell_discord_values(c1, c2, c3)

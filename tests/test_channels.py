@@ -253,3 +253,21 @@ class TestDynamicsTrajectory:
         assert len(default_p_grid(fits)) == fits
         with pytest.raises(DomainError, match=f"{fits + 1} steps needs .* physical memory"):
             default_p_grid(fits + 1)
+
+
+@pytest.mark.parametrize("p", ["a", "0.5", True, 0.5j, None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: kraus_ops("bf", p),
+        lambda p: correlation_map_values("bf", p, 0.1, 0.2, 0.3),
+        lambda p: apply_product_channel(bell_density((0.1, 0.2, 0.3)), "bf", p),
+        lambda p: dynamics_trajectory((0.1, 0.1, 0.1), "bf", [p, p]),
+    ],
+    ids=["kraus", "map", "apply", "dynamics"],
+)
+def test_probability_is_read_by_the_number_rule(call, p):
+    # a string raised ValueError from float(), complex TypeError, and "0.5"
+    # and True were read as numbers
+    with pytest.raises(DomainError, match="channel probability must be a number"):
+        call(p)

@@ -84,6 +84,16 @@ class TestGridAxis:
         with pytest.raises(DomainError, match="resolution must be at least 2"):
             grid_axis(1)
 
+    def test_resolution_beyond_memory_rejected(self, small_memory):
+        # 10**12 nodes raised MemoryError; the integer range and the axis
+        # are charged 16 bytes a node, as default_p_grid's steps are
+        fits = small_memory // 16
+        assert len(grid_axis(fits)) == fits
+        with pytest.raises(DomainError, match=f"resolution {fits + 1} needs .* physical memory"):
+            grid_axis(fits + 1)
+        with pytest.raises(DomainError, match="physical memory"):
+            grid_axis(10**12)
+
 
 class TestSampleField:
     def test_l1_zero_on_axis_node(self):
@@ -404,6 +414,21 @@ class TestExtractIsosurface:
                 extract_isosurface(sphere_grid(8), level)
             with pytest.raises(DomainError, match="level must be a number"):
                 level_surface("l1", 8, level)
+
+    @pytest.mark.parametrize("level", ["0.5", True, 0.5 + 0j, np.array([0.5])])
+    def test_level_is_read_by_the_number_rule(self, level):
+        # float() accepted "0.5" and True, and raised TypeError for complex
+        for call in (
+            lambda: extract_isosurface(sphere_grid(8), level),
+            lambda: level_surface("l1", 8, level),
+        ):
+            with pytest.raises(DomainError, match="level must be a number"):
+                call()
+
+    @pytest.mark.parametrize("grid", [np.full((8, 8, 8), "0.5"), np.ones((8, 8, 8), bool)])
+    def test_grid_is_read_by_the_number_rule(self, grid):
+        with pytest.raises(DomainError, match="grid must be a number"):
+            extract_isosurface(grid, 0.5)
 
     def test_malformed_grid_rejected(self):
         for shape in ((4, 5, 4), (7, 7, 7), (8, 8)):
@@ -872,6 +897,19 @@ def random_mesh():
 
 
 class TestTriangleMesh:
+    @pytest.mark.parametrize("index", [2.5, np.nan, 2.0 + 1e-15])
+    def test_indices_that_are_not_whole_numbers_rejected(self, index):
+        # dtype=int made 2.5 index 2, and NaN raised ValueError
+        with pytest.raises(DomainError, match="triangle indices must be integers"):
+            geometry.TriangleMesh(np.eye(3), [[0, 1, index]])
+
+    def test_whole_float_indices_read_as_ints(self):
+        mesh = geometry.TriangleMesh(np.eye(3), np.array([[0.0, 1.0, 2.0]]))
+        assert mesh.triangles.dtype == int
+        assert mesh.triangles.tolist() == [[0, 1, 2]]
+        with pytest.raises(DomainError, match="out of range"):
+            geometry.TriangleMesh(np.eye(3), [[0, 1, np.inf]])
+
     @pytest.mark.parametrize(
         "mesh",
         [

@@ -16,6 +16,7 @@ The draws are derandomized, so the suite is deterministic.
 import itertools
 import os
 import pathlib
+import re
 import tempfile
 from unittest import mock
 
@@ -448,6 +449,21 @@ def ulps_around(values, steps=3):
     return np.concatenate(out)
 
 
+def crossings(rs, c1, c2, floor):
+    """The c3 values at which a numerator of the positivity pair of the
+    states (rs, c1, c2, c3), Bell-diagonal when ``rs`` is None, equals
+    ``floor``."""
+    if rs is None:
+        a, b = 1 - c1, 1 + c1
+        plus = np.concatenate([(a + c2).ravel(), (b - c2).ravel()])
+        minus = np.concatenate([(a - c2).ravel(), (b + c2).ravel()])
+        return np.concatenate([floor - plus, minus - floor])
+    r, s = rs
+    outer = np.sqrt((r + s) ** 2 + (c1 - c2) ** 2).ravel()
+    inner = np.sqrt((r - s) ** 2 + (c1 + c2) ** 2).ravel()
+    return np.concatenate([outer - 1 + floor, 1 - inner - floor])
+
+
 @SETTINGS
 @given(
     n=st.integers(8, 300),
@@ -455,33 +471,69 @@ def ulps_around(values, steps=3):
     nodes=st.lists(st.integers(0, 300), min_size=2, max_size=8),
     rs=st.none() | st.tuples(*[st.sampled_from([0.0, 0.9, -0.9]) | st.floats(-1.0, 1.0)] * 2),
 )
+# c1 = 1 and c2 = 0 make a Bell numerator exactly 0 + c3, so one c3 puts it
+# exactly on -4 TOL_PSD, where the smallest eigenvalue is exactly -TOL_PSD
+@example(n=9, nodes=[8, 4], rs=None)
 def test_physical_test_is_the_eigenvalue_test_bit_for_bit(n, nodes, rs):
-    # the sampler's mask takes two sums where the eigenvalues take four
-    # arrays; c3 is drawn where a numerator crosses 0 and -4 TOL_PSD, the
-    # edges of the test, and at the grid's own nodes, at +-0.0 and at NaN
+    # every positivity decision reads a family's pair of numerators where the
+    # eigenvalues take four arrays; c3 is drawn where a numerator crosses 0
+    # and -4 TOL_PSD, the edges of the sampler's tests, where a numerator of
+    # the partial transpose crosses -TOL_PSD, the edge of the PPT test, and
+    # at the grid's own nodes, at +-0.0 and at NaN
     axis = np.append(grid_axis(n), np.nan)
     half = len(nodes) // 2
     c1 = axis[np.minimum(nodes[:half], n)][:, None]
     c2 = axis[np.minimum(nodes[half:], n)]
     floor = -4 * TOL_PSD
-    if rs is None:
-        a, b = 1 - c1, 1 + c1
-        plus = np.concatenate([(a + c2).ravel(), (b - c2).ravel()])
-        minus = np.concatenate([(a - c2).ravel(), (b + c2).ravel()])
-        edges = [-plus, floor - plus, minus, minus - floor]
-    else:
-        r, s = rs
-        outer = np.sqrt((r + s) ** 2 + (c1 - c2) ** 2).ravel()
-        inner = np.sqrt((r - s) ** 2 + (c1 + c2) ** 2).ravel()
-        edges = [outer - 1, outer - 1 + floor, 1 - inner, 1 - inner - floor]
+    r, s = (0.0, 0.0) if rs is None else rs
+    edges = [
+        crossings(rs, c1, c2, 0.0),
+        crossings(rs, c1, c2, floor),
+        crossings((r, s), c1, -c2, -TOL_PSD),
+    ]
     c3 = np.concatenate([ulps_around(np.concatenate(edges)), axis, [0.0, -0.0]])
     c1, c2 = c1[..., None], c2[:, None]
     if rs is None:
         lam = bell_eigenvalues(c1, c2, c3)
+        pair = states._bell_low(c1, c2, c3)
         physical = states._bell_physical(c1, c2, c3)
     else:
         lam = x_eigenvalues(*rs, c1, c2, c3)
+        pair = states._x_low(*rs, c1, c2, c3)
         physical = states._x_physical(*rs, c1, c2, c3)
-    expected = np.minimum.reduce(np.broadcast_arrays(*lam)) >= -TOL_PSD
-    assert physical.shape == expected.shape
-    assert np.array_equal(physical, expected)
+    smallest = np.minimum.reduce(np.broadcast_arrays(*lam))
+    # as values, NaN included; only the sign of a zero may differ
+    assert np.array_equal(np.minimum(*pair) / 4, smallest, equal_nan=True)
+    assert physical.shape == smallest.shape
+    assert np.array_equal(physical, smallest >= -TOL_PSD)
+    transposed = np.minimum.reduce(np.broadcast_arrays(*x_eigenvalues(r, s, c1, -c2, c3)))
+    assert np.array_equal(entangled_values(r, s, c1, c2, c3), transposed < -TOL_PSD / 4)
+
+
+@SETTINGS
+@given(
+    c=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+    rs=st.none() | st.tuples(*[st.sampled_from([0.0, 0.9, -0.9]) | st.floats(-1.0, 1.0)] * 2),
+)
+@example(c=[1.0, 0.0], rs=None)
+def test_require_physical_is_the_eigenvalue_test(c, rs):
+    # points within 3 ulps of where a numerator of the pair crosses 0 or
+    # -4 TOL_PSD: accepted exactly where every eigenvalue is at least
+    # -TOL_PSD and every parameter in range, refused with the smallest
+    # eigenvalue otherwise
+    c1, c2 = np.array(c)
+    edges = np.concatenate([crossings(rs, c1, c2, f) for f in (0.0, -4 * TOL_PSD)])
+    for c3 in ulps_around(edges).tolist():
+        params = (c1, c2, c3) if rs is None else (*rs, c1, c2, c3)
+        check = states.require_physical_bell if rs is None else states.require_physical_x
+        lam = bell_eigenvalues(*params) if rs is None else x_eigenvalues(*params)
+        smallest = np.minimum.reduce(lam)
+        if not -1.0 <= c3 <= 1.0:
+            with pytest.raises(states.DomainError, match="c3 must lie in"):
+                check(params)
+        elif smallest >= -TOL_PSD:
+            assert check(params) == params
+        else:
+            message = re.escape(f"smallest eigenvalue {smallest:.6g}") + "$"
+            with pytest.raises(states.DomainError, match=message):
+                check(params)

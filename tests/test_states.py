@@ -143,6 +143,46 @@ class TestInputGate:
             assert all(type(v) is float for v in got)
 
 
+class TestNumberReader:
+    # one rule reads every real argument: int, uint and float values and
+    # arrays of them pass, anything else raises DomainError naming it
+    @pytest.mark.parametrize(
+        "value",
+        ["0.5", "x", b"0.5", True, np.bool_(False), 1j, None, [0.5, None], [[0.1], [0.1, 0.2]]],
+    )
+    def test_non_numbers_rejected_by_name(self, value):
+        with pytest.raises(DomainError, match="c2 must be a number"):
+            bell_density((0.1, value, 0.1))
+        with pytest.raises(DomainError, match="s must be a number"):
+            states._in_range(("r", "s"), (0.1, value))
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, np.int8(0), np.uint64(0), np.float32(0.0), 0.0, [0.0, 0.5], np.zeros(2, np.uint8)],
+    )
+    def test_numbers_pass(self, value):
+        got = bell_density((0.1, value, 0.1))
+        assert np.array_equal(got, bell_density((0.1, np.asarray(value, dtype=float), 0.1)))
+
+    def test_a_huge_python_int_is_read_as_a_float(self):
+        with pytest.raises(DomainError, match=r"c1 must lie in \[-1, 1\], got 1e\+30"):
+            bell_density((10**30, 0, 0))
+
+    @pytest.mark.parametrize("value", [0.1, np.array(0.1), None, "ab"])
+    def test_a_scalar_where_a_pair_is_wanted_rejected(self, value):
+        with pytest.raises(DomainError):
+            states._in_range(("r", "s"), value)
+
+    @pytest.mark.parametrize("value", [np.full((4, 4), "1"), np.full((4, 4), True), None, "x"])
+    def test_matrices_take_numbers_only(self, value):
+        with pytest.raises(DomainError, match="matrix must be a number"):
+            hermitian_spectrum(value)
+
+    def test_matrices_take_complex_entries(self):
+        rho = bell_density((0.2, 0.1, 0.3))
+        assert np.array_equal(hermitian_spectrum(rho.real.tolist()), hermitian_spectrum(rho))
+
+
 class TestBellEntanglement:
     # points are classified by entangled_values; the points it has no class
     # for, unphysical ones, are refused by the input gate before it
@@ -179,8 +219,8 @@ class TestBellEntanglement:
             require_physical_bell((np.nan, 0, 0))
 
     def test_classes_equal_the_stacked_minimum(self):
-        # entangled_values folds the four eigenvalue arrays pairwise; the
-        # minimum over their (4, T) stack gives the same classes, on drawn X
+        # entangled_values reads the partial transpose's positivity pair; the
+        # minimum over the (4, T) eigenvalue stack gives the same classes, on drawn X
         # states and on Bell points on either side of the octahedron's
         # |c1| + |c2| + |c3| = 1 + TOL_PSD
         rng = np.random.default_rng(34)
@@ -332,6 +372,21 @@ def test_matrices_whose_symmetrized_form_overflows_rejected(reads):
     # refused with LinAlgError
     with pytest.raises(DomainError, match="too large"):
         reads(np.full((4, 4), 1e308))
+
+
+@pytest.mark.parametrize(
+    "reads",
+    [hermitian_spectrum, measures.l1_coherence, correlations_of],
+    ids=["spectrum", "l1", "correlations"],
+)
+def test_matrices_beyond_the_entry_bound_rejected(reads):
+    # the symmetrized stack of 5e307 is finite, and its spectrum was
+    # [inf, 5.4e290, -6.2e275, -2.8e292]; the l1 sum was inf
+    with pytest.raises(DomainError, match="too large"):
+        reads(np.full((4, 4), 5e307))
+    with pytest.raises(DomainError, match="too large"):
+        reads(np.full((4, 4), np.nextafter(states.MAX_ENTRY, np.inf)))
+    reads(np.full((4, 4), states.MAX_ENTRY))
 
 
 class TestVonNeumannEntropy:
