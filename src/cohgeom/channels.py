@@ -27,6 +27,7 @@ from .states import (
     _bell_physical,
     _in_range,
     _member,
+    _require_broadcast,
     _require_count,
     _require_density,
     _require_memory,
@@ -84,11 +85,13 @@ def apply_product_channel(m, kind, p) -> np.ndarray:
     matrix or a ``(..., 4, 4)`` stack, through the per-qubit superoperator
     sum_i E_i[a, x] conj(E_i[b, y]).  ``p`` may be an array; it broadcasts
     against the stack shape, so ``p[:, None]`` on an ``(N, 4, 4)`` stack gives
-    ``(P, N, 4, 4)``.  Every input must be a physical density matrix; the
-    outputs then are as well.
+    ``(P, N, 4, 4)``, and shapes that do not broadcast raise DomainError.
+    Every input must be a physical density matrix; the outputs then are as
+    well.
     """
     a, _ = _require_density(m)
     ops = kraus_ops(kind, p)
+    _require_broadcast(("p", "stack"), (ops[..., 0, 0, 0], a[..., 0, 0]))
     sup = np.einsum("...iax,...iby->...abxy", ops, ops.conj())
     qubits = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
     out = np.einsum("...abxy,...cdzw,...xzyw->...acbd", sup, sup, qubits, optimize=True)

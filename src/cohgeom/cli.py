@@ -73,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--r", type=float, default=0.0, help="first Bloch z component")
     m.add_argument("--s", type=float, default=0.0, help="second Bloch z component")
     m.add_argument("--out", help="write the JSON document here instead of stdout")
+    m.set_defaults(run=_cmd_measure)
 
     s = sub.add_parser("surface", help="extract a constant-level surface mesh")
     s.add_argument(
@@ -95,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=float, help="channel probability for --channel")
     s.add_argument("--out", required=True, help="output OBJ path")
     s.add_argument("--stats-out", help="write the stats JSON here instead of stdout")
+    s.set_defaults(run=_cmd_surface)
 
     d = sub.add_parser("dynamics", help="coherence of the evolved state versus p")
     _add_state_args(d)
@@ -108,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=int, default=101, help="points on the p grid (default: 101)"
     )
     d.add_argument("--out", help="write the CSV here instead of stdout")
+    d.set_defaults(run=_cmd_dynamics)
 
     v = sub.add_parser("verify", help="run the oracle cross-check suites")
     v.add_argument(
@@ -116,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=10000,
         help="random states per sampled suite (default: 10000)",
     )
+    v.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -164,7 +168,8 @@ def _cmd_measure(args) -> int:
 def _cmd_surface(args) -> int:
     from . import geometry
 
-    if not 0.0 < args.level <= 1.0:
+    # the library refuses a level at or below 0, and NaN
+    if args.level > 1.0:
         raise states.DomainError(f"--level must lie in (0, 1], got {args.level}")
     if args.stats_out and os.path.realpath(args.stats_out) == os.path.realpath(args.out):
         raise states.DomainError(f"--out and --stats-out name the same file {args.out!r}")
@@ -198,15 +203,12 @@ def _cmd_surface(args) -> int:
     if args.channel is not None:
         metadata["channel"] = args.channel
         metadata["p"] = float(args.p)
-    # the stats file is open, and written, before the OBJ replaces its target,
-    # and replaces its own only after, so a destination that cannot be written
-    # leaves the other one unchanged
-    with contextlib.ExitStack() as stack:
-        if args.stats_out is not None:
-            stack.enter_context(_textio.open_atomic(args.stats_out)).write(stats)
+    # the stats file is open before the OBJ replaces its target, and replaces
+    # its own only after, so a destination that cannot be written leaves the
+    # other one unchanged
+    with _output(args.stats_out) as out:
         geometry.export_obj(mesh, args.out, metadata)
-    if args.stats_out is None:
-        sys.stdout.write(stats)
+        out.write(stats)
     return 0
 
 
@@ -263,13 +265,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_floats(sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "measure":
-            return _cmd_measure(args)
-        if args.command == "surface":
-            return _cmd_surface(args)
-        if args.command == "dynamics":
-            return _cmd_dynamics(args)
-        return _cmd_verify(args)
+        return args.run(args)
     except (states.DomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

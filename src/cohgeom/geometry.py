@@ -227,8 +227,9 @@ def _checked_field(measure, resolution, slice, channel, p):
         ends = box((axis,) * 3)
         eigen = measures._eigenvalue_ranges(r, s, *ends)
         # a physical node has every eigenvalue at least -TOL_PSD, and the
-        # mask is that of the unmapped state
-        empty = functools.reduce(np.logical_or, (top < -TOL_PSD - BOUND_MARGIN for _, top in eigen))
+        # mask is that of the unmapped state; the tops of the positivity
+        # pair's ranges, the -root ones, are at most their +root partners'
+        empty = (eigen[1][1] < -TOL_PSD - BOUND_MARGIN) | (eigen[3][1] < -TOL_PSD - BOUND_MARGIN)
         if channel is not None:
             ends = box(axes)
             if coords == 3:  # the l1 and trace ranges read the ends alone
@@ -280,6 +281,11 @@ class TriangleMesh:
         total += self.vertices[c]
         total /= 3
         return total
+
+
+def _require_mesh(mesh) -> None:
+    if not isinstance(mesh, TriangleMesh):
+        raise DomainError(f"mesh must be a TriangleMesh, got {type(mesh).__name__}")
 
 
 def _triples(name, value) -> np.ndarray:
@@ -608,11 +614,12 @@ def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:
     ``keep(c1, c2, c3)`` is called once with the centroid columns and must
     return a boolean array with one entry per triangle, such as
     :func:`~cohgeom.measures.discord_equals_coherence_values`; anything else
-    raises DomainError.  Vertices no longer referenced are dropped and
-    indices compacted, preserving order.
+    raises DomainError, as does a mesh that is not a TriangleMesh.  Vertices
+    no longer referenced are dropped and indices compacted, preserving order.
     This realizes restricted surfaces such as the part of a coherence level
     set on which discord agrees with the coherence.
     """
+    _require_mesh(mesh)
     kept = np.asarray(keep(*mesh.centroids().T))
     if kept.dtype != bool or kept.shape != (len(mesh.triangles),):
         raise DomainError(
@@ -630,8 +637,9 @@ def surface_stats(mesh: TriangleMesh, slice: tuple[float, float] | None = None) 
     given to :func:`sample_field`; None means Bell-diagonal states.  A
     triangle counts as entangled when the state at its centroid is, by
     :func:`~cohgeom.states.entangled_values`.  An empty mesh reports zero
-    areas and fraction 0.
+    areas and fraction 0; a mesh that is not a TriangleMesh raises DomainError.
     """
+    _require_mesh(mesh)
     r, s = (0.0, 0.0) if slice is None else states._in_range(("r", "s"), slice)
     areas = mesh.triangle_areas()
     total = float(areas.sum())
@@ -660,10 +668,15 @@ def export_obj(mesh: TriangleMesh, destination, metadata: dict | None = None) ->
     held.  A block's lines are assembled as rows of bytes: each distinct
     coordinate of the block is formatted once, by Python's ``"%.9g"``, and
     each index is spelled out digit by digit, so the bytes are those of
-    ``"v %.9g %.9g %.9g"`` and ``"f %d %d %d"`` for every line.  A
-    ``destination`` that is neither a str nor a path object raises
-    DomainError; one that cannot be written raises OSError.
+    ``"v %.9g %.9g %.9g"`` and ``"f %d %d %d"`` for every line.  A mesh
+    that is not a TriangleMesh, metadata that is neither None nor a dict,
+    and a ``destination`` that is neither a str nor a path object raise
+    DomainError before anything is opened; a destination that cannot be
+    written raises OSError.
     """
+    _require_mesh(mesh)
+    if not isinstance(metadata, (dict, type(None))):
+        raise DomainError(f"metadata must be a dict or None, got {type(metadata).__name__}")
     if not isinstance(destination, (str, os.PathLike)):
         raise DomainError(f"destination must be a path, got {destination!r}")
     with _textio.open_atomic(destination) as out:

@@ -58,8 +58,8 @@ def _numbers(name: str, value, complex_ok: bool = False) -> np.ndarray:
 
 def _in_range(names, values, columns=False, low=-1) -> tuple:
     """``values``, one per name in ``names``, as floats (or, with ``columns``,
-    float arrays), each read by :func:`_numbers` and checked to lie in [low,
-    1]; NaN fails the check too."""
+    float arrays that broadcast together), each read by :func:`_numbers` and
+    checked to lie in [low, 1]; NaN fails the check too."""
     try:
         values = tuple(values)
     except TypeError:
@@ -69,13 +69,25 @@ def _in_range(names, values, columns=False, low=-1) -> tuple:
             f"expected {len(names)} values ({', '.join(names)}), got {len(values)}"
         )
     values = tuple(_numbers(n, v).astype(float, copy=False) for n, v in zip(names, values))
-    if not columns and any(v.ndim for v in values):
+    if columns:
+        _require_broadcast(names, values)
+    elif any(v.ndim for v in values):
         raise DomainError(f"expected one number each for {', '.join(names)}")
     for name, value in zip(names, values):
         bad = value[~((low <= value) & (value <= 1.0))]
         if bad.size:
             raise DomainError(f"{name} must lie in [{low}, 1], got {bad[0]}")
     return tuple(float(v) if v.ndim == 0 else v for v in values)
+
+
+def _require_broadcast(names, arrays) -> None:
+    """Raise DomainError, naming each of ``names`` with the shape of its array
+    in ``arrays``, unless the arrays broadcast together."""
+    try:
+        np.broadcast(*arrays)
+    except ValueError:
+        given = ", ".join(f"{n} {np.shape(a)}" for n, a in zip(names, arrays))
+        raise DomainError(f"shapes do not broadcast together: {given}") from None
 
 
 def _member(kind, value, what: str):

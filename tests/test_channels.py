@@ -111,6 +111,13 @@ class TestApplyProductChannel:
                     )
                     assert_allclose(got, expected, rtol=0, atol=1e-15)
 
+    def test_probabilities_that_do_not_broadcast_rejected(self):
+        # refused by shape before the einsum raises ValueError
+        rhos = np.array([bell_density((0.2, 0.1, 0.3))] * 3)
+        with pytest.raises(DomainError, match=r"p \(2,\), stack \(3,\)"):
+            apply_product_channel(rhos, "bf", [0.1, 0.2])
+        assert apply_product_channel(rhos, "bf", [[0.1], [0.2]]).shape == (2, 3, 4, 4)
+
     def test_matches_map_on_physical_state(self):
         rho = bell_density((0.2, 0.1, 0.3))
         out = apply_product_channel(rho, "bf", 0.5)

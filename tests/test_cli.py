@@ -320,6 +320,16 @@ class TestSurface:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("level", ["0", "-0.5", "nan"])
+    def test_level_at_or_below_zero_is_the_librarys_error(self, tmp_path, capsys, level):
+        # the CLI checks only the upper bound; the library refuses the rest
+        argv = ("surface", "--measure", "l1", "--level", level, "--out", str(tmp_path / "x.obj"))
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: level must be positive, got {float(level)}\n"
+        assert run_cli(*argv, "--resolution", "4") == 2
+        assert capsys.readouterr().err == "error: resolution must be at least 8\n"
+        assert not (tmp_path / "x.obj").exists()
+
     def test_small_level_warns(self, tmp_path, capsys):
         # 0.05 is below the feature size 2 / 16: a warning, and the run goes on
         code = run_cli(

@@ -9,7 +9,9 @@ and huge counts, each as itself, as a 0-d array and as a 1-d array.  A
 matrix argument also takes a 4x4 matrix filled with the value, a grid an 8^3
 one.  The ``*_values`` kernels are left out, since their inputs are assumed
 physical, and so are ``correlation_map_values``' correlation arguments.
-Only ``export_obj``'s path may raise OSError as well.
+Only ``export_obj``'s path may raise OSError as well.  The value also
+stands for a whole mesh and for ``export_obj``'s metadata, and, beside
+arguments of shape (3,), for a column or a ``p`` that may not broadcast.
 """
 
 import contextlib
@@ -23,6 +25,8 @@ import cohgeom as cg
 from cohgeom.states import DomainError
 
 RHO = cg.bell_density((0.2, 0.1, 0.3))
+STACK = np.stack([RHO] * 3)
+COLUMN = [0.1, 0.2, 0.3]
 VERTICES = np.eye(3)
 TRIANGLES = [[0, 1, 2]]
 MESH = cg.TriangleMesh(VERTICES, TRIANGLES)
@@ -47,6 +51,7 @@ CALLS = {
         lambda v: cg.apply_product_channel(filled((4, 4), v), "bf", 0.5),
         lambda v: cg.apply_product_channel(RHO, v, 0.5),
         lambda v: cg.apply_product_channel(RHO, "gad", v),
+        lambda v: cg.apply_product_channel(STACK, "bf", v),
     ],
     "bell_density": [
         lambda v: cg.bell_density(v),
@@ -68,13 +73,20 @@ CALLS = {
         lambda v: cg.dynamics_trajectory((0.1, 0.1, 0.1), "bf", v),
         lambda v: cg.dynamics_trajectory((0.1, 0.1, 0.1), "bf", [0.0, v]),
     ],
-    "export_obj": [lambda v: cg.export_obj(MESH, v)],
+    "export_obj": [
+        lambda v: cg.export_obj(MESH, v),
+        lambda v: cg.export_obj(v, "x.obj"),
+        lambda v: cg.export_obj(MESH, "x.obj", v),
+    ],
     "extract_isosurface": [
         lambda v: cg.extract_isosurface(v, 0.5),
         lambda v: cg.extract_isosurface(filled((8, 8, 8), v), 0.5),
         lambda v: cg.extract_isosurface(GRID, v),
     ],
-    "filter_triangles": [lambda v: cg.filter_triangles(MESH, lambda *c: v)],
+    "filter_triangles": [
+        lambda v: cg.filter_triangles(MESH, lambda *c: v),
+        lambda v: cg.filter_triangles(v, lambda c1, c2, c3: c3 > 0),
+    ],
     "grid_axis": [lambda v: cg.grid_axis(v)],
     "hermitian_spectrum": [
         lambda v: cg.hermitian_spectrum(v),
@@ -107,6 +119,7 @@ CALLS = {
         lambda v: cg.sample_field("l1", 8, channel="bf", p=v),
     ],
     "surface_stats": [
+        lambda v: cg.surface_stats(v),
         lambda v: cg.surface_stats(MESH, v),
         lambda v: cg.surface_stats(MESH, (v, 0.0)),
     ],
@@ -117,6 +130,7 @@ CALLS = {
     "x_density": [
         lambda v: cg.x_density(v),
         lambda v: cg.x_density((v, 0.0, 0.1, 0.0, 0.0)),
+        lambda v: cg.x_density((v, 0.0, COLUMN, 0.0, 0.0)),
     ],
 }
 

@@ -969,6 +969,11 @@ class TestSurfaceStats:
         with pytest.raises(DomainError, match=r"\(r, s\)|s must lie|r, s$"):
             surface_stats(mesh, rs)
 
+    @pytest.mark.parametrize("mesh", ["x", np.eye(3), None])
+    def test_a_mesh_that_is_not_a_triangle_mesh_rejected(self, mesh):
+        with pytest.raises(DomainError, match="mesh must be a TriangleMesh"):
+            surface_stats(mesh)
+
     def test_counts_match_mesh(self):
         mesh = extract_isosurface(sample_field("rel-ent", 16), 0.2)
         stats = surface_stats(mesh)
@@ -1002,6 +1007,10 @@ class TestFilterTriangles:
         mesh = extract_isosurface(sphere_grid(16), 0.5)
         with pytest.raises(DomainError, match="keep must return a boolean array"):
             filter_triangles(mesh, keep)
+
+    def test_a_mesh_that_is_not_a_triangle_mesh_rejected(self):
+        with pytest.raises(DomainError, match="mesh must be a TriangleMesh, got str"):
+            filter_triangles("x", lambda c1, c2, c3: c3 > 0)
 
     @pytest.mark.parametrize("triangles", [np.empty((0, 3)), [[0, 1, 2]]])
     def test_no_kept_triangle_keeps_no_vertex(self, triangles):
@@ -1070,3 +1079,18 @@ class TestExportObj:
         export_obj(mesh, p2, {"level": np.float64(0.5), "p": np.float64(0.1)})
         assert p1.read_bytes() == p2.read_bytes()
         assert "# level: 0.5\n" in p1.read_text()
+
+    @pytest.mark.parametrize(
+        "mesh, metadata, match",
+        [
+            ("x", None, "mesh must be a TriangleMesh, got str"),
+            (None, {}, "mesh must be a TriangleMesh, got NoneType"),
+            (geometry.TriangleMesh(np.eye(3), [[0, 1, 2]]), "abc", "metadata must be a dict"),
+            (geometry.TriangleMesh(np.eye(3), [[0, 1, 2]]), [("a", 1)], "metadata must be a dict"),
+        ],
+        ids=["str-mesh", "none-mesh", "str-metadata", "list-metadata"],
+    )
+    def test_bad_mesh_or_metadata_rejected_before_opening(self, tmp_path, mesh, metadata, match):
+        with pytest.raises(DomainError, match=match):
+            export_obj(mesh, tmp_path / "x.obj", metadata)
+        assert list(tmp_path.iterdir()) == []

@@ -512,6 +512,44 @@ def test_physical_test_is_the_eigenvalue_test_bit_for_bit(n, nodes, rs):
 
 @SETTINGS
 @given(
+    n=st.integers(8, 300),
+    rs=st.none() | st.tuples(*[st.sampled_from([0.0, 0.9, -0.9]) | st.floats(-1.0, 1.0)] * 2),
+    p=st.floats(0.0, 1.0),
+    seed=seeds,
+)
+@example(n=300, rs=None, p=0.5, seed=0)
+@example(n=9, rs=(0.9, -0.9), p=0.0, seed=1)
+def test_certification_reads_the_positivity_pair(n, rs, p, seed):
+    # a box holds no physical node when a -root range's top, one of the
+    # pair's, is below the threshold: exactly as when any of the four tops
+    # is, on unmapped boxes and on boxes mapped by each channel; and the
+    # bounds give the empty range on exactly those unmapped boxes
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, n, (400, 3))
+    ends = starts + rng.integers(0, n - starts)
+    # single nodes too, where each top is an eigenvalue at a node
+    ends[::4] = starts[::4]
+    axis = grid_axis(n)
+    threshold = -TOL_PSD - BOUND_MARGIN
+
+    def decided(lo, hi):
+        eigen = measures._eigenvalue_ranges(*(rs or (0.0, 0.0)), lo, hi)
+        by_pair = (eigen[1][1] < threshold) | (eigen[3][1] < threshold)
+        by_fold = np.logical_or.reduce([top < threshold for _, top in eigen])
+        assert np.array_equal(by_pair, by_fold)
+        return by_fold
+
+    empty = decided(axis[starts].T, axis[ends].T)
+    low, high = geometry._checked_field("l1", n, rs, None, None)[1](starts, ends)
+    assert np.array_equal(empty, (low == np.inf) & (high == -np.inf))
+    if rs is None:
+        for kind in ChannelKind:
+            mapped = correlation_map_values(kind, p, axis, axis, axis)
+            decided(*(np.array([m[x] for m, x in zip(mapped, box.T)]) for box in (starts, ends)))
+
+
+@SETTINGS
+@given(
     c=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
     rs=st.none() | st.tuples(*[st.sampled_from([0.0, 0.9, -0.9]) | st.floats(-1.0, 1.0)] * 2),
 )

@@ -105,6 +105,13 @@ class TestXDensity:
         with pytest.raises(DomainError, match=r"c3 must lie in \[-1, 1\], got 1.5"):
             x_density((0.0, 0.0, 0.0, 0.0, np.array([0.5, 1.5, np.nan])))
 
+    def test_columns_that_do_not_broadcast_rejected(self):
+        # refused by name and shape before numpy's broadcast raises ValueError
+        with pytest.raises(DomainError, match=r"r \(2,\), s \(\), c1 \(3,\)"):
+            x_density(([0.1, 0.2], 0, [0.1, 0.2, 0.3], 0, 0))
+        with pytest.raises(DomainError, match=r"c1 \(2,\), c2 \(3,\), c3 \(\)$"):
+            bell_density(([0.1, 0.2], [0.1, 0.2, 0.3], 0))
+
 
 class TestInputGate:
     @pytest.mark.parametrize(
