@@ -41,12 +41,13 @@ DEGENERATE_AREA = 1e-14
 SLAB_NODES = 1 << 18
 
 # Cubes per axis of the blocks that level_surface samples, where its halving
-# search ends (see level_surface).  Two workers at n = 256, best of 5, two
-# runs, before that search: 8 took rel-ent at 0.8953 to 0.078-0.090 s and
-# discord at 0.2 to 0.39-0.41 s; 6 took 0.11 and 0.39-0.43 s, 12 and 16 took
-# 0.08-0.09 and 0.44-0.47 s, and 4 took 0.19 and 0.48-0.49 s.  Smaller blocks
-# bound the field more tightly but sample more shared nodes: a block's
-# closure has (b + 1)^3 nodes for its b^3 cubes.
+# search ends (see level_surface).  Smaller blocks bound the field more
+# tightly but sample more shared nodes: a block's closure has (b + 1)^3 nodes
+# for its b^3 cubes.  With the halving search, 4 sampled 0.57-0.70x the nodes
+# of 8 on the surface benchmark's seed-0 jobs (909k -> 528k for rel-ent at
+# 0.8444, n = 256) yet was no faster: in process on 2 vCPUs, medians of 5 in
+# two runs moved by -11% to +36% (rel-ent at 0.8444: 65.5-67.9 -> 72.0-73.8
+# ms).
 BLOCK_CUBES = 8
 
 # A block is certified only when its bounds clear the level by this much, far
@@ -314,30 +315,6 @@ _TRI_RANKS = np.where(
     np.take_along_axis(np.cumsum(EDGE_CROSSED, axis=1) - 1, _TRI_EDGES, axis=1),
     -1,
 ).astype(np.int8)
-# _corner_codes codes corner (di, dj, dk) as bit 4 di + 2 dj + dk; this maps a
-# code to the case index of the tables, whose bit i is corner CORNER_OFFSETS[i].
-_CODE_BITS = np.array(CORNER_OFFSETS) @ (4, 2, 1)
-_CASE_OF_CODE = (
-    ((np.arange(256)[:, None] >> _CODE_BITS) & 1) << np.arange(8)
-).sum(axis=1).astype(np.uint8)
-
-
-def _corner_codes(flag, *args):
-    """Per-cube 8-bit codes of the per-node booleans ``flag(*args)`` over
-    the last three axes: bit 4 di + 2 dj + dk is the flag at corner (di, dj,
-    dk).
-
-    The flags are combined along k, then j, then i, each pass over an array
-    one node shorter along its axis; each stage is freed once the next exists,
-    so the peak is about two byte arrays of the nodes' size.
-    """
-    code = flag(*args).view(np.uint8)
-    for back, shift in ((0, 1), (1, 2), (2, 4)):
-        tail = (np.s_[:],) * back
-        upper = np.left_shift(code[(..., np.s_[1:], *tail)], shift)
-        upper |= code[(..., np.s_[:-1], *tail)]
-        code = upper
-    return code
 
 
 def _box_cases(boxes, origins, level, n):
@@ -353,27 +330,41 @@ def _box_cases(boxes, origins, level, n):
     va) / (vb - va)`` from its lower to its upper node.  A cube is active
     when no corner is NaN and the level separates its corners; a corner is
     below the level when its value is less than it.
+
+    Each cube is its lowest node in the flattened boxes, and bit i of its
+    case is read at that node's flat offset for corner CORNER_OFFSETS[i], so
+    the case comes in the tables' corner order.  A node on a box's last
+    layer along any axis is no cube: its corners would be read from the next
+    row, plane or box.
     """
-    active = _corner_codes(np.isnan, boxes) == 0
-    code = _corner_codes(np.less, boxes, level)
-    active &= code != 0
-    active &= code != 255
-    cubes = np.flatnonzero(active)
-    box, i, j, k = np.unravel_index(cubes, active.shape)
-    origin = np.asarray(origins)[box].T
+    _, rows, cols = boxes.shape[1:]
+    stride = np.array((rows * cols, cols, 1))
+    flat = boxes.reshape(-1)
+    # the nodes whose every corner lies in the flattened boxes; none in an
+    # empty batch
+    count = max(flat.size - stride.sum(), 0)
+    below, nan = np.less(flat, level).view(np.uint8), np.isnan(flat)
+    inner = np.zeros(boxes.shape, dtype=bool)
+    inner[:, :-1, :-1, :-1] = True
+    active = inner.reshape(-1)[:count]
+    case = np.zeros(count, dtype=np.uint8)
+    for bit, offset in enumerate(np.array(CORNER_OFFSETS) @ stride):
+        active &= ~nan[offset : offset + count]
+        case |= below[offset : offset + count] << bit
+    active &= case != 0
+    active &= case != 255
     # each active cube's lowest node, flat in the boxes and flat in the grid
-    local = np.ravel_multi_index((box, i, j, k), boxes.shape)
+    local = np.flatnonzero(active)
+    box, i, j, k = np.unravel_index(local, boxes.shape)
+    origin = np.asarray(origins)[box].T
     node = ((origin[0] + i) * n + origin[1] + j) * n + origin[2] + k
     # the cubes come box by box, and the grid's cube order interleaves them
     order = np.argsort(node, kind="stable")
-    cubes, local, node = cubes[order], local[order], node[order]
-    case = _CASE_OF_CODE[code.reshape(-1)[cubes]]
+    local, node = local[order], node[order]
+    case = case[local]
     cube_of, edge_of = np.nonzero(EDGE_CROSSED[case])
     axis = _EDGE_AXIS[edge_of]
-    _, rows, cols = boxes.shape[1:]
-    stride = np.array((rows * cols, cols, 1))
     lower = local[cube_of] + (_EDGE_LOWER @ stride)[edge_of]
-    flat = boxes.reshape(-1)
     va = flat[lower]
     t = (level - va) / (flat[lower + stride[axis]] - va)
     key = node[cube_of] + (_EDGE_LOWER @ (n * n, n, 1))[edge_of]

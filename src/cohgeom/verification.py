@@ -240,15 +240,14 @@ def discord_predicate_consistency() -> SuiteResult:
     for i0, i1 in _batches(len(axis), max(1, 16 * BATCH_ROWS // len(axis) ** 2)):
         c1, c2, c3 = np.meshgrid(axis[i0:i1], axis, axis, indexing="ij")
         physical = states._bell_physical(c1, c2, c3)
+        # only a physical node can mismatch, so only those are evaluated
+        c = c1[physical], c2[physical], c3[physical]
         numeric_eq = (
-            np.abs(
-                measures.bell_discord_values(c1, c2, c3)
-                - measures.bell_relative_entropy_values(c1, c2, c3)
-            )
+            np.abs(measures.bell_discord_values(*c) - measures.bell_relative_entropy_values(*c))
             <= measures.TOL_EQ
         )
-        predicate = measures.discord_equals_coherence_values(c1, c2, c3)
-        mismatch = physical & (numeric_eq != predicate)
+        mismatch = np.zeros_like(physical)
+        mismatch[physical] = numeric_eq != measures.discord_equals_coherence_values(*c)
         mismatches += np.count_nonzero(mismatch)
         worst.add(mismatch, (c1, c2, c3), (i0, 0, 0))
     return SuiteResult("discord_predicate_grid", float(mismatches), 0.0, worst.at)

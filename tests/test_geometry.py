@@ -310,9 +310,17 @@ class TestSampleField:
         expected = np.where(physical, field, np.nan)
         # np.empty's stale heap bytes can repeat an earlier grid, so a layer
         # that no chunk fills could still match; poisoned with 7, beyond every
-        # field, it cannot
-        full = np.full
-        monkeypatch.setattr(np, "empty", lambda shape: full(shape, 7.0))
+        # field, it cannot.  The stand-in takes np.empty's every argument, as
+        # numpy's own callers pass a dtype, and poisons only float arrays
+        empty = np.empty
+
+        def poisoned(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if out.dtype.kind == "f":
+                out.fill(7.0)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned)
         got = sample_field(measure, 20, **kwargs)
         assert np.array_equal(got, expected, equal_nan=True)
 
@@ -547,6 +555,20 @@ class TestCubeCases:
     def test_uniform_grids_have_no_active_cube(self, fill):
         case, key, t = geometry._box_cases(np.full((1, 8, 8, 8), fill), [(0, 0, 0)], 0.5, 8)
         assert len(case) == len(key) == len(t) == 0
+
+    def test_empty_batch_has_no_active_cube(self):
+        # a chunk of block layers that hold no kept block
+        boxes, origins = np.empty((0, 9, 9, 9)), np.empty((0, 3), dtype=int)
+        case, key, t = geometry._box_cases(boxes, origins, 0.5, 8)
+        assert len(case) == len(key) == len(t) == 0
+
+    def test_box_ends_are_not_read_across(self):
+        # on a checkerboard every cube is active, and so would be any cube
+        # read from a box's last layer into the next row, plane or box; 10
+        # nodes make 3 chunks and 27 blocks of 3 cube layers with no node
+        # beyond the grid, so no NaN hides such a cube
+        vals = np.indices((10, 10, 10)).sum(axis=0) % 2.0
+        self.assert_matches_corner_loop(vals, 0.5, 3)
 
     def test_sampled_field(self):
         vals = sample_field("discord", 24)
