@@ -428,15 +428,15 @@ def _over_runs(size, work):
     return [chunk for run in results for chunk in run]
 
 
-def _march(n, size, cases):
-    """Marching cubes over a grid of n nodes per axis, given in layers.
+def _march(n, level, size, boxes):
+    """Marching cubes at ``level`` over a grid of n nodes per axis, in layers.
 
     The layers, of ``size`` nodes each, are scheduled by :func:`_over_runs`;
-    ``cases(i0, i1)`` gives the :func:`_box_cases` output for the cubes of
-    layers ``[i0, i1)``, which come before those of later layers in cube
-    order.
+    ``boxes(i0, i1)`` gives the boxes and origins for :func:`_box_cases` that
+    hold the cubes of layers ``[i0, i1)``, before those of later layers in
+    cube order.
     """
-    chunks = _over_runs(size, cases)
+    chunks = _over_runs(size, lambda i0, i1: _box_cases(*boxes(i0, i1), level, n))
     case, key, t = (np.concatenate(column) for column in zip(*chunks))
     # each stage's inputs are dropped once used, so the triangle areas are
     # computed beside the mesh alone, not beside the whole build
@@ -496,7 +496,8 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
     """Extract the triangle mesh of the field's level set via marching cubes.
 
     ``grid`` is a cubic array laid out as :func:`sample_field` returns it,
-    with at least 8 nodes per axis.
+    with at least 8 nodes per axis, each NaN or at most ``states.MAX_ENTRY``
+    in magnitude, so that every interpolation stays finite.
 
     Linear interpolation along cube edges; any cube with a masked (NaN)
     corner contributes nothing, which trims the surface at the boundary of
@@ -519,10 +520,15 @@ def extract_isosurface(grid, level: float) -> TriangleMesh:
         raise DomainError("grid resolution must be at least 8 per axis")
     level = _check_level(level)
 
-    def cases(i0, i1):
-        return _box_cases(vals[None, i0 : i1 + 1], [(i0, 0, 0)], level, n)
+    def slab(i0, i1):
+        part = vals[None, i0 : i1 + 1]
+        # on each chunk's worker, by NaN-skipping passes with no temporary
+        low, high = np.fmin.reduce(part, axis=None), np.fmax.reduce(part, axis=None)
+        if max(-low, high) > states.MAX_ENTRY:
+            raise DomainError(f"grid values must be at most {states.MAX_ENTRY:.3g} in magnitude")
+        return part, [(i0, 0, 0)]
 
-    return _march(n, np.full(n - 1, n * n), cases)
+    return _march(n, level, np.full(n - 1, n * n), slab)
 
 
 def level_surface(
@@ -586,17 +592,15 @@ def level_surface(
     first = np.concatenate(([0], np.cumsum(per_layer)))
     closure = np.arange(BLOCK_CUBES + 1)
 
-    def cases(b0, b1):
+    def closures(b0, b1):
         origin = origins[first[b0] : first[b1]]
         boxes = np.empty((len(origin),) + (len(closure),) * 3)
-        corner = origin[:, :, None, None, None]
-        i = corner[:, 0] + closure[:, None, None]
-        j = corner[:, 1] + closure[:, None]
-        k = corner[:, 2] + closure
+        # each axis's node indices, as an open mesh over the boxes' closures
+        i, j, k = (o[:, None, None, None] + c for o, c in zip(origin.T, np.ix_(*[closure] * 3)))
         at(boxes, i, j, k)
-        return _box_cases(boxes, origin, level, n)
+        return boxes, origin
 
-    return _march(n, per_layer * len(closure) ** 3, cases)
+    return _march(n, level, per_layer * len(closure) ** 3, closures)
 
 
 def filter_triangles(mesh: TriangleMesh, keep) -> TriangleMesh:

@@ -10,11 +10,12 @@ rejection sampler's candidates accepts, as they come: whole for the spectra
 and coherence, BATCH_ROWS // 64 states at a time for the channel maps, with
 the probability grid as one more axis, and BATCH_ROWS // 8 for the
 trajectories; the grid suite takes a few c1 layers at a time.  No array grows
-with the sample count.  A suite reports the first state, in the C order of
-its whole deviation array, at which the worst deviation occurs, whatever
-order its batches come in.  The ``_vs_jacobi`` names predate the LAPACK
-oracle and stay because the ``verify`` output pins them; the CLI ``verify``
-subcommand runs every suite.
+with the sample count.  A sampled suite lays its deviations out state-major,
+in the order the states are drawn, so each batch is the next block of its
+whole deviation array in C order; a suite reports the first drawn state at the
+worst deviation and, for the channel suites, then the first kind and p.  The
+``_vs_jacobi`` names predate the LAPACK oracle and stay because the ``verify``
+output pins them; the CLI ``verify`` subcommand runs every suite.
 """
 
 from __future__ import annotations
@@ -74,29 +75,23 @@ class SuiteResult:
 
 
 class _RunningWorst:
-    """The first maximum of a deviation array whose blocks arrive in any
-    order.  ``add`` takes a block, columns that broadcast against it, and the
-    index in the whole array of the block's first entry.  Of two equal
-    maxima, or two NaN, the one earlier in the C order of the whole array is
-    kept, as ``np.argmax`` over the whole array would keep it."""
+    """The first maximum, as ``np.argmax`` finds it, of a deviation array
+    given in consecutive blocks of its C order, each with columns that
+    broadcast against it: a block's first maximum replaces the kept one when
+    it is larger, or NaN where the kept one is not."""
 
     def __init__(self, names):
         self.names = names
-        self.top, self.index, self.at = None, None, ()
+        self.top, self.at = None, ()
 
-    def add(self, dev, columns, start) -> None:
+    def add(self, dev, columns) -> None:
         at = np.unravel_index(np.argmax(dev), dev.shape)
-        index = tuple(np.add(at, start).tolist())
-        if self.top is not None:
-            # the earlier maximum goes first, and np.argmax keeps it on a tie
-            pair = sorted([(self.index, self.top), (index, dev[at])])
-            if pair[np.argmax([top for _, top in pair])][0] != index:
-                return
-        self.top, self.index = dev[at], index
-        self.at = tuple(
-            (name, np.broadcast_to(column, dev.shape)[at].item())
-            for name, column in zip(self.names, columns)
-        )
+        if self.top is None or np.argmax([self.top, dev[at]]):
+            self.top = dev[at]
+            self.at = tuple(
+                (name, np.broadcast_to(column, dev.shape)[at].item())
+                for name, column in zip(self.names, columns)
+            )
 
 
 def _batches(count: int, size: int):
@@ -106,12 +101,12 @@ def _batches(count: int, size: int):
 
 def _sample_physical(low, width, oversample, count, rng):
     """Uniform samples from [-1, 1]^width where every eigenvalue is >= 0, by
-    the family's positivity pair ``low``, yielded as (start, rows): the rows a
-    chunk of candidates accepts, and the index of the first of them among the
-    ``count``.  Candidates come in rounds of ``oversample * count``, each drawn
-    and tested ``oversample * BATCH_ROWS`` at a time.  A round is drawn to its
-    end even once ``count`` rows are kept, so once the generator is exhausted,
-    the rows and the generator's state are those of drawing each round whole."""
+    the family's positivity pair ``low``, yielded as the rows each chunk of
+    candidates accepts, in the order they are drawn.  Candidates come in
+    rounds of ``oversample * count``, each drawn and tested ``oversample *
+    BATCH_ROWS`` at a time.  A round is drawn to its end even once ``count``
+    rows are kept, so once the generator is exhausted, the rows and the
+    generator's state are those of drawing each round whole."""
     kept = 0
     while kept < count:
         for i0, i1 in _batches(oversample * count, oversample * BATCH_ROWS):
@@ -119,13 +114,12 @@ def _sample_physical(low, width, oversample, count, rng):
             if kept < count:
                 good = cand[np.minimum(*low(*cand.T)) / 4 >= 0.0][: count - kept]
                 if len(good):
-                    yield kept, good
+                    yield good
                     kept += len(good)
 
 
 def _rows(family, count, rng) -> np.ndarray:
-    batches = _sample_physical(*family, count, rng)
-    return np.concatenate([np.empty((0, family[1])), *(rows for _, rows in batches)])
+    return np.concatenate([np.empty((0, family[1])), *_sample_physical(*family, count, rng)])
 
 
 def sample_physical_bell(count: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,8 +137,8 @@ def _over_rows(name, tolerance, family, samples, rng, names, deviation) -> Suite
     ``samples`` rows of ``family`` to one deviation per row; the result holds
     the largest and the first row that reaches it."""
     worst = _RunningWorst(names)
-    for start, rows in _sample_physical(*family, samples, rng):
-        worst.add(deviation(rows.T), rows.T, start)
+    for rows in _sample_physical(*family, samples, rng):
+        worst.add(deviation(rows.T), rows.T)
     return SuiteResult(name, float(worst.top), tolerance, worst.at)
 
 
@@ -198,19 +192,21 @@ def channel_map_vs_kraus(state_count: int, rng: np.random.Generator) -> SuiteRes
     complex GEMM that it ran on two threads, and in some fresh processes the
     suite then took 128-134 ms instead of 11-19 ms; at 8 that did not show in
     16 fresh processes.  The batch size changes no bit of the deviations.
-    The worst state is the first maximum in (kind, p, state) order.
+    The deviations are laid out (state, kind, p), so the worst is the first
+    drawn state at the largest, then its first kind and p.
     """
     probs = np.linspace(0.0, 1.0, 101)[:, None]
     worst = _RunningWorst(("kind", "p") + BELL_FIELDS)
-    for start, rows in _sample_physical(*_BELL, state_count, rng):
+    for rows in _sample_physical(*_BELL, state_count, rng):
         for i0, i1 in _batches(len(rows), BATCH_ROWS // 64):
             part = rows[i0:i1].T
             rho, dev = states.bell_density(part), []
             for kind in channels.ChannelKind:
                 mapped = np.broadcast_arrays(*channels.correlation_map_values(kind, probs, *part))
                 direct = states.correlations_of(channels.apply_product_channel(rho, kind, probs))
-                dev.append(np.abs(np.subtract(mapped, direct)).max(axis=0))
-            worst.add(np.array(dev), (_KINDS[:, None, None], probs, *part), (0, 0, start + i0))
+                dev.append(np.abs(np.subtract(mapped, direct)).max(axis=0).T)
+            columns = (_KINDS[:, None], probs[:, 0], *part[..., None, None])
+            worst.add(np.stack(dev, axis=1), columns)
     return SuiteResult("channel_map_vs_kraus", float(worst.top), 1e-12, worst.at)
 
 
@@ -223,7 +219,7 @@ def kraus_completeness() -> SuiteResult:
         total = np.einsum("...kba,...kbc->...ac", ops.conj(), ops)
         dev.append(np.abs(total - np.eye(2)).max(axis=(-2, -1)))
     worst = _RunningWorst(("kind", "p"))
-    worst.add(np.array(dev), (_KINDS[:, None], probs), 0)
+    worst.add(np.array(dev), (_KINDS[:, None], probs))
     return SuiteResult("kraus_completeness", float(worst.top), 1e-12, worst.at)
 
 
@@ -249,7 +245,7 @@ def discord_predicate_consistency() -> SuiteResult:
         mismatch = np.zeros_like(physical)
         mismatch[physical] = numeric_eq != measures.discord_equals_coherence_values(*c)
         mismatches += np.count_nonzero(mismatch)
-        worst.add(mismatch, (c1, c2, c3), (i0, 0, 0))
+        worst.add(mismatch, (c1, c2, c3))
     return SuiteResult("discord_predicate_grid", float(mismatches), 0.0, worst.at)
 
 
@@ -257,21 +253,20 @@ def trajectory_monotonicity(state_count: int, rng: np.random.Generator) -> Suite
     """Coherence along every channel trajectory must not increase with p.
 
     Trajectories are evaluated BATCH_ROWS // 8 states at a time, 101 grid
-    points each, for every kind; the worst state is the first rise in (kind,
-    state, p) order.
+    points each, for every kind, and their rises laid out (state, kind, p):
+    the worst is the first drawn state at the largest, then its kind and p.
     """
     probs = np.linspace(0.0, 1.0, 101)
     worst = _RunningWorst(("kind", "p") + BELL_FIELDS)
-    for start, rows in _sample_physical(*_BELL, state_count, rng):
+    for rows in _sample_physical(*_BELL, state_count, rng):
         for i0, i1 in _batches(len(rows), BATCH_ROWS // 8):
-            c1, c2, c3 = rows[i0:i1].T[:, :, None]
+            c1, c2, c3 = rows[i0:i1].T[..., None, None]
             rise = []
             for kind in channels.ChannelKind:
                 mapped = channels.correlation_map_values(kind, probs, c1, c2, c3)
                 rise.append(np.diff(measures.bell_relative_entropy_values(*mapped), axis=-1))
             # a rise from p to the next grid point is reported at p
-            columns = (_KINDS[:, None, None], probs[:-1], c1, c2, c3)
-            worst.add(np.array(rise), columns, (0, start + i0, 0))
+            worst.add(np.concatenate(rise, axis=1), (_KINDS[:, None], probs[:-1], c1, c2, c3))
     deviation = float(np.maximum(worst.top, 0.0))
     return SuiteResult("trajectory_monotonicity", deviation, 1e-9, worst.at)
 

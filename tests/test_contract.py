@@ -7,17 +7,19 @@ value: NaN, infinities, magnitudes near the largest double, values just
 outside each argument's range, bools, strings, bytes, complex numbers, None
 and huge counts, each as itself, as a 0-d array and as a 1-d array.  A
 matrix argument also takes a 4x4 matrix filled with the value, a grid an 8^3
-one.  The ``*_values`` kernels are left out, since their inputs are assumed
-physical, and so are ``correlation_map_values``' correlation arguments.
-Only ``export_obj``'s path may raise OSError as well.  The value also
-stands for a whole mesh and for ``export_obj``'s metadata, and, beside
-arguments of shape (3,), for a column or a ``p`` that may not broadcast.
+one and a zero 8^3 one holding the value at one node.  The ``*_values``
+kernels are left out, since their inputs are assumed physical, and so are
+``correlation_map_values``' correlation arguments.  Only ``export_obj``'s
+path may raise OSError as well.  The value also stands for a whole mesh and
+for ``export_obj``'s metadata, and, beside arguments of shape (3,), for a
+column or a ``p`` that may not broadcast.
 """
 
 import contextlib
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +38,13 @@ GRID = np.zeros((8, 8, 8))
 def filled(shape, v):
     """An array of ``shape`` filled with the drawn scalar behind ``v``."""
     return np.full(shape, np.asarray(v).ravel()[0])
+
+
+def at_a_node(v):
+    """A zero 8^3 grid holding the drawn scalar behind ``v`` at one node."""
+    grid = np.zeros_like(filled((8, 8, 8), v))
+    grid[3, 4, 5] = filled((), v)[()]
+    return grid
 
 
 # each checked public name: its calls, each of one drawn value
@@ -81,6 +90,7 @@ CALLS = {
     "extract_isosurface": [
         lambda v: cg.extract_isosurface(v, 0.5),
         lambda v: cg.extract_isosurface(filled((8, 8, 8), v), 0.5),
+        lambda v: cg.extract_isosurface(at_a_node(v), 0.5),
         lambda v: cg.extract_isosurface(GRID, v),
     ],
     "filter_triangles": [
@@ -195,3 +205,12 @@ def test_a_value_or_domain_error(value, shape):
                 except OSError:
                     if name != "export_obj":
                         raise
+
+
+def test_grid_values_whose_difference_overflows():
+    # each neighbour is a double, but their difference is not: the
+    # interpolation overflowed before the grid's values were bounded
+    grid = np.zeros((8, 8, 8))
+    grid[3, 4, 5], grid[3, 4, 6] = 1.7e308, -1.7e308
+    with pytest.raises(DomainError):
+        cg.extract_isosurface(grid, 0.5)

@@ -438,6 +438,27 @@ class TestExtractIsosurface:
         with pytest.raises(DomainError, match="grid must be a number"):
             extract_isosurface(grid, 0.5)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nextafter(states.MAX_ENTRY, np.inf)])
+    def test_values_beyond_the_matrix_bound_rejected(self, monkeypatch, value):
+        # chunks of 2 cube layers on 2 workers: each chunk checks its slab,
+        # the node layer it shares with the next included, so a value on any
+        # layer is caught, the last one too
+        n = 9
+        monkeypatch.setattr(geometry, "SLAB_NODES", 2 * n * n + 7)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for layer in range(n):
+            grid = np.zeros((n, n, n))
+            grid[layer, 4, 4] = value
+            with pytest.raises(DomainError, match="grid values must be at most"):
+                extract_isosurface(grid, 0.5)
+
+    def test_values_at_the_matrix_bound_give_finite_vertices(self):
+        grid = np.full((8, 8, 8), np.nan)
+        grid[3:5, 3:5, 3:5] = states.MAX_ENTRY
+        grid[3, 3, 3] = -states.MAX_ENTRY
+        mesh = extract_isosurface(grid, 0.5)
+        assert len(mesh.triangles) and np.isfinite(mesh.vertices).all()
+
     def test_malformed_grid_rejected(self):
         for shape in ((4, 5, 4), (7, 7, 7), (8, 8)):
             with pytest.raises(DomainError):

@@ -224,7 +224,8 @@ class TestSuites:
         assert result.worst == tuple(zip(names, rows[tied[0]]))
 
     def test_tied_channel_deviations_report_the_first_state(self, monkeypatch):
-        # the first maximum in (kind, p, state) order, over 30 states
+        # the first maximum in (state, kind, p) order, over 30 states: the
+        # first drawn state at the worst deviation, then its kind and p
         mapped = channels.correlation_map_values
         monkeypatch.setattr(
             channels, "correlation_map_values",
@@ -239,10 +240,13 @@ class TestSuites:
                 states.correlations_of(channels.apply_product_channel(rho, kind, probs)),
             )).max(axis=0)
             for kind in channels.ChannelKind
-        ])
+        ]).transpose(2, 0, 1)
         tied = np.argwhere(dev == dev.max())
-        assert len(tied) > 1 and len(set(tied[:, 2])) > 1
-        k, p, i = tied[0]
+        # ties across states, and the first in (kind, p, state) order is
+        # another state than the first in (state, kind, p) order
+        kind_major = min(tied[:, [1, 2, 0]].tolist())
+        assert len(set(tied[:, 0])) > 1 and kind_major[2] != tied[0, 0]
+        i, k, p = tied[0]
         result = channel_map_vs_kraus(30, np.random.default_rng(3))
         assert result.deviation == dev.max()
         kind = list(channels.ChannelKind)[k].value
@@ -266,18 +270,18 @@ class TestSuites:
             results.add((result.deviation.hex(), repr(result.worst)))
         assert len(results) == 1
 
-    def test_trajectory_worst_is_first_in_kind_state_p_order(self, monkeypatch):
+    def test_trajectory_worst_is_first_in_state_kind_p_order(self, monkeypatch):
         # coherence patched to count |c1| < 0.5 and |c3| < 0.5, so the only
         # rises are 1, where a shrinking c1 or c3 crosses 0.5: bit flip
         # shrinks c3 and keeps c1, phase flip shrinks c1 and keeps c3.  Row 0
         # rises only under phase flip, row 100, batches later, only under bit
-        # flip, the first kind: (kind, state, p) order reports row 100.  The
+        # flip, the first kind: (state, kind, p) order reports row 0.  The
         # sampler is replaced by one that yields the rows 64 at a time.
         rows = np.zeros((130, 3))
         rows[0, 0] = rows[100, 2] = 0.8
         monkeypatch.setattr(
             verification, "_sample_physical",
-            lambda *args: ((i, rows[i : i + 64]) for i in range(0, len(rows), 64)),
+            lambda *args: (rows[i : i + 64] for i in range(0, len(rows), 64)),
         )
         monkeypatch.setattr(
             measures, "bell_relative_entropy_values",
@@ -285,22 +289,22 @@ class TestSuites:
         )
         result = trajectory_monotonicity(130, None)
         assert result.deviation == 1.0
-        kind = next(iter(channels.ChannelKind)).value
-        assert result.worst[0] == ("kind", kind)
-        assert result.worst[2:] == tuple(zip(BELL_FIELDS, rows[100]))
+        assert result.worst[0] == ("kind", channels.ChannelKind.PHASE_FLIP.value)
+        assert result.worst[2:] == tuple(zip(BELL_FIELDS, rows[0]))
 
     def test_running_worst_is_the_first_maximum_of_the_whole_array(self):
-        # blocks along the last axis of a (3, 4, 12) array, given in reverse:
-        # the kept entry is np.argmax's over the whole array, on ties and NaN
+        # blocks of 4 along the first axis of a (12, 4, 3) array, given in
+        # C order: the kept entry is np.argmax's over the whole array, on
+        # ties and NaN
         rng = np.random.default_rng(5)
-        for nan_at in (None, (2, 1, 3), (0, 3, 11)):
-            dev = rng.integers(0, 3, (3, 4, 12)).astype(float)
-            if nan_at:
-                dev[nan_at] = dev[2, 3, 0] = np.nan
+        for nans in ((), ((5, 1, 2),), ((0, 3, 2), (11, 3, 0))):
+            dev = rng.integers(0, 3, (12, 4, 3)).astype(float)
+            for at in nans:
+                dev[at] = np.nan
             flat = np.arange(dev.size).reshape(dev.shape)
             worst = verification._RunningWorst(("index",))
-            for i0 in (8, 4, 0):
-                worst.add(dev[:, :, i0 : i0 + 4], (flat[:, :, i0 : i0 + 4],), (0, 0, i0))
+            for i0 in (0, 4, 8):
+                worst.add(dev[i0 : i0 + 4], (flat[i0 : i0 + 4],))
             assert worst.at == (("index", int(np.argmax(dev))),)
             assert np.array_equal(worst.top, dev.flat[np.argmax(dev)], equal_nan=True)
 
